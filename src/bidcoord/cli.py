@@ -69,7 +69,7 @@ def _emit(doc, out_path: Optional[str], text: Optional[str] = None) -> None:
         sys.stdout.write(payload)
 
 
-def _profile_doc(profile, instance: AuctionInstance) -> dict:
+def _profile_doc(profile) -> dict:
     return {
         "levels": list(profile.levels),
         "tie_ranks": list(profile.tie_ranks),
@@ -89,7 +89,7 @@ def _solution_doc(instance: AuctionInstance, solution: AgencySolution) -> dict:
             rbar[i] += prob * out.revenue[i]
             pbar[i] += prob * out.payment[i]
         objective += prob * out.cumulative
-        entry = _profile_doc(profile, instance)
+        entry = _profile_doc(profile)
         entry["probability"] = prob
         dist_doc.append(entry)
     p = solution.relaxation
@@ -262,7 +262,7 @@ def cmd_wup(args) -> int:
         mode = {"expected": True}
     _emit(
         {
-            "profile": _profile_doc(result.profile, instance),
+            "profile": _profile_doc(result.profile),
             "value": result.value,
             "colluder_order": list(result.order),
             "grid": grid_doc,

@@ -30,7 +30,7 @@ from .core import (
 from .discretize import build_grid, iter_grid_profiles
 from .mechanisms import expected_outcome
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, lp_solve
-from .wup import WupWeights, solve_wup_expected, unit_weights
+from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
 
 #: Largest fully-materialized master; bigger grids use column generation.
 DENSE_COLUMN_CAP = 100_000
@@ -153,7 +153,7 @@ def solve_master(
 
 def pricing(
     duals: DualValues,
-    grid_levels: Sequence[float],
+    tables: WupTables,
     instance: AuctionInstance,
     include_objective: bool = True,
 ) -> tuple[BidProfile, float]:
@@ -161,19 +161,22 @@ def pricing(
 
     Expanding the master's reduced-cost expression gives revenue weights
     1 - y_i and payment weight 1 - x, both nonnegative at dual-feasible
-    points, so this is exactly a weighted-utility instance.  For the
-    feasibility phase (column value coefficients zero) the weights are
-    -y_i and -x instead, nonnegative for the same reason.  Should
-    numerical noise ever push the payment weight negative, an exhaustive
-    grid scan stands in for the graph solver.
+    points, so this is exactly a weighted-utility instance over the
+    grid's prebuilt ``tables``.  For the feasibility phase (column value
+    coefficients zero) the weights are -y_i and -x instead, nonnegative
+    for the same reason.  Noise within EQ_TOL below zero is clamped to
+    zero; only a genuinely negative payment weight, which a master never
+    emits, falls back to an exhaustive grid scan.
     """
     base = 1.0 if include_objective else 0.0
     y_hat = tuple(max(base - yi, 0.0) for yi in duals.y)
     x_hat = base - duals.x
+    if -EQ_TOL <= x_hat < 0.0:
+        x_hat = 0.0
     if x_hat < 0.0:
         best_profile = None
         best_value = float("-inf")
-        for profile in iter_grid_profiles(grid_levels, instance.n_colluders):
+        for profile in iter_grid_profiles(tables.levels, instance.n_colluders):
             out = expected_outcome(instance, profile)
             value = sum(
                 yh * r - x_hat * pay
@@ -183,8 +186,7 @@ def pricing(
                 best_value = value
                 best_profile = profile
         return best_profile, best_value - duals.z
-    weights = WupWeights(y_hat, x_hat)
-    result = solve_wup_expected(grid_levels, weights, instance)
+    result = solve_wup(tables, WupWeights(y_hat, x_hat), instance)
     return result.profile, result.value - duals.z
 
 
@@ -263,13 +265,11 @@ def _dense_columns(
     return columns
 
 
-def solve_ll_dense(
-    instance: AuctionInstance, grid_levels: Sequence[float], p: float
-) -> tuple[AgencySolution, MasterSolution]:
-    """Solve the master with every column materialized."""
-    columns = _dense_columns(instance, grid_levels, DENSE_COLUMN_CAP)
-    if columns is None:
-        raise ValueError("grid too large for the dense master; use column generation")
+def _solve_dense_master(
+    instance: AuctionInstance, columns: Sequence[Column], grid_levels: Sequence[float], p: float
+) -> MasterSolution:
+    """Master over every grid column; infeasible means no grid profile
+    distribution covers the outside options."""
     master = solve_master(instance, columns, p)
     if master is None:
         report = check_assumption1(instance, grid_levels, p)
@@ -277,6 +277,17 @@ def solve_ll_dense(
             "master LP infeasible; no grid profile covers every outside option"
             f" (witness found: {report.satisfied})"
         )
+    return master
+
+
+def solve_ll_dense(
+    instance: AuctionInstance, grid_levels: Sequence[float], p: float
+) -> tuple[AgencySolution, MasterSolution]:
+    """Solve the master with every column materialized."""
+    columns = _dense_columns(instance, grid_levels, DENSE_COLUMN_CAP)
+    if columns is None:
+        raise ValueError("grid too large for the dense master; use column generation")
+    master = _solve_dense_master(instance, columns, grid_levels, p)
     return extract_solution(instance, master, p), master
 
 
@@ -294,11 +305,14 @@ def solve_ll_cg(
     A feasibility phase first drives out the relief mass (certifying
     full-master infeasibility if it cannot), then the objective phase
     alternates master solves with weighted-utility pricing until no
-    column's reduced cost exceeds the tolerance.
+    column's reduced cost exceeds the tolerance.  The weighted-utility
+    tables are built once for the grid and shared by the seed solve and
+    every pricing round.
     """
     n_c = instance.n_colluders
+    tables = expected_tables(instance, grid_levels)
     seeds = [make_profile([0.0] * n_c)]
-    seeds.append(solve_wup_expected(grid_levels, unit_weights(n_c), instance).profile)
+    seeds.append(solve_wup(tables, unit_weights(n_c), instance).profile)
     # The witness scan is bounded: for grids large enough to need column
     # generation the projected-truthful shortcut almost always fires, and
     # a missed witness only costs a seed column.
@@ -321,7 +335,7 @@ def solve_ll_cg(
         if rounds >= max_rounds:
             raise ToleranceError(f"column generation exceeded {max_rounds} rounds")
         rounds += 1
-        profile, reduced = pricing(master.duals, grid_levels, instance, include_objective=False)
+        profile, reduced = pricing(master.duals, tables, instance, include_objective=False)
         if reduced <= tol or profile in seen:
             raise InfeasibleError(
                 "master infeasible even over the full grid; outside options"
@@ -338,7 +352,7 @@ def solve_ll_cg(
         if rounds >= max_rounds:
             raise ToleranceError(f"column generation exceeded {max_rounds} rounds")
         rounds += 1
-        profile, reduced = pricing(master.duals, grid_levels, instance)
+        profile, reduced = pricing(master.duals, tables, instance)
         if reduced <= tol or profile in seen:
             if reduced > 1e-5:
                 raise ToleranceError(
@@ -363,13 +377,7 @@ def solve_ll(
     _, grid = build_grid(instance, p)
     columns = _dense_columns(instance, grid.levels, dense_cap)
     if columns is not None:
-        master = solve_master(instance, columns, p)
-        if master is None:
-            report = check_assumption1(instance, grid.levels, p)
-            raise InfeasibleError(
-                "master LP infeasible; no grid profile covers every outside option"
-                f" (witness found: {report.satisfied})"
-            )
+        master = _solve_dense_master(instance, columns, grid.levels, p)
         return extract_solution(instance, master, p)
     solution, _, _ = solve_ll_cg(instance, grid.levels, p)
     return solution

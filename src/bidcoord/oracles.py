@@ -4,8 +4,11 @@ Everything here favors obviousness over speed and stays independent of
 the production solvers: payments are recomputed from first principles
 where payments are the target, profile enumeration is local, and the
 linear-programming gold standard runs on scipy rather than the in-repo
-simplex.  Shared surface is limited to the core types and the
-mechanisms module's allocation and expectation helpers.
+simplex.  The scalar per-arc weight, one support entry and one level
+pair at a time, is the reference for the optimizer's numpy tables.
+Shared surface is limited to the core types, the mechanisms module's
+allocation and expectation helpers, and the optimizer's weight type and
+colluder order.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import AuctionInstance, BidProfile, ExternalDistribution, make_profile
+from .core import GSP, AuctionInstance, BidProfile, ExternalDistribution, make_profile
 from .mechanisms import RankedAgent, expected_outcome
-from .wup import WupWeights
+from .wup import WupWeights, wup_colluder_order
 
 _EXTERNALITY_CAP = 20
 _WUP_CAP = 10**6
@@ -52,6 +55,100 @@ def vcg_externality(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) ->
         present = sum(lambdas[j] * levels[j] for j in range(min(n, m)) if j != k)
         pays.append(welfare_of_others(k) - present)
     return pays
+
+
+class _ExternalView:
+    """Precomputed rank statistics of one fixed external bid profile."""
+
+    def __init__(self, external_levels: Sequence[float], lambdas: Sequence[float], n_positions: int):
+        self.desc = sorted(external_levels, reverse=True)
+        self.n_e = len(self.desc)
+        m = len(lambdas)
+
+        def lam(j: int) -> float:
+            return lambdas[j - 1] if 1 <= j <= m else 0.0
+
+        self.lam = lam
+        # prefix[i][h]: for the first h externals, the telescoping payment
+        # terms they generate when exactly i colluders sit above them.
+        self.prefix = [[0.0] * (self.n_e + 1) for _ in range(n_positions + 1)]
+        for i in range(1, n_positions + 1):
+            row = self.prefix[i]
+            for h in range(1, self.n_e + 1):
+                e = self.desc[h - 1]
+                row[h] = row[h - 1] + e * (lam(h + i - 1) - lam(h + i))
+
+    def count_above(self, level: float) -> int:
+        """Externals strictly above a colluder bidding at this level."""
+        c = 0
+        for e in self.desc:
+            if e > level:
+                c += 1
+            else:
+                break
+        return c
+
+    def max_at_or_below(self, level: float) -> float:
+        """Largest external level <= level (ties lose to colluders), 0 if none."""
+        a = self.count_above(level)
+        return self.desc[a] if a < self.n_e else 0.0
+
+
+def _arc_weight(
+    mechanism: str,
+    i: int,
+    level: float,
+    next_level: float,
+    view: _ExternalView,
+    y: float,
+    v: float,
+    x: float,
+    lambdas: Sequence[float],
+) -> float:
+    """Weight for the i-th ordered colluder bidding `level` with the next
+    colluder at `next_level` (0 for the last colluder's sink arc)."""
+    a = view.count_above(level)
+    slot = i + a
+    m = len(lambdas)
+    lam_slot = lambdas[slot - 1] if slot <= m else 0.0
+    if mechanism == GSP:
+        price = max(next_level, view.max_at_or_below(level))
+        return lam_slot * (y * v - x * price)
+    rev = lam_slot * v
+    g = 0.0 if i == 1 else (i - 1) * level * (view.lam(slot - 1) - lam_slot)
+    # Externals in (next_level, level]: below this colluder, above the next.
+    b = view.count_above(next_level)
+    ell = i * (view.prefix[i][b] - view.prefix[i][a])
+    return y * rev - x * (g + ell)
+
+
+def arc_weight(
+    i: int,
+    level: float,
+    next_level: float,
+    external_levels: Sequence[float],
+    weights: WupWeights,
+    instance: AuctionInstance,
+) -> float:
+    """Scalar reference weight of the arc where the i-th colluder (1-based,
+    in the weighted-valuation order) bids `level` and the next bids
+    `next_level`, against one fixed external profile.  Under GSP it is the
+    colluder's slot revenue net of its next-bid price; under VCG its
+    revenue plus its slice of the agency's total payment."""
+    order = wup_colluder_order(instance, weights)
+    c = order[i - 1]
+    view = _ExternalView(external_levels, instance.slots, len(order))
+    return _arc_weight(
+        instance.mechanism,
+        i,
+        level,
+        next_level,
+        view,
+        weights.revenue_weights[c],
+        instance.colluders[c].valuation,
+        weights.payment_weight,
+        instance.slots,
+    )
 
 
 def _weighted_order(instance: AuctionInstance, weights: WupWeights) -> list[int]:

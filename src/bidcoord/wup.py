@@ -8,6 +8,16 @@ on a layered DAG with one layer per colluder and one node per grid
 level.  Arc weights account, per colluder, for that colluder's slice of
 the mechanism's revenue and payment, given only the adjacent pair of bid
 levels; the per-path sum then reproduces the full mechanism accounting.
+
+Only ``y`` and ``v`` depend on which colluder sits at position i of the
+order, so the arc weight factors as ``y_c * v_c * L_i(j) - x * P_i(j, j')``
+with ``L_i(j)`` the expected click-through rate of position i bidding
+level j and ``P_i(j, j')`` its expected payment share when the next
+position bids level j' (the sink uses next level 0).  Neither table
+depends on the weights: :func:`expected_tables` builds them once per
+(instance, grid) in numpy, and every query, such as each pricing round
+of limited-liability column generation, only recombines them with its
+weights and runs a vectorized DP.
 """
 
 from __future__ import annotations
@@ -15,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import GSP, VCG, AuctionInstance, BidProfile, make_profile
+import numpy as np
+
+from .core import GSP, AuctionInstance, BidProfile, make_profile
 
 NEG_INF = float("-inf")
 
@@ -52,142 +64,130 @@ def wup_colluder_order(instance: AuctionInstance, weights: WupWeights) -> tuple[
     )
 
 
-class _ExternalView:
-    """Precomputed rank statistics of one fixed external bid profile."""
-
-    def __init__(self, external_levels: Sequence[float], lambdas: Sequence[float], n_positions: int):
-        self.desc = sorted(external_levels, reverse=True)
-        self.n_e = len(self.desc)
-        m = len(lambdas)
-
-        def lam(j: int) -> float:
-            return lambdas[j - 1] if 1 <= j <= m else 0.0
-
-        self.lam = lam
-        # prefix[i][h]: for the first h externals, the telescoping payment
-        # terms they generate when exactly i colluders sit above them.
-        self.prefix = [[0.0] * (self.n_e + 1) for _ in range(n_positions + 1)]
-        for i in range(1, n_positions + 1):
-            row = self.prefix[i]
-            for h in range(1, self.n_e + 1):
-                e = self.desc[h - 1]
-                row[h] = row[h - 1] + e * (lam(h + i - 1) - lam(h + i))
-
-    def count_above(self, level: float) -> int:
-        """Externals strictly above a colluder bidding at this level."""
-        c = 0
-        for e in self.desc:
-            if e > level:
-                c += 1
-            else:
-                break
-        return c
-
-    def max_at_or_below(self, level: float) -> float:
-        """Largest external level <= level (ties lose to colluders), 0 if none."""
-        a = self.count_above(level)
-        return self.desc[a] if a < self.n_e else 0.0
+def _normalize_levels(grid_levels: Sequence[float]) -> tuple[float, ...]:
+    levels = sorted(set(float(x) for x in grid_levels), reverse=True)
+    if not levels:
+        raise ValueError("empty bid grid")
+    for lvl in levels:
+        if not 0.0 <= lvl <= 1.0:
+            raise ValueError(f"grid level {lvl!r} outside [0, 1]")
+    return tuple(levels)
 
 
-def _arc_weight(
-    mechanism: str,
-    i: int,
-    level: float,
-    next_level: float,
-    view: _ExternalView,
-    y: float,
-    v: float,
-    x: float,
-    lambdas: Sequence[float],
-) -> float:
-    """Weight for the i-th ordered colluder bidding `level` with the next
-    colluder at `next_level` (0 for the last colluder's sink arc)."""
-    a = view.count_above(level)
-    slot = i + a
-    m = len(lambdas)
-    lam_slot = lambdas[slot - 1] if slot <= m else 0.0
-    if mechanism == GSP:
-        price = max(next_level, view.max_at_or_below(level))
-        return lam_slot * (y * v - x * price)
-    rev = lam_slot * v
-    g = 0.0 if i == 1 else (i - 1) * level * (view.lam(slot - 1) - lam_slot)
-    # Externals in (next_level, level]: below this colluder, above the next.
-    b = view.count_above(next_level)
-    ell = i * (view.prefix[i][b] - view.prefix[i][a])
-    return y * rev - x * (g + ell)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-def arc_weight_gsp(
-    i: int,
-    level: float,
-    next_level: float,
-    external_levels: Sequence[float],
-    weights: WupWeights,
+@dataclass(frozen=True, eq=False)
+class WupTables:
+    """Weight-independent expected arc tables over descending grid levels.
+
+    For the colluder at 0-based position ``pos`` of any weighted order
+    bidding ``levels[j]``:
+
+    - ``revenue[pos, j]`` is its expected click-through rate;
+    - ``payment[pos, j, j']`` (``pos < n - 1``, ``j' >= j``) is its
+      expected payment share when the next position bids ``levels[j']``;
+    - ``sink_payment[j]`` is that share for the last position, whose
+      next level is 0.
+
+    Entries below the diagonal of ``payment`` belong to no arc.
+    """
+
+    levels: tuple[float, ...]
+    revenue: np.ndarray
+    payment: np.ndarray
+    sink_payment: np.ndarray
+
+
+def expected_tables(
     instance: AuctionInstance,
-) -> float:
-    """GSP weight of the arc where the i-th colluder (1-based, in the
-    weighted-valuation order) bids `level` and the next bids `next_level`."""
-    order = wup_colluder_order(instance, weights)
-    c = order[i - 1]
-    view = _ExternalView(external_levels, instance.slots, len(order))
-    return _arc_weight(
-        GSP,
-        i,
-        level,
-        next_level,
-        view,
-        weights.revenue_weights[c],
-        instance.colluders[c].valuation,
-        weights.payment_weight,
-        instance.slots,
+    grid_levels: Sequence[float],
+    external_levels: Optional[Sequence[float]] = None,
+) -> WupTables:
+    """Tables in expectation over the external distribution, or for one
+    fixed external profile (a point mass) when ``external_levels`` is given."""
+    levels = _normalize_levels(grid_levels)
+    if external_levels is None:
+        support = instance.external.support
+    else:
+        support = ((tuple(sorted(external_levels, reverse=True)), 1.0),)
+    lv = np.array(levels)
+    d = len(levels)
+    n = instance.n_colluders
+    n_e = len(support[0][0])
+    pos = np.arange(1, n + 1)
+    # lam[s]: click-through rate of slot s (1-based), 0 off the slot list;
+    # an instance never has more slots than agents
+    lam = np.zeros(n + n_e + 1)
+    lam[1 : instance.n_slots + 1] = instance.slots
+    gsp = instance.mechanism == GSP
+
+    revenue = np.zeros((n, d))
+    if gsp:
+        payment = np.zeros((n - 1, d, d))
+        sink_payment = np.zeros(d)
+    else:
+        # VCG's share separates as G(j) + H(j'), H(j') counting the
+        # externals above the next bid; H0 is H at next level 0
+        g_cur = np.zeros((n, d))
+        h_next = np.zeros((n, d))
+        h_sink = np.zeros(n)
+        # steps[i-1, h-1]: weight of the h-th external's bid in the
+        # telescoping payment when exactly i colluders sit above it
+        h = np.arange(1, n_e + 1)
+        steps = lam[h[None, :] + pos[:, None] - 1] - lam[h[None, :] + pos[:, None]]
+    for ext, prob in support:
+        desc = np.array(ext, dtype=float)
+        above = n_e - np.searchsorted(desc[::-1], lv, side="right")
+        slot = pos[:, None] + above[None, :]
+        lam_slot = lam[slot]
+        revenue += prob * lam_slot
+        if gsp:
+            # price: the larger of the next level and the highest external
+            # at or below this level (colluders win ties)
+            below = np.append(desc, 0.0)[above]
+            price = np.maximum(lv[None, :], below[:, None])
+            payment += (prob * lam_slot[:-1])[:, :, None] * price
+            sink_payment += prob * lam_slot[-1] * below
+        else:
+            # prefix[i-1, a]: i times the payment terms of the top a externals
+            prefix = np.zeros((n, n_e + 1))
+            np.cumsum(desc[None, :] * steps, axis=1, out=prefix[:, 1:])
+            prefix *= pos[:, None]
+            own = (pos - 1)[:, None] * lv[None, :] * (lam[slot - 1] - lam_slot)
+            g_cur += prob * (own - prefix[:, above])
+            h_next += prob * prefix[:, above]
+            h_sink += prob * prefix[:, int(np.count_nonzero(desc > 0.0))]
+    if not gsp:
+        payment = g_cur[:-1, :, None] + h_next[:-1, None, :]
+        sink_payment = g_cur[-1] + h_sink[-1]
+    return WupTables(
+        levels, _read_only(revenue), _read_only(payment), _read_only(sink_payment)
     )
 
 
-def arc_weight_vcg(
-    i: int,
-    level: float,
-    next_level: float,
-    external_levels: Sequence[float],
-    weights: WupWeights,
-    instance: AuctionInstance,
-) -> float:
-    """VCG counterpart of :func:`arc_weight_gsp`; the weight carries this
-    colluder's revenue plus its slice of the agency's total payment."""
-    order = wup_colluder_order(instance, weights)
-    c = order[i - 1]
-    view = _ExternalView(external_levels, instance.slots, len(order))
-    return _arc_weight(
-        VCG,
-        i,
-        level,
-        next_level,
-        view,
-        weights.revenue_weights[c],
-        instance.colluders[c].valuation,
-        weights.payment_weight,
-        instance.slots,
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WupGraph:
     """Layered DAG over descending grid levels.
 
-    ``arcs[pos][j_cur][j_next]`` is the weight of the arc where the
+    ``arcs[pos, j_cur, j_next]`` is the weight of the arc where the
     colluder at 0-based position ``pos`` of ``order`` takes level index
-    ``j_cur`` and the next colluder takes ``j_next >= j_cur``;
-    ``sink[j_cur]`` closes the path for the last colluder.
+    ``j_cur`` and the next colluder takes ``j_next >= j_cur`` (-inf below
+    the diagonal, where no arc exists); ``sink[j_cur]`` closes the path
+    for the last colluder.
     """
 
     levels: tuple[float, ...]
     order: tuple[int, ...]
-    arcs: tuple[tuple[tuple[float, ...], ...], ...]
-    sink: tuple[float, ...]
+    arcs: np.ndarray
+    sink: np.ndarray
 
     def arc_weight(self, pos: int, j_cur: int, j_next: int) -> float:
         if j_next < j_cur:
             raise ValueError("bid levels must be non-increasing along a path")
-        return self.arcs[pos][j_cur][j_next]
+        return float(self.arcs[pos, j_cur, j_next])
 
     def path_weight(self, level_indices: Sequence[int]) -> float:
         """Total weight of the source-to-sink path through these level indices."""
@@ -197,7 +197,7 @@ class WupGraph:
         total = 0.0
         for pos in range(n - 1):
             total += self.arc_weight(pos, level_indices[pos], level_indices[pos + 1])
-        return total + self.sink[level_indices[-1]]
+        return total + float(self.sink[level_indices[-1]])
 
     def profile_for_path(self, level_indices: Sequence[int]) -> BidProfile:
         """Bid profile realizing a path, with ranks decreasing along it."""
@@ -210,45 +210,19 @@ class WupGraph:
         return make_profile(levels, priority)
 
 
-def _normalize_levels(grid_levels: Sequence[float]) -> tuple[float, ...]:
-    levels = sorted(set(float(x) for x in grid_levels), reverse=True)
-    if not levels:
-        raise ValueError("empty bid grid")
-    for lvl in levels:
-        if not 0.0 <= lvl <= 1.0:
-            raise ValueError(f"grid level {lvl!r} outside [0, 1]")
-    return tuple(levels)
-
-
-def _fixed_tables(
-    levels: tuple[float, ...],
-    order: tuple[int, ...],
-    weights: WupWeights,
-    instance: AuctionInstance,
-    external_levels: Sequence[float],
-) -> tuple[list[list[list[float]]], list[float]]:
-    d = len(levels)
-    n = len(order)
-    view = _ExternalView(external_levels, instance.slots, n)
-    mech = instance.mechanism
+def combine_tables(tables: WupTables, weights: WupWeights, instance: AuctionInstance) -> WupGraph:
+    """Arc weights ``y_c * v_c * L - x * P`` for the weighted colluder order."""
+    order = wup_colluder_order(instance, weights)
+    yv = np.array(
+        [weights.revenue_weights[c] * instance.colluders[c].valuation for c in order]
+    )
     x = weights.payment_weight
-    arcs = [[[0.0] * d for _ in range(d)] for _ in range(max(n - 1, 0))]
-    sink = [0.0] * d
-    for pos in range(n):
-        i = pos + 1
-        c = order[pos]
-        y = weights.revenue_weights[c]
-        v = instance.colluders[c].valuation
-        for jc in range(d):
-            if pos == n - 1:
-                sink[jc] = _arc_weight(mech, i, levels[jc], 0.0, view, y, v, x, instance.slots)
-            else:
-                row = arcs[pos][jc]
-                for jn in range(jc, d):
-                    row[jn] = _arc_weight(
-                        mech, i, levels[jc], levels[jn], view, y, v, x, instance.slots
-                    )
-    return arcs, sink
+    revenue = yv[:, None] * tables.revenue
+    arcs = tables.payment * -x
+    arcs += revenue[:-1, :, None]
+    arcs[:, np.tri(len(tables.levels), k=-1, dtype=bool)] = NEG_INF
+    sink = revenue[-1] - x * tables.sink_payment
+    return WupGraph(tables.levels, order, arcs, sink)
 
 
 def build_wup_graph(
@@ -259,71 +233,32 @@ def build_wup_graph(
 ) -> WupGraph:
     """Build the layered graph, for one fixed external profile or, when
     ``external_levels`` is None, with arc weights in expectation."""
-    levels = _normalize_levels(grid_levels)
-    order = wup_colluder_order(instance, weights)
-    d = len(levels)
-    n = len(order)
-    if external_levels is not None:
-        arcs, sink = _fixed_tables(levels, order, weights, instance, external_levels)
-    else:
-        arcs = [[[0.0] * d for _ in range(d)] for _ in range(max(n - 1, 0))]
-        sink = [0.0] * d
-        for ext, prob in instance.external.support:
-            part_arcs, part_sink = _fixed_tables(levels, order, weights, instance, ext)
-            for pos in range(n - 1):
-                for jc in range(d):
-                    row = arcs[pos][jc]
-                    part = part_arcs[pos][jc]
-                    for jn in range(jc, d):
-                        row[jn] += prob * part[jn]
-            for jc in range(d):
-                sink[jc] += prob * part_sink[jc]
-    return WupGraph(
-        levels,
-        order,
-        tuple(tuple(tuple(row) for row in layer) for layer in arcs),
-        tuple(sink),
-    )
+    tables = expected_tables(instance, grid_levels, external_levels)
+    return combine_tables(tables, weights, instance)
 
 
 def solve_graph(graph: WupGraph) -> tuple[float, tuple[int, ...]]:
-    """Best path by forward DP over layers; O(n_c * d^2) arc lookups.
+    """Best path by forward DP over layers, one masked max per layer.
 
     Ties prefer the smaller level index (higher bid), so the result is
     deterministic for a fixed graph.
     """
     d = len(graph.levels)
-    n = len(graph.order)
-    value = [0.0] * d
-    parents: list[list[int]] = []
-    for pos in range(n - 1):
-        layer = graph.arcs[pos]
-        nxt = [NEG_INF] * d
-        par = [0] * d
-        for jn in range(d):
-            best = NEG_INF
-            best_jc = 0
-            for jc in range(jn + 1):
-                cand = value[jc] + layer[jc][jn]
-                if cand > best:
-                    best = cand
-                    best_jc = jc
-            nxt[jn] = best
-            par[jn] = best_jc
-        value = nxt
+    columns = np.arange(d)
+    value = np.zeros(d)
+    parents = []
+    for layer in graph.arcs:
+        cand = value[:, None] + layer
+        par = cand.argmax(axis=0)  # first maximum: the smallest level index
+        value = cand[par, columns]
         parents.append(par)
-    best = NEG_INF
-    best_j = 0
-    for j in range(d):
-        cand = value[j] + graph.sink[j]
-        if cand > best:
-            best = cand
-            best_j = j
+    total = value + graph.sink
+    best_j = int(total.argmax())
     path = [best_j]
     for par in reversed(parents):
-        path.append(par[path[-1]])
+        path.append(int(par[path[-1]]))
     path.reverse()
-    return best, tuple(path)
+    return float(total[best_j]), tuple(path)
 
 
 @dataclass(frozen=True)
@@ -334,6 +269,16 @@ class WupResult:
     level_indices: tuple[int, ...]
 
 
+def _best_path(graph: WupGraph) -> WupResult:
+    value, path = solve_graph(graph)
+    return WupResult(graph.profile_for_path(path), value, graph.order, path)
+
+
+def solve_wup(tables: WupTables, weights: WupWeights, instance: AuctionInstance) -> WupResult:
+    """Maximize the weighted utility over prebuilt tables."""
+    return _best_path(combine_tables(tables, weights, instance))
+
+
 def solve_wup_fixed(
     grid_levels: Sequence[float],
     weights: WupWeights,
@@ -341,9 +286,7 @@ def solve_wup_fixed(
     external_levels: Sequence[float],
 ) -> WupResult:
     """Maximize the weighted utility against one fixed external profile."""
-    graph = build_wup_graph(grid_levels, weights, instance, external_levels)
-    value, path = solve_graph(graph)
-    return WupResult(graph.profile_for_path(path), value, graph.order, path)
+    return _best_path(build_wup_graph(grid_levels, weights, instance, external_levels))
 
 
 def solve_wup_expected(
@@ -352,6 +295,4 @@ def solve_wup_expected(
     instance: AuctionInstance,
 ) -> WupResult:
     """Maximize the expected weighted utility over the external distribution."""
-    graph = build_wup_graph(grid_levels, weights, instance, None)
-    value, path = solve_graph(graph)
-    return WupResult(graph.profile_for_path(path), value, graph.order, path)
+    return _best_path(build_wup_graph(grid_levels, weights, instance, None))

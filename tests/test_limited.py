@@ -3,6 +3,7 @@ import random
 import pytest
 
 import bidcoord as bc
+from bidcoord import limited
 from bidcoord.core import make_profile
 from bidcoord.discretize import build_grid, iter_grid_profiles
 from bidcoord.limited import (
@@ -17,7 +18,7 @@ from bidcoord.limited import (
 )
 from bidcoord.mechanisms import expected_outcome, individual_baseline
 from bidcoord.oracles import best_deterministic_ll, brute_force_ll
-from bidcoord.wup import solve_wup_expected, unit_weights
+from bidcoord.wup import expected_tables, solve_wup_expected, unit_weights
 from conftest import random_instance
 
 
@@ -136,7 +137,7 @@ class TestPricing:
     def test_zero_duals_is_plain_wup(self, example3):
         _, grid = build_grid(example3, 0.05)
         duals = DualValues((0.0, 0.0), 0.0, 0.25)
-        profile, reduced = pricing(duals, grid.levels, example3)
+        profile, reduced = pricing(duals, expected_tables(example3, grid.levels), example3)
         plain = solve_wup_expected(grid.levels, unit_weights(2), example3)
         assert abs(reduced - (plain.value - 0.25)) < 1e-12
         out = expected_outcome(example3, profile)
@@ -145,7 +146,7 @@ class TestPricing:
     def test_large_negative_dual_prioritizes_that_colluder(self, example3):
         _, grid = build_grid(example3, 0.05)
         duals = DualValues((0.0, -1000.0), 0.0, 0.0)
-        profile, _ = pricing(duals, grid.levels, example3)
+        profile, _ = pricing(duals, expected_tables(example3, grid.levels), example3)
         out = expected_outcome(example3, profile)
         best_r1 = max(
             expected_outcome(example3, prof).revenue[1]
@@ -158,7 +159,7 @@ class TestPricing:
         # return the true maximizer
         _, grid = build_grid(example3, 0.05)
         duals = DualValues((0.0, 0.0), 2.0, 0.0)  # payment weight 1 - x = -1
-        profile, reduced = pricing(duals, grid.levels, example3)
+        profile, reduced = pricing(duals, expected_tables(example3, grid.levels), example3)
         best = max(
             sum(out.revenue) + sum(out.payment)
             for out in (
@@ -170,6 +171,21 @@ class TestPricing:
         assert abs((sum(got.revenue) + sum(got.payment)) - best) < 1e-9
         assert abs(reduced - best) < 1e-9
 
+    def test_budget_dual_noise_is_clamped_not_enumerated(self, example3, monkeypatch):
+        # a master can emit a budget dual of order 1e-17 in the feasibility
+        # phase; its payment weight is noise, not a reason to scan the grid
+        _, grid = build_grid(example3, 0.05)
+        tables = expected_tables(example3, grid.levels)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("pricing enumerated the grid")
+
+        monkeypatch.setattr(limited, "iter_grid_profiles", no_scan)
+        for include_objective in (False, True):
+            noisy = pricing(DualValues((-0.3, -0.1), 1e-17, 0.2), tables, example3, include_objective)
+            clean = pricing(DualValues((-0.3, -0.1), 0.0, 0.2), tables, example3, include_objective)
+            assert noisy == clean
+
     def test_matches_exhaustive_enumeration(self):
         rng = random.Random(53)
         for _ in range(15):
@@ -180,7 +196,7 @@ class TestPricing:
                 -rng.random(),
                 rng.uniform(-1, 1),
             )
-            _, reduced = pricing(duals, grid.levels, inst)
+            _, reduced = pricing(duals, expected_tables(inst, grid.levels), inst)
             y_hat = [1.0 - y for y in duals.y]
             x_hat = 1.0 - duals.x
             best = max(

@@ -2,16 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bidcoord as bc
 from bidcoord.core import make_profile
 from bidcoord.mechanisms import single_outcome
-from bidcoord.oracles import brute_force_wup
+from bidcoord.oracles import arc_weight, brute_force_wup
 from bidcoord.wup import (
     WupWeights,
-    arc_weight_gsp,
-    arc_weight_vcg,
     build_wup_graph,
+    expected_tables,
     solve_graph,
     solve_wup_expected,
     solve_wup_fixed,
@@ -49,20 +50,20 @@ class TestArcWeightGsp:
     def test_hand_evaluated_no_externals(self):
         inst = make_instance("gsp", [1.0, 0.9], [0.7, 0.4])
         w = unit_weights(2)
-        got = arc_weight_gsp(1, 0.5, 0.2, (), w, inst)
+        got = arc_weight(1, 0.5, 0.2, (), w, inst)
         assert abs(got - 1.0 * (0.7 - 0.2)) < 1e-12
 
     def test_zero_payment_weight_gives_pure_revenue(self):
         inst = make_instance("gsp", [1.0, 0.9], [0.7, 0.4], support=((0.3,),))
         w = WupWeights((1.0, 1.0), 0.0)
-        got = arc_weight_gsp(1, 0.5, 0.2, (0.3,), w, inst)
+        got = arc_weight(1, 0.5, 0.2, (0.3,), w, inst)
         assert abs(got - 1.0 * 0.7) < 1e-12
 
     def test_slot_beyond_last_is_worthless(self):
         inst = make_instance("gsp", [1.0], [0.7, 0.4], support=((0.3,),))
         w = unit_weights(2)
         # second colluder below one external: slot index 3 > m = 1
-        assert arc_weight_gsp(2, 0.2, 0.0, (0.3,), w, inst) == 0.0
+        assert arc_weight(2, 0.2, 0.0, (0.3,), w, inst) == 0.0
 
 
 class TestArcWeightVcg:
@@ -70,20 +71,20 @@ class TestArcWeightVcg:
         inst = make_instance("vcg", [1.0, 0.5], [0.7, 0.4], support=((),))
         w = unit_weights(2)
         # no externals in (next, cur] either, so the weight is pure revenue
-        got = arc_weight_vcg(1, 0.8, 0.0, (), w, inst)
+        got = arc_weight(1, 0.8, 0.0, (), w, inst)
         assert abs(got - 0.7) < 1e-12
 
     def test_empty_interval_no_external_terms(self):
         inst = make_instance("vcg", [1.0, 0.5], [0.7, 0.4], support=((0.9,),))
         w = unit_weights(2)
         # external above the bid: revenue shifts a slot, no interval terms
-        got = arc_weight_vcg(1, 0.8, 0.5, (0.9,), w, inst)
+        got = arc_weight(1, 0.8, 0.5, (0.9,), w, inst)
         assert abs(got - 0.5 * 0.7) < 1e-12
 
     def test_path_sum_matches_mechanism(self):
         inst = make_instance("vcg", [1.0, 0.5], [0.9, 0.6], support=((0.4,),))
         w = unit_weights(2)
-        total = arc_weight_vcg(1, 0.8, 0.2, (0.4,), w, inst) + arc_weight_vcg(
+        total = arc_weight(1, 0.8, 0.2, (0.4,), w, inst) + arc_weight(
             2, 0.2, 0.0, (0.4,), w, inst
         )
         prof = make_profile([0.8, 0.2])
@@ -243,3 +244,84 @@ class TestGraphProperties:
         v1, p1 = solve_graph(g)
         v2, p2 = solve_graph(g)
         assert v1 == v2 and p1 == p2
+
+
+# Levels, bids and valuations share a small pool, so external bids equal
+# grid levels and each other often; free floats add non-dyadic values.
+_VALUE = st.one_of(
+    st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def wup_cases(draw):
+    n_c = draw(st.integers(1, 3))
+    n_e = draw(st.integers(0, 3))
+    m = draw(st.integers(1, min(4, n_c + n_e)))
+    k = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    raw = {
+        "mechanism": draw(st.sampled_from(["gsp", "vcg"])),
+        "slots": draw(st.lists(_VALUE, min_size=m, max_size=m)),
+        "colluders": [{"v": v, "t": 0.0} for v in draw(st.lists(_VALUE, min_size=n_c, max_size=n_c))],
+        "external": {
+            "support": [
+                {"bids": draw(st.lists(_VALUE, min_size=n_e, max_size=n_e)), "prob": w / sum(weights)}
+                for w in weights
+            ]
+        },
+    }
+    inst = bc.validate_and_normalize(raw)
+    d = draw(st.integers(1, 4))
+    levels = draw(st.lists(_VALUE, min_size=d, max_size=d, unique=True))
+    y = tuple(draw(st.lists(st.floats(0.0, 2.0), min_size=n_c, max_size=n_c)))
+    return inst, levels, WupWeights(y, draw(st.floats(0.0, 2.0)))
+
+
+def _reference_graph(inst, levels, w, support):
+    """Arc and sink weights summed over the support from the scalar reference."""
+    n = inst.n_colluders
+    d = len(levels)
+    arcs = {}
+    sink = [0.0] * d
+    for ext, prob in support:
+        for pos in range(n - 1):
+            for jc in range(d):
+                for jn in range(jc, d):
+                    wt = arc_weight(pos + 1, levels[jc], levels[jn], ext, w, inst)
+                    arcs[pos, jc, jn] = arcs.get((pos, jc, jn), 0.0) + prob * wt
+        for jc in range(d):
+            sink[jc] += prob * arc_weight(n, levels[jc], 0.0, ext, w, inst)
+    return arcs, sink
+
+
+class TestTablesVsScalarReference:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(wup_cases())
+    def test_every_arc_and_sink_entry(self, case):
+        inst, levels, w = case
+        support = inst.external.support
+        for graph, entries in (
+            (build_wup_graph(levels, w, inst), support),
+            (build_wup_graph(levels, w, inst, support[-1][0]), ((support[-1][0], 1.0),)),
+        ):
+            arcs, sink = _reference_graph(inst, graph.levels, w, entries)
+            for (pos, jc, jn), ref in arcs.items():
+                assert abs(graph.arc_weight(pos, jc, jn) - ref) < 1e-12
+            for jc, ref in enumerate(sink):
+                assert abs(graph.sink[jc] - ref) < 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(wup_cases())
+    def test_dp_value_matches_brute_force(self, case):
+        inst, levels, w = case
+        res = solve_wup_expected(levels, w, inst)
+        _, best = brute_force_wup(levels, w, inst)
+        assert abs(res.value - best) < 1e-9
+
+    def test_tables_are_read_only(self):
+        inst = make_instance("vcg", [1.0, 0.5], [0.9, 0.6], support=((0.4,),))
+        tables = expected_tables(inst, [0.0, 0.5])
+        for array in (tables.revenue, tables.payment, tables.sink_payment):
+            with pytest.raises(ValueError):
+                array[...] = 0.0
