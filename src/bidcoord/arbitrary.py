@@ -44,14 +44,12 @@ class Assumption1Report:
     """Result of searching the grid for a profile covering every outside option.
 
     ``witness`` is a profile whose per-colluder utility is at least
-    t_i - p for all i, or None if the search found none.  A truncated
-    scan can only miss witnesses, never invent them.
+    t_i - p for all i, or None if no grid profile is one.
     """
 
     satisfied: bool
     witness: Optional[BidProfile]
     p: float
-    scan_truncated: bool = False
 
 
 def _is_witness(instance: AuctionInstance, profile: BidProfile, p: float) -> bool:
@@ -63,30 +61,22 @@ def _is_witness(instance: AuctionInstance, profile: BidProfile, p: float) -> boo
 
 
 def check_assumption1(
-    instance: AuctionInstance,
-    grid_levels: Sequence[float],
-    p: float,
-    scan_cap: Optional[int] = None,
+    instance: AuctionInstance, grid_levels: Sequence[float], p: float
 ) -> Assumption1Report:
     """Search the grid for a participation witness.
 
     The projected truthful profile is tried first; when outside options
     were calibrated from truthful-bidding utilities, the projection
     bounds make it a witness, so the scan usually ends immediately.
-    The exhaustive scan that follows is complete at desk scale;
-    ``scan_cap`` bounds it for large grids, trading the definitive
-    absence answer for bounded work.
+    Otherwise every grid profile is scanned, so the work grows as
+    d^n_c; the solvers never call this.
     """
     levels = sorted(grid_levels)
     if levels and levels[0] == 0.0:
         truthful = project_to_grid(make_profile(instance.valuations), levels)
         if _is_witness(instance, truthful, p):
             return Assumption1Report(True, truthful, p)
-    scanned = 0
     for profile in iter_grid_profiles(grid_levels, instance.n_colluders):
-        if scan_cap is not None and scanned >= scan_cap:
-            return Assumption1Report(False, None, p, scan_truncated=True)
-        scanned += 1
         if _is_witness(instance, profile, p):
             return Assumption1Report(True, profile, p)
     return Assumption1Report(False, None, p)

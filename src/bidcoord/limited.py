@@ -4,9 +4,9 @@ weighted-utility optimizer.
 The master maximizes expected cumulative utility over a distribution of
 grid profiles together with nonnegative per-colluder transfers, under
 p-relaxed participation constraints and the agency's budget constraint.
-At desk scale every column is materialized; beyond that, column
-generation repeatedly asks the weighted-utility solver for the best
-positive-reduced-cost column, with weights read off the master's duals.
+Column generation grows the master from its seed columns, repeatedly
+asking the weighted-utility solver for the best positive-reduced-cost
+column, with weights read off the master's duals.
 A feasibility phase (minimizing an elastic relief mass, priced the same
 way) precedes the objective phase, so infeasibility is only ever
 reported for the full grid, never for an unlucky restricted master.
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arbitrary import check_assumption1
 from .core import (
     EQ_TOL,
     AgencySolution,
@@ -27,13 +26,11 @@ from .core import (
     ToleranceError,
     make_profile,
 )
-from .discretize import build_grid, iter_grid_profiles
+from .discretize import build_grid
 from .mechanisms import expected_outcome
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, lp_solve
 from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
 
-#: Largest fully-materialized master; bigger grids use column generation.
-DENSE_COLUMN_CAP = 100_000
 #: A column prices in only if its reduced cost exceeds this.
 PRICING_TOL = 1e-7
 #: Column-generation round limit.
@@ -165,8 +162,8 @@ def pricing(
     grid's prebuilt ``tables``.  For the feasibility phase (column value
     coefficients zero) the weights are -y_i and -x instead, nonnegative
     for the same reason.  Noise within EQ_TOL below zero is clamped to
-    zero; only a genuinely negative payment weight, which a master never
-    emits, falls back to an exhaustive grid scan.
+    zero; a genuinely negative payment weight means the duals are not
+    dual-feasible and raises ToleranceError.
     """
     base = 1.0 if include_objective else 0.0
     y_hat = tuple(max(base - yi, 0.0) for yi in duals.y)
@@ -174,18 +171,7 @@ def pricing(
     if -EQ_TOL <= x_hat < 0.0:
         x_hat = 0.0
     if x_hat < 0.0:
-        best_profile = None
-        best_value = float("-inf")
-        for profile in iter_grid_profiles(tables.levels, instance.n_colluders):
-            out = expected_outcome(instance, profile)
-            value = sum(
-                yh * r - x_hat * pay
-                for yh, r, pay in zip(y_hat, out.revenue, out.payment)
-            )
-            if value > best_value:
-                best_value = value
-                best_profile = profile
-        return best_profile, best_value - duals.z
+        raise ToleranceError(f"master duals give a negative payment weight {x_hat}")
     result = solve_wup(tables, WupWeights(y_hat, x_hat), instance)
     return result.profile, result.value - duals.z
 
@@ -251,46 +237,6 @@ def extract_solution(
     )
 
 
-def _dense_columns(
-    instance: AuctionInstance, grid_levels: Sequence[float], cap: int
-) -> Optional[list[Column]]:
-    """All grid columns, or None when the count would exceed the cap."""
-    if len(set(grid_levels)) ** instance.n_colluders > cap:
-        return None
-    columns = []
-    for profile in iter_grid_profiles(grid_levels, instance.n_colluders):
-        columns.append(make_column(instance, profile))
-        if len(columns) > cap:
-            return None
-    return columns
-
-
-def _solve_dense_master(
-    instance: AuctionInstance, columns: Sequence[Column], grid_levels: Sequence[float], p: float
-) -> MasterSolution:
-    """Master over every grid column; infeasible means no grid profile
-    distribution covers the outside options."""
-    master = solve_master(instance, columns, p)
-    if master is None:
-        report = check_assumption1(instance, grid_levels, p)
-        raise InfeasibleError(
-            "master LP infeasible; no grid profile covers every outside option"
-            f" (witness found: {report.satisfied})"
-        )
-    return master
-
-
-def solve_ll_dense(
-    instance: AuctionInstance, grid_levels: Sequence[float], p: float
-) -> tuple[AgencySolution, MasterSolution]:
-    """Solve the master with every column materialized."""
-    columns = _dense_columns(instance, grid_levels, DENSE_COLUMN_CAP)
-    if columns is None:
-        raise ValueError("grid too large for the dense master; use column generation")
-    master = _solve_dense_master(instance, columns, grid_levels, p)
-    return extract_solution(instance, master, p), master
-
-
 def solve_ll_cg(
     instance: AuctionInstance,
     grid_levels: Sequence[float],
@@ -300,10 +246,10 @@ def solve_ll_cg(
 ) -> tuple[AgencySolution, MasterSolution, int]:
     """Column generation: returns (solution, final master, pricing rounds).
 
-    Seeds the restricted master with the all-zero-level profile, the
-    plain utility optimum, and a participation witness when one exists.
-    A feasibility phase first drives out the relief mass (certifying
-    full-master infeasibility if it cannot), then the objective phase
+    Seeds the restricted master with the all-zero-level profile and the
+    plain utility optimum.  A feasibility phase first drives out the
+    relief mass (certifying full-master infeasibility, with the residual
+    relief, if no column can lower it), then the objective phase
     alternates master solves with weighted-utility pricing until no
     column's reduced cost exceeds the tolerance.  The weighted-utility
     tables are built once for the grid and shared by the seed solve and
@@ -313,12 +259,6 @@ def solve_ll_cg(
     tables = expected_tables(instance, grid_levels)
     seeds = [make_profile([0.0] * n_c)]
     seeds.append(solve_wup(tables, unit_weights(n_c), instance).profile)
-    # The witness scan is bounded: for grids large enough to need column
-    # generation the projected-truthful shortcut almost always fires, and
-    # a missed witness only costs a seed column.
-    witness = check_assumption1(instance, grid_levels, p, scan_cap=DENSE_COLUMN_CAP)
-    if witness.satisfied:
-        seeds.append(witness.witness)
     columns: list[Column] = []
     seen: set[BidProfile] = set()
     for profile in seeds:
@@ -339,7 +279,7 @@ def solve_ll_cg(
         if reduced <= tol or profile in seen:
             raise InfeasibleError(
                 "master infeasible even over the full grid; outside options"
-                f" cannot be covered (witness found: {witness.satisfied})"
+                f" cannot be covered (residual relief {master.relief!r})"
             )
         seen.add(profile)
         columns.append(make_column(instance, profile))
@@ -363,21 +303,12 @@ def solve_ll_cg(
         columns.append(make_column(instance, profile))
 
 
-def solve_ll(
-    instance: AuctionInstance, epsilon: float, dense_cap: int = DENSE_COLUMN_CAP
-) -> AgencySolution:
-    """Solve the limited-liability problem to within eps (p = eps/n_c).
-
-    Dense master when the grid admits at most ``dense_cap`` columns,
-    column generation otherwise.
-    """
+def solve_ll(instance: AuctionInstance, epsilon: float) -> AgencySolution:
+    """Solve the limited-liability problem to within eps (p = eps/n_c) by
+    column generation over the full grid."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
     p = epsilon / instance.n_colluders
     _, grid = build_grid(instance, p)
-    columns = _dense_columns(instance, grid.levels, dense_cap)
-    if columns is not None:
-        master = _solve_dense_master(instance, columns, grid.levels, p)
-        return extract_solution(instance, master, p)
     solution, _, _ = solve_ll_cg(instance, grid.levels, p)
     return solution

@@ -5,10 +5,12 @@ the production solvers: payments are recomputed from first principles
 where payments are the target, profile enumeration is local, and the
 linear-programming gold standard runs on scipy rather than the in-repo
 simplex.  The scalar per-arc weight, one support entry and one level
-pair at a time, is the reference for the optimizer's numpy tables.
-Shared surface is limited to the core types, the mechanisms module's
-allocation and expectation helpers, and the optimizer's weight type and
-colluder order.
+pair at a time, is the reference for the optimizer's numpy tables, and
+the dense master, every grid column at once, is the reference for
+column generation.  Shared surface is limited to the core types, the
+mechanisms module's allocation and expectation helpers, the optimizer's
+weight type and colluder order, and the limited-liability module's
+column, master LP and solution extraction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,16 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import GSP, AuctionInstance, BidProfile, ExternalDistribution, make_profile
+from .core import (
+    GSP,
+    AgencySolution,
+    AuctionInstance,
+    BidProfile,
+    ExternalDistribution,
+    InfeasibleError,
+    make_profile,
+)
+from .limited import MasterSolution, extract_solution, make_column, solve_master
 from .mechanisms import RankedAgent, expected_outcome
 from .wup import WupWeights, wup_colluder_order
 
@@ -228,6 +239,16 @@ def _iter_columns(levels: Sequence[float], n: int):
             yield make_profile(assignment, priority)
 
 
+def _ll_profiles(levels: Sequence[float], n: int) -> list[BidProfile]:
+    """Every master column's profile; ValueError past the column cap."""
+    profiles = []
+    for profile in _iter_columns(levels, n):
+        profiles.append(profile)
+        if len(profiles) > _LL_COLUMN_CAP:
+            raise ValueError(f"column count exceeds {_LL_COLUMN_CAP}")
+    return profiles
+
+
 def brute_force_ll(
     instance: AuctionInstance, grid_levels: Sequence[float], p: float
 ) -> tuple[Optional[float], str]:
@@ -237,11 +258,7 @@ def brute_force_ll(
     Returns (value, status) with status "optimal" or "infeasible".
     """
     n_c = instance.n_colluders
-    profiles = []
-    for profile in _iter_columns(grid_levels, n_c):
-        profiles.append(profile)
-        if len(profiles) > _LL_COLUMN_CAP:
-            raise ValueError(f"column count exceeds {_LL_COLUMN_CAP}")
+    profiles = _ll_profiles(grid_levels, n_c)
     outs = [expected_outcome(instance, prof) for prof in profiles]
     n_s = len(profiles)
 
@@ -263,6 +280,20 @@ def brute_force_ll(
     if res.status != 0:
         raise RuntimeError(f"linprog failed with status {res.status}: {res.message}")
     return -float(res.fun), "optimal"
+
+
+def solve_ll_dense(
+    instance: AuctionInstance, grid_levels: Sequence[float], p: float
+) -> tuple[AgencySolution, MasterSolution]:
+    """Limited-liability reference: the in-repo master LP with every grid
+    column materialized, so no pricing step can miss a column."""
+    profiles = _ll_profiles(grid_levels, instance.n_colluders)
+    master = solve_master(instance, [make_column(instance, prof) for prof in profiles], p)
+    if master is None:
+        raise InfeasibleError(
+            "dense master infeasible; no grid profile mix covers every outside option"
+        )
+    return extract_solution(instance, master, p), master
 
 
 def best_deterministic_ll(

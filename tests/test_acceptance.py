@@ -18,7 +18,7 @@ from bidcoord.arbitrary import solve_arbitrary
 from bidcoord.cli import canonical_json, main as cli_main
 from bidcoord.core import ExternalDistribution, make_profile
 from bidcoord.discretize import build_grid, build_intervals, event_probability, max_bits, project_to_grid
-from bidcoord.limited import solve_ll, solve_ll_cg, solve_ll_dense
+from bidcoord.limited import solve_ll, solve_ll_cg
 from bidcoord.mechanisms import (
     allocate,
     expected_outcome,
@@ -30,6 +30,7 @@ from bidcoord.oracles import (
     best_deterministic_ll,
     brute_force_arbitrary,
     brute_force_wup,
+    solve_ll_dense,
     vcg_externality,
 )
 from bidcoord.wup import WupWeights, build_wup_graph, solve_wup_expected

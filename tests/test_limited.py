@@ -3,7 +3,7 @@ import random
 import pytest
 
 import bidcoord as bc
-from bidcoord import limited
+from bidcoord import arbitrary, limited
 from bidcoord.core import make_profile
 from bidcoord.discretize import build_grid, iter_grid_profiles
 from bidcoord.limited import (
@@ -14,10 +14,9 @@ from bidcoord.limited import (
     pricing,
     solve_ll,
     solve_ll_cg,
-    solve_ll_dense,
 )
 from bidcoord.mechanisms import expected_outcome, individual_baseline
-from bidcoord.oracles import best_deterministic_ll, brute_force_ll
+from bidcoord.oracles import best_deterministic_ll, brute_force_ll, solve_ll_dense
 from bidcoord.wup import expected_tables, solve_wup_expected, unit_weights
 from conftest import random_instance
 
@@ -87,18 +86,6 @@ class TestSimpleCases:
             arb = bc.solve_arbitrary(inst, eps)
             assert abs(ll.objective - arb.objective) < 1e-6
 
-    def test_infeasible_reported(self):
-        raw = {
-            "mechanism": "gsp",
-            "slots": [0.5],
-            "colluders": [{"v": 1.0, "t": 1.0}],
-            "external": {"support": [{"bids": [], "prob": 1.0}]},
-        }
-        inst = bc.validate_and_normalize(raw)
-        with pytest.raises(bc.InfeasibleError) as err:
-            solve_ll(inst, 0.1)
-        assert "witness" in str(err.value)
-
     def test_infeasible_certified_by_cg(self):
         raw = {
             "mechanism": "gsp",
@@ -108,8 +95,9 @@ class TestSimpleCases:
         }
         inst = bc.validate_and_normalize(raw)
         with pytest.raises(bc.InfeasibleError) as err:
-            solve_ll(inst, 0.1, dense_cap=0)
+            solve_ll(inst, 0.1)
         assert "full grid" in str(err.value)
+        assert "relief" in str(err.value)
 
     def test_mixing_only_feasibility_found_by_cg(self):
         # no single profile covers both outside options; only a mixture of
@@ -154,22 +142,13 @@ class TestPricing:
         )
         assert out.revenue[1] >= best_r1 - 1e-9
 
-    def test_negative_payment_weight_falls_back_to_enumeration(self, example3):
-        # duals a master would never emit; the exhaustive branch must still
-        # return the true maximizer
+    def test_negative_payment_weight_raises(self, example3):
+        # duals a master would never emit: they are not dual-feasible, so
+        # pricing refuses them instead of scanning the grid
         _, grid = build_grid(example3, 0.05)
         duals = DualValues((0.0, 0.0), 2.0, 0.0)  # payment weight 1 - x = -1
-        profile, reduced = pricing(duals, expected_tables(example3, grid.levels), example3)
-        best = max(
-            sum(out.revenue) + sum(out.payment)
-            for out in (
-                expected_outcome(example3, prof)
-                for prof in iter_grid_profiles(grid.levels, 2)
-            )
-        )
-        got = expected_outcome(example3, profile)
-        assert abs((sum(got.revenue) + sum(got.payment)) - best) < 1e-9
-        assert abs(reduced - best) < 1e-9
+        with pytest.raises(bc.ToleranceError):
+            pricing(duals, expected_tables(example3, grid.levels), example3)
 
     def test_budget_dual_noise_is_clamped_not_enumerated(self, example3, monkeypatch):
         # a master can emit a budget dual of order 1e-17 in the feasibility
@@ -180,7 +159,7 @@ class TestPricing:
         def no_scan(*args, **kwargs):
             raise AssertionError("pricing enumerated the grid")
 
-        monkeypatch.setattr(limited, "iter_grid_profiles", no_scan)
+        monkeypatch.setattr(limited, "expected_outcome", no_scan)
         for include_objective in (False, True):
             noisy = pricing(DualValues((-0.3, -0.1), 1e-17, 0.2), tables, example3, include_objective)
             clean = pricing(DualValues((-0.3, -0.1), 0.0, 0.2), tables, example3, include_objective)
@@ -283,8 +262,10 @@ class TestColumnGenerationAgreement:
         assert max_rounds_seen <= 200
 
     def test_forced_cg_dispatch_matches_dense(self, example3):
-        via_cg = solve_ll(example3, 0.01, dense_cap=1)
-        via_dense = solve_ll(example3, 0.01)
+        p = 0.01 / example3.n_colluders
+        _, grid = build_grid(example3, p)
+        via_cg = solve_ll(example3, 0.01)
+        via_dense, _ = solve_ll_dense(example3, grid.levels, p)
         assert abs(via_cg.objective - via_dense.objective) < 1e-6
 
     def test_cg_at_scale_beyond_dense_cap(self):
@@ -314,8 +295,8 @@ class TestColumnGenerationAgreement:
         assert abs(ll.objective - arb.objective) < 1e-6
 
     def test_cg_at_scale_with_baseline_outside_options(self):
-        # same shape with calibrated outside options: the projected truthful
-        # witness seeds the master and the result must stay feasible
+        # same shape with calibrated outside options: the feasibility phase
+        # prices in what the seeds lack and the result must stay feasible
         rng = random.Random(5151)
         k = 6
         support = [
@@ -345,6 +326,37 @@ class TestColumnGenerationAgreement:
         assert sol.ir_slack >= -1e-9
         assert all(q >= 0.0 for q in sol.transfers)
         assert sol.objective >= sum(base) - eps - 1e-9
+
+    def test_binding_outside_options_never_scan_the_grid(self, monkeypatch):
+        # no single profile covers every outside option here, so a solver
+        # that looks for a participation witness would scan all 54^3 grid
+        # profiles; column generation needs only a handful of columns
+        raw = {
+            "mechanism": "gsp",
+            "slots": [0.9, 0.5],
+            "colluders": [
+                {"v": v, "t": (0.05 + 0.35 * 0.9 * v) / 3} for v in (0.8, 0.6, 0.4)
+            ],
+            "external": {"support": [{"bids": [0.37], "prob": 1.0}]},
+        }
+        inst = bc.validate_and_normalize(raw)
+        eps = 0.05
+        _, grid = build_grid(inst, eps / inst.n_colluders)
+        assert len(grid.levels) ** inst.n_colluders == 157_464
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return expected_outcome(*args, **kwargs)
+
+        monkeypatch.setattr(arbitrary, "expected_outcome", counted)
+        monkeypatch.setattr(limited, "expected_outcome", counted)
+        sol = solve_ll(inst, eps)
+        assert len(calls) < 1_000
+        assert len(sol.distribution) == 2
+        assert abs(sol.objective - 0.481) < 1e-9
+        assert all(s >= -1e-9 for s in sol.ic_slacks)
+        assert sol.ir_slack >= -1e-9
 
     def test_weak_duality_sentinel(self):
         rng = random.Random(97)
