@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -85,6 +86,21 @@ class TestSimpleCases:
             ll = solve_ll(inst, eps)
             arb = bc.solve_arbitrary(inst, eps)
             assert abs(ll.objective - arb.objective) < 1e-6
+
+    def test_infeasible_reported(self):
+        raw = {
+            "mechanism": "gsp",
+            "slots": [0.5],
+            "colluders": [{"v": 1.0, "t": 1.0}],
+            "external": {"support": [{"bids": [], "prob": 1.0}]},
+        }
+        inst = bc.validate_and_normalize(raw)
+        with pytest.raises(bc.InfeasibleError) as err:
+            solve_ll(inst, 0.1)
+        # the diagnostic is the outside-option mass no grid mixture covers
+        match = re.search(r"residual relief ([0-9.eE+-]+)", str(err.value))
+        assert match is not None
+        assert float(match.group(1)) > 0.0
 
     def test_infeasible_certified_by_cg(self):
         raw = {
