@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import EQ_TOL, AgencySolution, AuctionInstance, BidProfile, make_profile
-from .discretize import build_grid, iter_grid_profiles, project_to_grid
+from .discretize import BidGrid, build_grid, iter_grid_profiles, project_to_grid
 from .mechanisms import expected_outcome
 from .wup import solve_wup_expected, unit_weights
 
@@ -82,17 +82,21 @@ def check_assumption1(
     return Assumption1Report(False, None, p)
 
 
-def solve_arbitrary(instance: AuctionInstance, epsilon: float) -> AgencySolution:
+def solve_arbitrary(
+    instance: AuctionInstance, epsilon: float, grid: BidGrid | None = None
+) -> AgencySolution:
     """Solve the arbitrary-transfers problem to within eps.
 
     Returns a point-mass distribution on the best grid profile.  The
     participation slack is zero by construction; a negative reported IR
     slack flags that no profile can cover the outside options (the
     feasibility assumption fails), but the solution is still returned
-    with its diagnostics.
+    with its diagnostics.  ``grid`` is the grid ``build_grid`` returns
+    for p = eps/n_c, built here when not given.
     """
     params = ArbitraryParams.for_instance(instance, epsilon)
-    _, grid = build_grid(instance, params.p)
+    if grid is None:
+        _, grid = build_grid(instance, params.p)
     result = solve_wup_expected(grid.levels, unit_weights(instance.n_colluders), instance)
     out = expected_outcome(instance, result.profile)
 

@@ -9,6 +9,7 @@ non-reproducible fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -24,7 +25,7 @@ from .core import (
     instance_to_raw,
     validate_and_normalize,
 )
-from .discretize import build_grid, max_bits
+from .discretize import BidGrid, IntervalSet, build_grid, max_bits
 from .limited import solve_ll
 from .mechanisms import expected_outcome, individual_baseline
 from .wup import WupWeights, solve_wup_expected, solve_wup_fixed
@@ -33,6 +34,16 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 EXIT_TOLERANCE = 3
+
+
+class OptionError(ValueError):
+    """A command-line option value outside its range."""
+
+
+def _check_unit_interval(option: str, value: float) -> None:
+    """Reject an option value outside (0, 1] before any work starts."""
+    if not 0.0 < value <= 1.0:
+        raise OptionError(f"{option} must be in (0, 1], got {value!r}")
 
 
 def canonical_json(doc) -> str:
@@ -109,10 +120,9 @@ def _solution_doc(instance: AuctionInstance, solution: AgencySolution) -> dict:
     }
 
 
-def _grid_doc(instance: AuctionInstance, p: float) -> dict:
-    interval_set, grid = build_grid(instance, p)
+def _grid_doc(instance: AuctionInstance, interval_set: IntervalSet, grid: BidGrid) -> dict:
     return {
-        "p": p,
+        "p": interval_set.p,
         "eta": interval_set.eta,
         "max_bits": max_bits(instance.external),
         "k_star": len(interval_set),
@@ -158,21 +168,24 @@ def cmd_validate(args) -> int:
 
 
 def cmd_discretize(args) -> int:
+    _check_unit_interval("--p", args.p)
     instance = _load_instance(args.instance, None)
-    _emit(_grid_doc(instance, args.p), args.out)
+    _emit(_grid_doc(instance, *build_grid(instance, args.p)), args.out)
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    instance = _load_instance(args.instance, args.mechanism)
     epsilon = args.epsilon
+    _check_unit_interval("--epsilon", epsilon)
+    instance = _load_instance(args.instance, args.mechanism)
     p = epsilon / instance.n_colluders
     started = time.perf_counter()
+    interval_set, grid = build_grid(instance, p)
     if args.mode == "arbitrary":
-        solution = solve_arbitrary(instance, epsilon)
+        solution = solve_arbitrary(instance, epsilon, grid=grid)
     else:
         try:
-            solution = solve_ll(instance, epsilon)
+            solution = solve_ll(instance, epsilon, grid=grid)
         except InfeasibleError as err:
             _emit(
                 {
@@ -192,7 +205,7 @@ def cmd_solve(args) -> int:
         "mechanism": instance.mechanism,
         "epsilon": epsilon,
         "p": p,
-        "grid": _grid_doc(instance, p),
+        "grid": _grid_doc(instance, interval_set, grid),
         "solution": solution_doc,
         "baseline": _baseline_doc(instance, solution_doc["objective"]),
         "checks": {
@@ -247,7 +260,8 @@ def cmd_wup(args) -> int:
         levels = [float(x) for x in levels]
         grid_doc = {"levels": sorted(set(levels))}
     else:
-        grid_doc = _grid_doc(instance, args.p)
+        _check_unit_interval("--p", args.p)
+        grid_doc = _grid_doc(instance, *build_grid(instance, args.p))
         levels = grid_doc["levels"]
     if args.external_index is not None:
         support = instance.external.support
@@ -274,6 +288,7 @@ def cmd_wup(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    _check_unit_interval("--epsilon", args.epsilon)
     instance = _load_instance(args.instance, None)
     solution = solve_arbitrary(instance, args.epsilon)
     solution_doc = _solution_doc(instance, solution)
@@ -290,7 +305,9 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="bidcoord",
         description="Coordinated-bidding solvers for GSP/VCG position auctions.",
@@ -299,13 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="validate and normalize an instance file")
     p_validate.add_argument("instance", help="instance path, or - for stdin")
-    p_validate.set_defaults(func=cmd_validate)
 
     p_disc = sub.add_parser("discretize", help="show the interval split and bid grid")
     p_disc.add_argument("instance")
     p_disc.add_argument("--p", type=float, default=0.05, help="probability threshold")
     p_disc.add_argument("--out", default=None)
-    p_disc.set_defaults(func=cmd_discretize)
 
     p_solve = sub.add_parser("solve", help="solve the coordination problem")
     p_solve.add_argument("instance")
@@ -318,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--mechanism", choices=("gsp", "vcg"), default=None)
     p_solve.add_argument("--format", choices=("json", "text"), default="json")
     p_solve.add_argument("--out", default=None)
-    p_solve.set_defaults(func=cmd_solve)
 
     p_wup = sub.add_parser("wup", help="solve one weighted-utility query")
     p_wup.add_argument("instance")
@@ -328,22 +342,25 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--external-index", type=int, default=None)
     group.add_argument("--expected", action="store_true")
     p_wup.add_argument("--out", default=None)
-    p_wup.set_defaults(func=cmd_wup)
 
     p_base = sub.add_parser("baseline", help="individual-bidding utilities")
     p_base.add_argument("instance")
     p_base.add_argument("--epsilon", type=float, default=0.05)
     p_base.add_argument("--out", default=None)
-    p_base.set_defaults(func=cmd_baseline)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up per call, not stored in the cached parser, so a command
+    # function rebound on this module (a wrapper or a test double) runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
+    except OptionError as err:
+        print(f"invalid option: {err}", file=sys.stderr)
+        return EXIT_INVALID
     except InstanceError as err:
         print(f"invalid instance: {err}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,4 +1,4 @@
-"""Recursive interval splitting and the discretized bid grid.
+"""Interval splitting and the discretized bid grid.
 
 The bid space (0, 1] is bisected until each interval either carries at
 most probability ``p`` of containing an external bid or is narrower than
@@ -8,6 +8,12 @@ bids at the right endpoint, so bidding an interval's lower endpoint
 loses at most probability ``p`` of the revenue.  Interval lower
 endpoints, combined with symbolic tie ranks, form the finite bid set the
 solvers optimize over.
+
+The split is defined recursively (``oracles.recursive_split`` keeps that
+form as the test reference) but runs as an iterative depth-first loop
+over the support bids, sorted once, so each interval is decided from one
+slice of them instead of a scan of the whole support.  It yields the
+same intervals in the same order and the same call count.
 """
 
 from __future__ import annotations
@@ -100,23 +106,59 @@ def event_probability(distribution: ExternalDistribution, lower: float, upper: f
     return total
 
 
-def _rec(
+def _split(
     lower: float, upper: float, p: float, eta: float, distribution: ExternalDistribution
 ) -> tuple[list[Interval], int]:
-    if event_probability(distribution, lower, upper) <= p or upper - lower <= eta:
-        return [Interval(lower, upper)], 1
-    mid = (lower + upper) / 2.0
-    left, cl = _rec(lower, mid, p, eta, distribution)
-    right, cr = _rec(mid, upper, p, eta, distribution)
-    return left + right, cl + cr + 1
+    """Bisect (lower, upper] depth first, left child before right, and
+    return the leaf intervals in ascending order with the number of
+    intervals decided (the recursive definition's call count).
+
+    The positive support bids are sorted once as (bid, entry) pairs, so
+    an interval's bids are one slice of them and a child's slice is one
+    bisection of its parent's.  A child whose slice equals its parent's
+    carries the parent's probability, which exceeded ``p``, so only the
+    width test remains.  Otherwise the distinct entries' probabilities
+    are added in support order with a plain loop, exactly as
+    ``event_probability`` adds them, so every decision, and hence every
+    interval and the call count, equals the recursive definition's.
+    """
+    pairs = sorted(
+        (b, k) for k, (bids, _) in enumerate(distribution.support) for b in bids if b > 0.0
+    )
+    keys = [b for b, _ in pairs]
+    owners = [k for _, k in pairs]
+    probs = [prob for _, prob in distribution.support]
+    leaves: list[Interval] = []
+    calls = 0
+    lo = bisect_right(keys, lower)
+    # (lower, upper, slice start, slice end, slice equals the parent's)
+    stack = [(lower, upper, lo, bisect_right(keys, upper, lo), False)]
+    while stack:
+        lower, upper, lo, hi, same_as_parent = stack.pop()
+        calls += 1
+        if same_as_parent:
+            split = upper - lower > eta
+        else:
+            total = 0.0
+            for k in sorted(set(owners[lo:hi])):
+                total += probs[k]
+            split = not (total <= p or upper - lower <= eta)
+        if not split:
+            leaves.append(Interval(lower, upper))
+            continue
+        mid = (lower + upper) / 2.0
+        cut = bisect_right(keys, mid, lo, hi)
+        stack.append((mid, upper, cut, hi, cut == lo))
+        stack.append((lower, mid, lo, cut, cut == hi))
+    return leaves, calls
 
 
 def rec_split(
     interval: Interval, p: float, eta: float, distribution: ExternalDistribution
 ) -> list[Interval]:
-    """Recursively bisect an interval until each piece carries external-bid
+    """Bisect an interval until each piece carries external-bid
     probability at most p or has width at most eta."""
-    return _rec(interval.lower, interval.upper, p, eta, distribution)[0]
+    return _split(interval.lower, interval.upper, p, eta, distribution)[0]
 
 
 def max_bits(distribution: ExternalDistribution) -> int:
@@ -140,9 +182,8 @@ def max_bits(distribution: ExternalDistribution) -> int:
 
 
 def build_intervals(distribution: ExternalDistribution, p: float, eta: float) -> IntervalSet:
-    """Split (0, 1] and record the recursion call count."""
-    intervals, calls = _rec(0.0, 1.0, p, eta, distribution)
-    intervals.sort(key=lambda iv: iv.lower)
+    """Split (0, 1] and record the recursive definition's call count."""
+    intervals, calls = _split(0.0, 1.0, p, eta, distribution)
     return IntervalSet(tuple(intervals), p, eta, calls)
 
 

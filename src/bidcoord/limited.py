@@ -26,7 +26,7 @@ from .core import (
     ToleranceError,
     make_profile,
 )
-from .discretize import build_grid
+from .discretize import BidGrid, build_grid
 from .mechanisms import expected_outcome
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, lp_solve
 from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
@@ -303,12 +303,16 @@ def solve_ll_cg(
         columns.append(make_column(instance, profile))
 
 
-def solve_ll(instance: AuctionInstance, epsilon: float) -> AgencySolution:
+def solve_ll(
+    instance: AuctionInstance, epsilon: float, grid: BidGrid | None = None
+) -> AgencySolution:
     """Solve the limited-liability problem to within eps (p = eps/n_c) by
-    column generation over the full grid."""
+    column generation over the full grid.  ``grid`` is the grid
+    ``build_grid`` returns for that p, built here when not given."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
     p = epsilon / instance.n_colluders
-    _, grid = build_grid(instance, p)
+    if grid is None:
+        _, grid = build_grid(instance, p)
     solution, _, _ = solve_ll_cg(instance, grid.levels, p)
     return solution

@@ -4,10 +4,12 @@ Everything here favors obviousness over speed and stays independent of
 the production solvers: payments are recomputed from first principles
 where payments are the target, profile enumeration is local, and the
 linear-programming gold standard runs on scipy rather than the in-repo
-simplex.  The scalar per-arc weight, one support entry and one level
-pair at a time, is the reference for the optimizer's numpy tables, and
-the dense master, every grid column at once, is the reference for
-column generation.  Shared surface is limited to the core types, the
+simplex.  The recursive interval split is the reference for the
+discretizer's iterative one.  The scalar per-arc weight, one support
+entry and one level pair at a time, is the reference for the optimizer's
+numpy tables, and the dense master, every grid column at once, is the
+reference for column generation.  Shared surface is limited to the core
+types, the discretizer's interval type and event probability, the
 mechanisms module's allocation and expectation helpers, the optimizer's
 weight type and colluder order, and the limited-liability module's
 column, master LP and solution extraction.
@@ -31,6 +33,7 @@ from .core import (
     InfeasibleError,
     make_profile,
 )
+from .discretize import Interval, event_probability
 from .limited import MasterSolution, extract_solution, make_column, solve_master
 from .mechanisms import RankedAgent, expected_outcome
 from .wup import WupWeights, wup_colluder_order
@@ -38,6 +41,20 @@ from .wup import WupWeights, wup_colluder_order
 _EXTERNALITY_CAP = 20
 _WUP_CAP = 10**6
 _LL_COLUMN_CAP = 10**5
+
+
+def recursive_split(
+    lower: float, upper: float, p: float, eta: float, distribution: ExternalDistribution
+) -> tuple[list[Interval], int]:
+    """The interval split as the paper defines it: bisect (lower, upper]
+    recursively while the external-bid probability exceeds p and the
+    width exceeds eta; returns the leaves in order and the call count."""
+    if event_probability(distribution, lower, upper) <= p or upper - lower <= eta:
+        return [Interval(lower, upper)], 1
+    mid = (lower + upper) / 2.0
+    left, cl = recursive_split(lower, mid, p, eta, distribution)
+    right, cr = recursive_split(mid, upper, p, eta, distribution)
+    return left + right, cl + cr + 1
 
 
 def vcg_externality(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> list[float]:

@@ -1,10 +1,16 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+import bidcoord.arbitrary
+import bidcoord.cli
+import bidcoord.limited
 from bidcoord.cli import canonical_json, main
 from conftest import example1_raw, example3_raw
+
+EXAMPLE3 = str(Path(__file__).resolve().parent.parent / "instances" / "example3.json")
 
 
 def write_instance(tmp_path, raw, name="instance.json"):
@@ -17,6 +23,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def grid_builds(monkeypatch):
+    """Counts ``build_grid`` calls made through every module that binds it."""
+    calls = []
+    original = bidcoord.cli.build_grid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (bidcoord.cli, bidcoord.arbitrary, bidcoord.limited):
+        monkeypatch.setattr(module, "build_grid", counting)
+    return calls
 
 
 class TestValidate:
@@ -138,11 +159,27 @@ class TestSolve:
         assert code == 1
         assert "slots" in err
 
+    @pytest.mark.parametrize("mode", ["arbitrary", "limited-liability"])
+    def test_grid_built_once(self, capsys, grid_builds, mode):
+        code, out, _ = run_cli(capsys, "solve", EXAMPLE3, "--mode", mode)
+        assert code == 0
+        assert len(grid_builds) == 1
+        assert "grid" in json.loads(out)
+
+    def test_no_option_carries_over_between_calls(self, tmp_path, capsys):
+        path = write_instance(tmp_path, example3_raw())
+        code, out, _ = run_cli(capsys, "solve", path, "--mechanism", "vcg")
+        assert code == 0
+        assert json.loads(out)["mechanism"] == "vcg"
+        code, out, _ = run_cli(capsys, "solve", path)
+        assert code == 0
+        assert json.loads(out)["mechanism"] == "gsp"
+
     def test_tolerance_breach_exit_three(self, tmp_path, capsys, monkeypatch):
         import bidcoord.cli as cli_mod
         from bidcoord.core import ToleranceError
 
-        def boom(instance, epsilon):
+        def boom(instance, epsilon, grid=None):
             raise ToleranceError("synthetic breach")
 
         monkeypatch.setattr(cli_mod, "solve_ll", boom)
@@ -200,6 +237,42 @@ class TestWup:
         code, _, err = run_cli(capsys, "solve", "/nonexistent/instance.json")
         assert code == 1
         assert "cannot read file" in err
+
+
+class TestOptionRange:
+    """Out-of-range option values exit 1 with one line naming the option;
+    2 would read as infeasible."""
+
+    @pytest.mark.parametrize("mode", ["arbitrary", "limited-liability"])
+    @pytest.mark.parametrize("epsilon", ["0", "1.5"])
+    def test_solve_epsilon(self, capsys, grid_builds, mode, epsilon):
+        code, out, err = run_cli(capsys, "solve", EXAMPLE3, "--mode", mode,
+                                 "--epsilon", epsilon)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "--epsilon" in err
+        assert grid_builds == []
+
+    def test_baseline_epsilon(self, capsys):
+        code, out, err = run_cli(capsys, "baseline", EXAMPLE3, "--epsilon", "0")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "--epsilon" in err
+
+    def test_discretize_p(self, capsys):
+        code, out, err = run_cli(capsys, "discretize", EXAMPLE3, "--p", "0")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "--p" in err
+
+    def test_wup_p(self, tmp_path, capsys):
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({"revenue_weights": [1.0, 1.0], "payment_weight": 1.0}))
+        code, out, err = run_cli(capsys, "wup", EXAMPLE3, "--weights-file", str(weights),
+                                 "--p", "1.5")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "--p" in err
 
 
 class TestBaseline:

@@ -1,7 +1,10 @@
 import math
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bidcoord as bc
 from bidcoord.core import ExternalDistribution, make_profile
@@ -16,6 +19,7 @@ from bidcoord.discretize import (
     rec_split,
 )
 from bidcoord.mechanisms import expected_outcome
+from bidcoord.oracles import recursive_split
 from conftest import dyadic, random_instance
 
 
@@ -58,6 +62,65 @@ class TestRecSplit:
             assert pr <= 0.4 or iv.width <= eta
         hot = [iv for iv in got if iv.contains(0.5)]
         assert len(hot) == 1 and hot[0].width <= eta
+
+
+# Cents are non-dyadic (eta = 2^-53); a short pool makes duplicate bids
+# within and across entries common, and 0 and 1 sit on the endpoints.
+_BID = st.sampled_from([0.0, 1.0, 0.01, 0.1, 0.37, 0.5, 0.99, 0.125, 0.25, 0.75])
+
+
+@st.composite
+def split_cases(draw):
+    n_e = draw(st.integers(0, 4))
+    k = draw(st.integers(1, 5))
+    # Zero weights give zero-probability entries; sevenths round.
+    weights = draw(st.lists(st.integers(0, 7), min_size=k, max_size=k).filter(any))
+    entries = [sorted(draw(st.lists(_BID, min_size=n_e, max_size=n_e)), reverse=True)]
+    for _ in range(k - 1):
+        entries.append(entries[0] if draw(st.booleans()) else
+                       sorted(draw(st.lists(_BID, min_size=n_e, max_size=n_e)), reverse=True))
+    probs = [w / sum(weights) for w in weights]
+    dist = ExternalDistribution(tuple((tuple(b), q) for b, q in zip(entries, probs)))
+    # A running sum of the entry probabilities, as the split adds them,
+    # puts an interval's probability exactly on p.
+    prefix, total = [], 0.0
+    for q in probs:
+        total += q
+        prefix.append(total)
+    p = draw(st.one_of(
+        st.sampled_from([1.0, 1e-12, 5e-324]),
+        st.floats(1e-6, 1.0),
+        st.sampled_from(prefix).filter(lambda q: 0.0 < q <= 1.0),
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        eta = 2.0 ** -max_bits(dist)
+    lo, hi = draw(st.sampled_from([(0, 8), (0, 3), (1, 8), (2, 6), (5, 6)]))
+    return dist, p, eta, Interval(lo / 8, hi / 8)
+
+
+class TestSplitVsRecursiveReference:
+    """The iterative split against the recursive definition in ``oracles``.
+
+    Three mutants of ``discretize._split`` fail here: adding the entry
+    probabilities with ``math.fsum`` (exactly rounded, as ``sum`` is
+    compensated from Python 3.12 on) or in bid order instead of support
+    order, and making a child whose bids equal its parent's a leaf
+    without its width test.  Adding them with ``sum`` passes: before
+    Python 3.12 ``sum`` adds floats left to right exactly as the loop
+    does, so that mutant is equivalent there.
+    """
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(split_cases())
+    def test_intervals_and_calls_match(self, case):
+        dist, p, eta, start = case
+        intervals, calls = recursive_split(0.0, 1.0, p, eta, dist)
+        got = build_intervals(dist, p, eta)
+        assert list(got.intervals) == intervals
+        assert got.rec_calls == calls
+        leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
+        assert rec_split(start, p, eta, dist) == leaves
 
 
 class TestMaxBits:
