@@ -5,7 +5,10 @@ solver discretizes the bid space with probability threshold p = eps/n_c,
 maximizes cumulative expected utility over the grid, and charges each
 colluder its expected revenue minus outside option plus p.  That leaves
 each participation constraint relaxed by exactly p while losing at most
-eps of the optimal value overall.
+eps of the optimal value overall.  The optimizer runs over the grid's
+dominance-pruned levels (``discretize.prune_levels``): they keep the
+grid optimum and number at most one more than the distinct external
+support bids, so the work no longer grows with the split's depth.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import EQ_TOL, AgencySolution, AuctionInstance, BidProfile, make_profile
-from .discretize import BidGrid, build_grid, iter_grid_profiles, project_to_grid
+from .discretize import (
+    BidGrid,
+    build_grid,
+    iter_grid_profiles,
+    project_to_grid,
+    prune_levels,
+)
 from .mechanisms import expected_outcome
 from .wup import solve_wup_expected, unit_weights
 
@@ -92,12 +101,14 @@ def solve_arbitrary(
     slack flags that no profile can cover the outside options (the
     feasibility assumption fails), but the solution is still returned
     with its diagnostics.  ``grid`` is the grid ``build_grid`` returns
-    for p = eps/n_c, built here when not given.
+    for p = eps/n_c, built here when not given; the optimizer sees only
+    its pruned levels, whose optimum is the full grid's.
     """
     params = ArbitraryParams.for_instance(instance, epsilon)
     if grid is None:
         _, grid = build_grid(instance, params.p)
-    result = solve_wup_expected(grid.levels, unit_weights(instance.n_colluders), instance)
+    levels = prune_levels(grid.levels, instance.external)
+    result = solve_wup_expected(levels, unit_weights(instance.n_colluders), instance)
     out = expected_outcome(instance, result.profile)
 
     transfers = tuple(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from typing import Optional, Sequence
@@ -25,7 +26,7 @@ from .core import (
     instance_to_raw,
     validate_and_normalize,
 )
-from .discretize import BidGrid, IntervalSet, build_grid, max_bits
+from .discretize import BidGrid, IntervalSet, build_grid, prune_levels
 from .limited import solve_ll
 from .mechanisms import expected_outcome, individual_baseline
 from .wup import WupWeights, solve_wup_expected, solve_wup_fixed
@@ -121,13 +122,17 @@ def _solution_doc(instance: AuctionInstance, solution: AgencySolution) -> dict:
 
 
 def _grid_doc(instance: AuctionInstance, interval_set: IntervalSet, grid: BidGrid) -> dict:
+    """The full grid as ``build_grid`` made it, plus the number of levels
+    the solvers keep after pruning.  ``eta`` is exactly 2^-max_bits, so
+    the bit count is read off it rather than recomputed (and rewarned)."""
     return {
         "p": interval_set.p,
         "eta": interval_set.eta,
-        "max_bits": max_bits(instance.external),
+        "max_bits": 1 - math.frexp(interval_set.eta)[1],
         "k_star": len(interval_set),
         "rec_calls": interval_set.rec_calls,
         "levels": list(grid.levels),
+        "pruned_size": len(prune_levels(grid.levels, instance.external)),
         "flat_size": grid.flat_size,
         "intervals": [
             {"lower": iv.lower, "upper": iv.upper} for iv in interval_set.intervals

@@ -14,6 +14,10 @@ form as the test reference) but runs as an iterative depth-first loop
 over the support bids, sorted once, so each interval is decided from one
 slice of them instead of a scan of the whole support.  It yields the
 same intervals in the same order and the same call count.
+
+``prune_levels`` then drops every level whose gap below it holds no
+external bid; the solvers optimize over what is left, at most one level
+more than there are distinct support bids, with the same optimum.
 """
 
 from __future__ import annotations
@@ -199,6 +203,40 @@ def build_grid(instance: AuctionInstance, p: float) -> tuple[IntervalSet, BidGri
     interval_set = build_intervals(instance.external, p, eta)
     levels = tuple(iv.lower for iv in interval_set.intervals)
     return interval_set, BidGrid(levels, instance.n_colluders)
+
+
+def prune_levels(
+    levels: Sequence[float], distribution: ExternalDistribution
+) -> tuple[float, ...]:
+    """Drop the grid levels no optimum needs.
+
+    Keeps level 0 and each level l_k whose gap (l_{k-1}, l_k] holds a
+    positive support bid.  A colluder bidding a dropped l_k can move down
+    to the highest kept level below it, with tie ranks keeping every
+    colluder's order: no external bid lies in the levels it passes and
+    colluders win level ties, so it passes no external agent and no
+    allocation changes.  Every bid only falls or stays, so every GSP
+    price (the next bid below) and every VCG payment (a weighted sum of
+    the bids below) falls or stays equal.  Hence for any revenue weights
+    y >= 0 and payment weight x >= 0, and for the limited-liability
+    master, whose columns keep their revenue and lose payment, the
+    optimum over the kept levels equals the optimum over all of them.
+    So at most 1 + (number of distinct positive support bids) remain.
+
+    ``levels`` is ascending and starts at 0, as in ``BidGrid``; one
+    merge pass over it and the sorted distinct bids decides every level.
+    """
+    if not levels or levels[0] != 0.0:
+        raise ValueError("grid levels must start at 0")
+    bids = sorted({b for entry, _ in distribution.support for b in entry if b > 0.0})
+    kept = [levels[0]]
+    j = 0
+    for below, level in itertools.pairwise(levels):
+        while j < len(bids) and bids[j] <= below:
+            j += 1
+        if j < len(bids) and bids[j] <= level:
+            kept.append(level)
+    return tuple(kept)
 
 
 def project_to_grid(profile: BidProfile, grid_levels: Sequence[float]) -> BidProfile:

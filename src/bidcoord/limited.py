@@ -10,6 +10,11 @@ column, with weights read off the master's duals.
 A feasibility phase (minimizing an elastic relief mass, priced the same
 way) precedes the objective phase, so infeasibility is only ever
 reported for the full grid, never for an unlucky restricted master.
+``solve_ll`` hands column generation the grid's dominance-pruned levels
+(``discretize.prune_levels``): a column on a dropped level is matched by
+one on kept levels with equal revenue and no larger payment, so the
+master's optimum and feasibility are the full grid's, while the pricing
+tables shrink to at most one level more than the distinct support bids.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .core import (
     ToleranceError,
     make_profile,
 )
-from .discretize import BidGrid, build_grid
+from .discretize import BidGrid, build_grid, prune_levels
 from .mechanisms import expected_outcome
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, lp_solve
 from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
@@ -307,12 +312,14 @@ def solve_ll(
     instance: AuctionInstance, epsilon: float, grid: BidGrid | None = None
 ) -> AgencySolution:
     """Solve the limited-liability problem to within eps (p = eps/n_c) by
-    column generation over the full grid.  ``grid`` is the grid
-    ``build_grid`` returns for that p, built here when not given."""
+    column generation over the grid's pruned levels, whose master has the
+    full grid's optimum.  ``grid`` is the grid ``build_grid`` returns for
+    that p, built here when not given."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
     p = epsilon / instance.n_colluders
     if grid is None:
         _, grid = build_grid(instance, p)
-    solution, _, _ = solve_ll_cg(instance, grid.levels, p)
+    levels = prune_levels(grid.levels, instance.external)
+    solution, _, _ = solve_ll_cg(instance, levels, p)
     return solution

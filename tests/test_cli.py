@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ import bidcoord.arbitrary
 import bidcoord.cli
 import bidcoord.limited
 from bidcoord.cli import canonical_json, main
+from bidcoord.core import validate_and_normalize
+from bidcoord.discretize import max_bits
 from conftest import example1_raw, example3_raw
 
 EXAMPLE3 = str(Path(__file__).resolve().parent.parent / "instances" / "example3.json")
@@ -85,6 +88,48 @@ class TestDiscretize:
         assert doc["max_bits"] == 2
         assert doc["k_star"] == 3
         assert doc["rec_calls"] <= 2 * doc["k_star"]
+
+    def test_pruned_size(self, tmp_path, capsys):
+        # only 0.75 keeps its level: no external bid lies in (0, 0.5]
+        path = write_instance(tmp_path, example3_raw())
+        code, out, _ = run_cli(capsys, "discretize", path, "--p", "0.5")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["levels"] == [0.0, 0.5, 0.75]
+        assert doc["pruned_size"] == 2
+
+    @pytest.mark.parametrize(
+        "raw, bits",
+        [
+            (example1_raw(), 0),
+            (example3_raw(), 2),
+            (dict(example3_raw(), external={"support": [{"bids": [0.625], "prob": 1.0}]}), 3),
+            (dict(example3_raw(), external={"support": [{"bids": [0.01], "prob": 1.0}]}), 53),
+        ],
+    )
+    def test_max_bits_read_off_eta(self, tmp_path, capsys, raw, bits):
+        path = write_instance(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, _ = run_cli(capsys, "discretize", path)
+            expected = max_bits(validate_and_normalize(raw).external)
+        assert code == 0
+        assert json.loads(out)["max_bits"] == expected == bits
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("discretize",), ("solve",), ("solve", "--mode", "limited-liability")],
+    )
+    def test_capped_bits_warn_once(self, tmp_path, capsys, argv):
+        raw = dict(example3_raw(), external={"support": [{"bids": [0.01], "prob": 1.0}]})
+        path = write_instance(tmp_path, raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 0
+        assert [str(w.message) for w in caught] == [
+            "support bid needs 59 fractional bits; capping at 53"
+        ]
 
 
 class TestSolve:
@@ -164,7 +209,7 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", EXAMPLE3, "--mode", mode)
         assert code == 0
         assert len(grid_builds) == 1
-        assert "grid" in json.loads(out)
+        assert json.loads(out)["grid"]["pruned_size"] == 2
 
     def test_no_option_carries_over_between_calls(self, tmp_path, capsys):
         path = write_instance(tmp_path, example3_raw())
@@ -206,6 +251,7 @@ class TestWup:
         doc = json.loads(out)
         assert abs(doc["value"] - 1.0) < 1e-9
         assert doc["expected"] is True
+        assert doc["grid"]["pruned_size"] == 2
 
     def test_fixed_external_index(self, tmp_path, capsys):
         inst = write_instance(tmp_path, example3_raw())
