@@ -122,21 +122,22 @@ def _solution_doc(instance: AuctionInstance, solution: AgencySolution) -> dict:
 
 
 def _grid_doc(instance: AuctionInstance, interval_set: IntervalSet, grid: BidGrid) -> dict:
-    """The full grid as ``build_grid`` made it, plus the number of levels
-    the solvers keep after pruning.  ``eta`` is exactly 2^-max_bits, so
-    the bit count is read off it rather than recomputed (and rewarned)."""
+    """The scalars of the grid ``build_grid`` made, and ``pruned_levels``,
+    the levels the solvers optimize over.  The full ``levels`` and
+    ``intervals`` are left to ``discretize``: the intervals only restate
+    the levels (lower endpoints are the levels, upper ones the next level
+    or 1).  ``eta`` is exactly 2^-max_bits, so the bit count is read off
+    it rather than recomputed (and rewarned)."""
+    pruned = list(prune_levels(grid.levels, instance.external))
     return {
         "p": interval_set.p,
         "eta": interval_set.eta,
         "max_bits": 1 - math.frexp(interval_set.eta)[1],
         "k_star": len(interval_set),
         "rec_calls": interval_set.rec_calls,
-        "levels": list(grid.levels),
-        "pruned_size": len(prune_levels(grid.levels, instance.external)),
         "flat_size": grid.flat_size,
-        "intervals": [
-            {"lower": iv.lower, "upper": iv.upper} for iv in interval_set.intervals
-        ],
+        "pruned_size": len(pruned),
+        "pruned_levels": pruned,
     }
 
 
@@ -175,7 +176,10 @@ def cmd_validate(args) -> int:
 def cmd_discretize(args) -> int:
     _check_unit_interval("--p", args.p)
     instance = _load_instance(args.instance, None)
-    _emit(_grid_doc(instance, *build_grid(instance, args.p)), args.out)
+    interval_set, grid = build_grid(instance, args.p)
+    intervals = [{"lower": iv.lower, "upper": iv.upper} for iv in interval_set.intervals]
+    doc = _grid_doc(instance, interval_set, grid)
+    _emit(dict(doc, levels=list(grid.levels), intervals=intervals), args.out)
     return EXIT_OK
 
 
@@ -266,8 +270,9 @@ def cmd_wup(args) -> int:
         grid_doc = {"levels": sorted(set(levels))}
     else:
         _check_unit_interval("--p", args.p)
-        grid_doc = _grid_doc(instance, *build_grid(instance, args.p))
-        levels = grid_doc["levels"]
+        interval_set, grid = build_grid(instance, args.p)
+        levels = list(grid.levels)
+        grid_doc = dict(_grid_doc(instance, interval_set, grid), levels=levels)
     if args.external_index is not None:
         support = instance.external.support
         if not 0 <= args.external_index < len(support):

@@ -179,14 +179,6 @@ def arc_weight(
     )
 
 
-def _weighted_order(instance: AuctionInstance, weights: WupWeights) -> list[int]:
-    n = instance.n_colluders
-    return sorted(
-        range(n),
-        key=lambda i: (-weights.revenue_weights[i] * instance.colluders[i].valuation, i),
-    )
-
-
 def _iter_assignments(levels: Sequence[float], n: int, priority: Sequence[int]):
     for assignment in itertools.product(sorted(set(levels)), repeat=n):
         yield make_profile(assignment, priority)
@@ -212,7 +204,7 @@ def brute_force_wup(
         raise ValueError(f"assignment count exceeds {_WUP_CAP}")
     if external_levels is not None:
         instance = _fixed_external(instance, external_levels)
-    order = _weighted_order(instance, weights)
+    order = wup_colluder_order(instance, weights)
     priority = [0] * n
     for pos, i in enumerate(order):
         priority[i] = pos

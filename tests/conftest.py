@@ -88,6 +88,22 @@ def example3_raw() -> dict:
     }
 
 
+def cent_bids_raw() -> dict:
+    """GSP with 25 distinct cent bids: eta = 2^-53, so each bid is isolated
+    by a chain of bisections and the full grid exceeds 1000 levels."""
+    return {
+        "mechanism": "gsp",
+        "slots": [1.0, 0.6, 0.3],
+        "colluders": [{"v": 0.9, "t": 0.0}, {"v": 0.7, "t": 0.0}],
+        "external": {
+            "support": [
+                {"bids": [3 * (5 * k + j + 1) / 100 for j in reversed(range(5))], "prob": 0.2}
+                for k in range(5)
+            ]
+        },
+    }
+
+
 @pytest.fixture
 def example1() -> bc.AuctionInstance:
     return bc.validate_and_normalize(example1_raw())

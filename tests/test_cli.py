@@ -10,10 +10,11 @@ import bidcoord.cli
 import bidcoord.limited
 from bidcoord.cli import canonical_json, main
 from bidcoord.core import validate_and_normalize
-from bidcoord.discretize import max_bits
-from conftest import example1_raw, example3_raw
+from bidcoord.discretize import build_grid, max_bits, prune_levels
+from conftest import cent_bids_raw, example1_raw, example3_raw
 
 EXAMPLE3 = str(Path(__file__).resolve().parent.parent / "instances" / "example3.json")
+GRID_SCALARS = {"p", "eta", "max_bits", "k_star", "rec_calls", "flat_size", "pruned_size"}
 
 
 def write_instance(tmp_path, raw, name="instance.json"):
@@ -88,6 +89,19 @@ class TestDiscretize:
         assert doc["max_bits"] == 2
         assert doc["k_star"] == 3
         assert doc["rec_calls"] <= 2 * doc["k_star"]
+
+    def test_full_split(self, tmp_path, capsys):
+        raw = example3_raw()
+        path = write_instance(tmp_path, raw)
+        code, out, _ = run_cli(capsys, "discretize", path, "--p", "0.05")
+        assert code == 0
+        doc = json.loads(out)
+        interval_set, grid = build_grid(validate_and_normalize(raw), 0.05)
+        assert set(doc) == GRID_SCALARS | {"pruned_levels", "levels", "intervals"}
+        assert doc["levels"] == list(grid.levels)
+        assert doc["intervals"] == [
+            {"lower": iv.lower, "upper": iv.upper} for iv in interval_set.intervals
+        ]
 
     def test_pruned_size(self, tmp_path, capsys):
         # only 0.75 keeps its level: no external bid lies in (0, 0.5]
@@ -211,6 +225,32 @@ class TestSolve:
         assert len(grid_builds) == 1
         assert json.loads(out)["grid"]["pruned_size"] == 2
 
+    @pytest.mark.parametrize("mode", ["arbitrary", "limited-liability"])
+    @pytest.mark.parametrize("raw", [example1_raw(), example3_raw()])
+    def test_grid_section_is_lean(self, tmp_path, capsys, mode, raw):
+        path = write_instance(tmp_path, raw)
+        code, out, _ = run_cli(capsys, "solve", path, "--mode", mode, "--epsilon", "0.1")
+        assert code == 0
+        grid_doc = json.loads(out)["grid"]
+        assert set(grid_doc) == GRID_SCALARS | {"pruned_levels"}
+        inst = validate_and_normalize(raw)
+        _, grid = build_grid(inst, 0.1 / inst.n_colluders)
+        assert grid_doc["pruned_levels"] == list(prune_levels(grid.levels, inst.external))
+        assert grid_doc["pruned_size"] == len(grid_doc["pruned_levels"])
+
+    def test_cent_bid_report_lists_only_pruned_levels(self, tmp_path, capsys):
+        raw = cent_bids_raw()
+        path = write_instance(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, _ = run_cli(capsys, "solve", path)
+            _, grid = build_grid(validate_and_normalize(raw), 0.05 / 2)
+        assert code == 0
+        assert len(grid.levels) > 1000
+        grid_doc = json.loads(out)["grid"]
+        listed = sum(len(v) for v in grid_doc.values() if isinstance(v, list))
+        assert listed == grid_doc["pruned_size"] <= 1 + 25
+
     def test_no_option_carries_over_between_calls(self, tmp_path, capsys):
         path = write_instance(tmp_path, example3_raw())
         code, out, _ = run_cli(capsys, "solve", path, "--mechanism", "vcg")
@@ -252,6 +292,27 @@ class TestWup:
         assert abs(doc["value"] - 1.0) < 1e-9
         assert doc["expected"] is True
         assert doc["grid"]["pruned_size"] == 2
+
+    def test_p_grid_reports_levels_solved_over(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        original = bidcoord.cli.solve_wup_expected
+
+        def recording(levels, *args):
+            seen.append(list(levels))
+            return original(levels, *args)
+
+        monkeypatch.setattr(bidcoord.cli, "solve_wup_expected", recording)
+        inst = write_instance(tmp_path, example3_raw())
+        weights = self._weights(
+            tmp_path, {"revenue_weights": [1.0, 1.0], "payment_weight": 1.0}
+        )
+        code, out, _ = run_cli(capsys, "wup", inst, "--weights-file", weights,
+                               "--p", "0.05")
+        assert code == 0
+        grid_doc = json.loads(out)["grid"]
+        _, grid = build_grid(validate_and_normalize(example3_raw()), 0.05)
+        assert set(grid_doc) == GRID_SCALARS | {"pruned_levels", "levels"}
+        assert seen == [grid_doc["levels"]] == [list(grid.levels)]
 
     def test_fixed_external_index(self, tmp_path, capsys):
         inst = write_instance(tmp_path, example3_raw())

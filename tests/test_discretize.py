@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,22 @@ class TestBuildGrid:
         interval_set, grid = build_grid(inst, 0.5)
         assert interval_set.eta == 0.25
         assert grid.levels == (0.0, 0.5, 0.75)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(split_cases(), st.one_of(st.sampled_from([1e-12, 1.0]), st.floats(1e-12, 1.0)))
+    def test_intervals_restate_levels(self, case, p):
+        # the split's lower endpoints are the levels and each upper one is
+        # the next level or 1, so a report that keeps the levels loses nothing
+        dist = case[0]
+        inst = replace(self._instance([(0.75,)]), external=dist)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eta = 2.0 ** -max_bits(dist)
+            levels = build_grid(inst, p)[1].levels
+        intervals = build_intervals(dist, p, eta).intervals
+        assert [(iv.lower, iv.upper) for iv in intervals] == list(
+            zip(levels, levels[1:] + (1.0,))
+        )
 
     def test_p_zero_rejected(self):
         inst = self._instance([(0.75,)])

@@ -12,6 +12,7 @@ from bidcoord.discretize import BidGrid, build_grid, prune_levels
 from bidcoord.limited import solve_ll
 from bidcoord.oracles import brute_force_arbitrary, brute_force_ll
 from bidcoord.wup import WupWeights, solve_wup_expected
+from conftest import cent_bids_raw
 
 
 def point_mass(*bids):
@@ -161,20 +162,7 @@ class TestPrunedEqualsFullGrid:
 
 
 def test_cent_bid_solvers_see_only_pruned_levels(monkeypatch):
-    # 25 distinct cent bids: eta = 2^-53, so each is isolated by a chain of
-    # bisections and the full grid exceeds 1000 levels
-    raw = {
-        "mechanism": "gsp",
-        "slots": [1.0, 0.6, 0.3],
-        "colluders": [{"v": 0.9, "t": 0.0}, {"v": 0.7, "t": 0.0}],
-        "external": {
-            "support": [
-                {"bids": [3 * (5 * k + j + 1) / 100 for j in reversed(range(5))], "prob": 0.2}
-                for k in range(5)
-            ]
-        },
-    }
-    inst = bc.validate_and_normalize(raw)
+    inst = bc.validate_and_normalize(cent_bids_raw())
     eps = 0.05
     with pytest.warns(UserWarning, match="fractional bits"):
         _, grid = build_grid(inst, eps / inst.n_colluders)
