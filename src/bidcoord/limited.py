@@ -7,9 +7,13 @@ p-relaxed participation constraints and the agency's budget constraint.
 Column generation grows the master from its seed columns, repeatedly
 asking the weighted-utility solver for the best positive-reduced-cost
 column, with weights read off the master's duals.
-A feasibility phase (minimizing an elastic relief mass, priced the same
-way) precedes the objective phase, so infeasibility is only ever
-reported for the full grid, never for an unlucky restricted master.
+The objective master on the seed columns is solved first.  Only if it is
+infeasible does a feasibility phase (minimizing an elastic relief mass,
+priced the same way) run before the objective phase, so infeasibility
+is only ever reported for the full grid, never for an unlucky restricted
+master.  Within a phase, only the first master LP is solved from
+scratch: each later round appends its column to the last optimal
+simplex tableau and resumes from that basis (``add_master_column``).
 ``solve_ll`` hands column generation the grid's dominance-pruned levels
 (``discretize.prune_levels``): a column on a dropped level is matched by
 one on kept levels with equal revenue and no larger payment, so the
@@ -19,7 +23,7 @@ tables shrink to at most one level more than the distinct support bids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .core import (
@@ -33,7 +37,7 @@ from .core import (
 )
 from .discretize import BidGrid, build_grid, prune_levels
 from .mechanisms import expected_outcome
-from .simplex import INFEASIBLE, OPTIMAL, LPResult, lp_solve
+from .simplex import INFEASIBLE, OPTIMAL, LPResult, Tableau, lp_solve
 from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
 
 #: A column prices in only if its reduced cost exceeds this.
@@ -83,6 +87,8 @@ class MasterSolution:
     duals: DualValues
     objective: float
     relief: float = 0.0
+    #: The master LP's optimal tableau, which ``add_master_column`` extends.
+    tableau: Optional[Tableau] = field(default=None, repr=False, compare=False)
 
 
 def solve_master(
@@ -135,11 +141,30 @@ def solve_master(
     senses.append("=")
     rhs.append(1.0)
 
-    result: LPResult = lp_solve(objective, rows, senses, rhs)
+    return _read_master(columns, lp_solve(objective, rows, senses, rhs), n_c, elastic)
+
+
+def add_master_column(
+    master: MasterSolution, column: Column, elastic: bool = False
+) -> MasterSolution:
+    """The master over one more column, warm-started from ``master``'s
+    optimal basis rather than solved again from scratch."""
+    result = master.tableau.add_column(
+        0.0 if elastic else column.coefficient,
+        list(column.revenue) + [-column.total_payment, 1.0],
+        index=len(master.columns),
+    )
+    return _read_master(master.columns + (column,), result, len(master.transfers), elastic)
+
+
+def _read_master(
+    columns: Sequence[Column], result: LPResult, n_c: int, elastic: bool
+) -> Optional[MasterSolution]:
     if result.status == INFEASIBLE:
         return None
     if result.status != OPTIMAL:
         raise ToleranceError(f"master LP ended with status {result.status}")
+    n_s = len(columns)
     gammas = tuple(float(v) for v in result.x[:n_s])
     transfers = tuple(float(v) for v in result.x[n_s : n_s + n_c])
     relief = float(result.x[n_s + n_c]) if elastic else 0.0
@@ -149,7 +174,7 @@ def solve_master(
         float(result.duals[n_c + 1]),
     )
     return MasterSolution(
-        tuple(columns), gammas, transfers, duals, float(result.objective), relief
+        tuple(columns), gammas, transfers, duals, float(result.objective), relief, result.tableau
     )
 
 
@@ -188,7 +213,8 @@ def extract_solution(
 
     Columns below 1e-12 weight are dropped and the rest renormalized;
     revenues, payments, the objective and all slacks are recomputed from
-    the mechanisms module rather than trusted from LP arithmetic.
+    each column's cached ``mechanisms.expected_outcome`` rather than
+    trusted from LP arithmetic.
     Transfers are re-derived canonically: the smallest nonnegative
     amounts, filled in colluder order, that exactly cover the agency's
     expected payment (the LP leaves them underdetermined).
@@ -206,11 +232,11 @@ def extract_solution(
     pay_total = 0.0
     objective = 0.0
     for col, g in kept:
-        out = expected_outcome(instance, col.profile)
         for i in range(n_c):
-            rbar[i] += g * out.revenue[i]
-        pay_total += g * sum(out.payment)
-        objective += g * out.cumulative
+            rbar[i] += g * col.revenue[i]
+        pay_total += g * sum(col.payment)
+        # ExpectedOutcome.cumulative's sum, not Column.coefficient's: same bits
+        objective += g * sum(r - q for r, q in zip(col.revenue, col.payment))
 
     caps = []
     for i in range(n_c):
@@ -252,13 +278,16 @@ def solve_ll_cg(
     """Column generation: returns (solution, final master, pricing rounds).
 
     Seeds the restricted master with the all-zero-level profile and the
-    plain utility optimum.  A feasibility phase first drives out the
-    relief mass (certifying full-master infeasibility, with the residual
-    relief, if no column can lower it), then the objective phase
-    alternates master solves with weighted-utility pricing until no
-    column's reduced cost exceeds the tolerance.  The weighted-utility
-    tables are built once for the grid and shared by the seed solve and
-    every pricing round.
+    plain utility optimum, and solves the objective master on them.  If
+    that master is infeasible, a feasibility phase drives out the relief
+    mass (certifying full-master infeasibility, with the residual relief,
+    if no column can lower it) and the objective master is solved again
+    on all columns.  The objective phase then alternates pricing with
+    master solves until no column's reduced cost exceeds the tolerance.
+    Each phase solves its first master cold; every priced-in column is
+    appended to the previous optimal tableau and the LP resumed from its
+    basis.  The weighted-utility tables are built once for the grid and
+    shared by the seed solve and every pricing round.
     """
     n_c = instance.n_colluders
     tables = expected_tables(instance, grid_levels)
@@ -272,28 +301,29 @@ def solve_ll_cg(
             columns.append(make_column(instance, profile))
 
     rounds = 0
-    while True:
+    master = solve_master(instance, columns, p)
+    if master is None:
         master = solve_master(instance, columns, p, elastic=True)
         assert master is not None  # the relief column keeps this feasible
-        if master.relief <= 1e-9:
-            break
-        if rounds >= max_rounds:
-            raise ToleranceError(f"column generation exceeded {max_rounds} rounds")
-        rounds += 1
-        profile, reduced = pricing(master.duals, tables, instance, include_objective=False)
-        if reduced <= tol or profile in seen:
-            raise InfeasibleError(
-                "master infeasible even over the full grid; outside options"
-                f" cannot be covered (residual relief {master.relief!r})"
-            )
-        seen.add(profile)
-        columns.append(make_column(instance, profile))
-
-    while True:
+        while master.relief > 1e-9:
+            if rounds >= max_rounds:
+                raise ToleranceError(f"column generation exceeded {max_rounds} rounds")
+            rounds += 1
+            profile, reduced = pricing(master.duals, tables, instance, include_objective=False)
+            if reduced <= tol or profile in seen:
+                raise InfeasibleError(
+                    "master infeasible even over the full grid; outside options"
+                    f" cannot be covered (residual relief {master.relief!r})"
+                )
+            seen.add(profile)
+            columns.append(make_column(instance, profile))
+            master = add_master_column(master, columns[-1], elastic=True)
         master = solve_master(instance, columns, p)
         if master is None:
             # cannot happen after the feasibility phase succeeded
             raise ToleranceError("master lost feasibility between phases")
+
+    while True:
         if rounds >= max_rounds:
             raise ToleranceError(f"column generation exceeded {max_rounds} rounds")
         rounds += 1
@@ -306,6 +336,7 @@ def solve_ll_cg(
             return extract_solution(instance, master, p), master, rounds
         seen.add(profile)
         columns.append(make_column(instance, profile))
+        master = add_master_column(master, columns[-1])
 
 
 def solve_ll(

@@ -5,11 +5,19 @@ primal solution and one dual value per constraint row.  Bland's rule is
 used for entering and leaving variables, so the method cannot cycle and
 is deterministic.  Intended for desk-scale problems: few rows, up to a
 few ten-thousand columns.
+
+An optimal result carries its final tableau.  ``Tableau.add_column``
+appends one more variable and resumes phase 2 from that basis, as column
+generation does after each pricing round: the artificial block of the
+tableau is B^-1, so the new column's tableau entries are B^-1 a.  This
+needs every artificial variable out of the basis after phase 1, which
+holds when the rows have full rank, e.g. when every inequality row has a
+slack and some column has a nonzero entry on each equality row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +36,8 @@ class LPResult:
     x: Optional[np.ndarray] = None
     duals: Optional[np.ndarray] = None
     objective: Optional[float] = None
+    #: The optimal tableau, for ``Tableau.add_column``.
+    tableau: Optional["Tableau"] = field(default=None, repr=False)
 
 
 def _bland_iterate(
@@ -139,16 +149,69 @@ def lp_solve(
     allowed[art0:] = False
     phase2 = np.zeros(width - 1)
     phase2[:n] = c
-    status = _bland_iterate(tableau, basis, phase2, allowed)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+    return Tableau(tableau, basis, phase2, allowed, sign, art0, list(range(n))).solve()
 
-    x = np.zeros(n)
-    for r, j in enumerate(basis):
-        if j < n:
-            x[j] = tableau[r, -1]
-    # The artificial block started as the identity, so its final columns
-    # are B^-1 and duals are c_B B^-1, re-signed for flipped rows.
-    binv = tableau[:, art0 : art0 + m]
-    duals = (phase2[basis] @ binv) * sign
-    return LPResult(OPTIMAL, x, duals, float(c @ x))
+
+@dataclass(eq=False)
+class Tableau:
+    """A phase-2 simplex tableau that a column can be appended to.
+
+    ``table`` columns are the structural variables, the slacks, the m
+    artificials (starting at ``art0``), then each appended variable, and
+    last the right-hand side; rows carry the cold solve's sign flips
+    (``sign``).  ``cost`` is the phase-2 cost and ``allowed`` the entering
+    candidates of each table column, ``basis`` the basic table column of
+    each row, and ``columns`` the table column of each variable, in
+    variable order.
+    """
+
+    table: np.ndarray
+    basis: list[int]
+    cost: np.ndarray
+    allowed: np.ndarray
+    sign: np.ndarray
+    art0: int
+    columns: list[int]
+
+    def solve(self) -> LPResult:
+        """Run phase 2 from the current basis; mutates this tableau."""
+        status = _bland_iterate(self.table, self.basis, self.cost, self.allowed)
+        if status == UNBOUNDED:
+            return LPResult(UNBOUNDED)
+        values = np.zeros(self.cost.size)
+        values[self.basis] = self.table[:, -1]
+        x = values[self.columns]
+        # The artificial block started as the identity, so its final columns
+        # are B^-1 and duals are c_B B^-1, re-signed for flipped rows.
+        binv = self.table[:, self.art0 : self.art0 + len(self.basis)]
+        duals = (self.cost[self.basis] @ binv) * self.sign
+        return LPResult(OPTIMAL, x, duals, float(self.cost[self.columns] @ x), self)
+
+    def add_column(self, objective: float, column: Sequence[float], index: int) -> LPResult:
+        """Re-solve with one more variable, warm-started from this optimum.
+
+        ``column`` holds the new variable's coefficient in each original
+        row; the variable is placed before variable ``index`` in the
+        result's ``x``.  Its tableau column B^-1 a (rows sign-flipped as
+        in the cold solve) is appended as the highest-indexed column, and
+        phase 2 resumes with Bland's rule on a copy, so this tableau stays
+        as it is.  Requires every artificial to have left the basis in
+        phase 1, as it does when the rows have full rank.
+        """
+        m = len(self.basis)
+        assert not any(self.art0 <= j < self.art0 + m for j in self.basis), (
+            "an artificial variable is still basic; the rows are not of full rank"
+        )
+        binv = self.table[:, self.art0 : self.art0 + m]
+        entry = binv @ (self.sign * np.asarray(column, dtype=float))
+        columns = list(self.columns)
+        columns.insert(index, self.cost.size)
+        return Tableau(
+            np.insert(self.table, -1, entry, axis=1),
+            list(self.basis),
+            np.append(self.cost, float(objective)),
+            np.append(self.allowed, True),
+            self.sign,
+            self.art0,
+            columns,
+        ).solve()

@@ -6,7 +6,7 @@ import pytest
 import bidcoord as bc
 from bidcoord import arbitrary, limited
 from bidcoord.core import make_profile
-from bidcoord.discretize import build_grid, iter_grid_profiles
+from bidcoord.discretize import build_grid, iter_grid_profiles, prune_levels
 from bidcoord.limited import (
     DualValues,
     MasterSolution,
@@ -18,6 +18,7 @@ from bidcoord.limited import (
 )
 from bidcoord.mechanisms import expected_outcome, individual_baseline
 from bidcoord.oracles import best_deterministic_ll, brute_force_ll, solve_ll_dense
+from bidcoord.simplex import INFEASIBLE, OPTIMAL
 from bidcoord.wup import expected_tables, solve_wup_expected, unit_weights
 from conftest import random_instance
 
@@ -27,6 +28,45 @@ def feasible_instance(rng):
         rng, max_colluders=3, max_external=2, max_slots=4,
         max_support=3, bid_bits=4, feasible_outside=True,
     )
+
+
+def calibrated_instance(seed):
+    """VCG, 4 colluders, 3 slots, 6 support entries of two 8-bit bids, and
+    outside options at the individual-bidding baseline."""
+    rng = random.Random(seed)
+    k = 6
+    support = [
+        {
+            "bids": sorted((rng.randrange(0, 257) / 256 for _ in range(2)), reverse=True),
+            "prob": 1.0 / k,
+        }
+        for _ in range(k)
+    ]
+    raw = {
+        "mechanism": "vcg",
+        "slots": [1.0, 0.75, 0.5],
+        "colluders": [{"v": v, "t": 0.0} for v in (0.9, 0.7, 0.5, 0.3)],
+        "external": {"support": support},
+    }
+    inst = bc.validate_and_normalize(raw)
+    base = individual_baseline(inst)
+    raw["colluders"] = [
+        {"v": c.valuation, "t": max(0.0, u)} for c, u in zip(inst.colluders, base)
+    ]
+    return bc.validate_and_normalize(raw), base
+
+
+def binding_instance():
+    """No single grid profile covers every outside option (eps = 0.05)."""
+    raw = {
+        "mechanism": "gsp",
+        "slots": [0.9, 0.5],
+        "colluders": [
+            {"v": v, "t": (0.05 + 0.35 * 0.9 * v) / 3} for v in (0.8, 0.6, 0.4)
+        ],
+        "external": {"support": [{"bids": [0.37], "prob": 1.0}]},
+    }
+    return bc.validate_and_normalize(raw)
 
 
 class TestColumns:
@@ -313,27 +353,7 @@ class TestColumnGenerationAgreement:
     def test_cg_at_scale_with_baseline_outside_options(self):
         # same shape with calibrated outside options: the feasibility phase
         # prices in what the seeds lack and the result must stay feasible
-        rng = random.Random(5151)
-        k = 6
-        support = [
-            {
-                "bids": sorted((rng.randrange(0, 257) / 256 for _ in range(2)), reverse=True),
-                "prob": 1.0 / k,
-            }
-            for _ in range(k)
-        ]
-        raw = {
-            "mechanism": "vcg",
-            "slots": [1.0, 0.75, 0.5],
-            "colluders": [{"v": v, "t": 0.0} for v in (0.9, 0.7, 0.5, 0.3)],
-            "external": {"support": support},
-        }
-        inst = bc.validate_and_normalize(raw)
-        base = individual_baseline(inst)
-        raw["colluders"] = [
-            {"v": c.valuation, "t": max(0.0, u)} for c, u in zip(inst.colluders, base)
-        ]
-        inst = bc.validate_and_normalize(raw)
+        inst, base = calibrated_instance(5151)
         eps = 0.08
         _, grid = build_grid(inst, eps / inst.n_colluders)
         assert len(grid.levels) ** inst.n_colluders > 10**5
@@ -347,15 +367,7 @@ class TestColumnGenerationAgreement:
         # no single profile covers every outside option here, so a solver
         # that looks for a participation witness would scan all 54^3 grid
         # profiles; column generation needs only a handful of columns
-        raw = {
-            "mechanism": "gsp",
-            "slots": [0.9, 0.5],
-            "colluders": [
-                {"v": v, "t": (0.05 + 0.35 * 0.9 * v) / 3} for v in (0.8, 0.6, 0.4)
-            ],
-            "external": {"support": [{"bids": [0.37], "prob": 1.0}]},
-        }
-        inst = bc.validate_and_normalize(raw)
+        inst = binding_instance()
         eps = 0.05
         _, grid = build_grid(inst, eps / inst.n_colluders)
         assert len(grid.levels) ** inst.n_colluders == 157_464
@@ -389,3 +401,86 @@ class TestColumnGenerationAgreement:
                 + master.duals.z
             )
             assert dual_obj >= master.objective - 1e-6
+
+
+def count_master_lps(monkeypatch):
+    """Record each cold master LP as ("cold", elastic, status) and each
+    warm resume as ("warm", elastic), in call order."""
+    calls = []
+    cold = limited.lp_solve
+    warm = limited.add_master_column
+
+    def counted_cold(objective, rows, senses, rhs):
+        result = cold(objective, rows, senses, rhs)
+        calls.append(("cold", objective[-1] == -1.0, result.status))
+        return result
+
+    def counted_warm(master, column, elastic=False):
+        calls.append(("warm", elastic))
+        return warm(master, column, elastic)
+
+    monkeypatch.setattr(limited, "lp_solve", counted_cold)
+    monkeypatch.setattr(limited, "add_master_column", counted_warm)
+    return calls
+
+
+class TestMasterWork:
+    def test_feasible_seeds_take_one_lp(self, example3, monkeypatch):
+        # the seed master is feasible and optimal: one LP, no elastic solve
+        # confirming zero relief first
+        calls = count_master_lps(monkeypatch)
+        sol = solve_ll(example3, 0.1)
+        assert abs(sol.objective - 1.0) < 1e-9
+        assert calls == [("cold", False, OPTIMAL)]
+
+    def test_infeasible_seeds_run_the_feasibility_phase(self, example3, monkeypatch):
+        # at eps = 0.01 only a mixture covers both outside options, which
+        # the two seeds do not give: the objective master on the seeds is
+        # infeasible, the elastic phase prices in one column, and the
+        # objective phase starts cold on all three
+        calls = count_master_lps(monkeypatch)
+        p = 0.005
+        _, grid = build_grid(example3, p)
+        sol, master, rounds = solve_ll_cg(example3, grid.levels, p)
+        assert abs(sol.objective - 1.0) < 1e-6
+        assert calls == [
+            ("cold", False, INFEASIBLE),
+            ("cold", True, OPTIMAL),
+            ("warm", True),
+            ("cold", False, OPTIMAL),
+            ("warm", False),
+        ]
+        assert rounds == 3
+        assert len(master.columns) == 4
+
+    def test_objective_rounds_are_warm_resumes(self, monkeypatch):
+        # after the feasibility phase, one cold objective LP and then one
+        # warm resume per priced-in column; the last round prices none
+        inst, _ = calibrated_instance(2)
+        calls = count_master_lps(monkeypatch)
+        p = 0.08 / inst.n_colluders
+        _, grid = build_grid(inst, p)
+        levels = prune_levels(grid.levels, inst.external)
+        sol, master, rounds = solve_ll_cg(inst, levels, p)
+        assert [c for c in calls if c[0] == "cold"] == [
+            ("cold", False, INFEASIBLE),
+            ("cold", True, OPTIMAL),
+            ("cold", False, OPTIMAL),
+        ]
+        start = calls.index(("cold", False, OPTIMAL))
+        elastic_rounds = start - 2
+        objective_resumes = calls[start + 1 :]
+        assert calls[2:start] == [("warm", True)] * elastic_rounds
+        assert len(objective_resumes) >= 3
+        assert objective_resumes == [("warm", False)] * len(objective_resumes)
+        assert rounds == elastic_rounds + len(objective_resumes) + 1
+        assert len(master.columns) == 2 + elastic_rounds + len(objective_resumes)
+        dense, _ = solve_ll_dense(inst, levels, p)
+        assert abs(sol.objective - dense.objective) < 1e-6
+
+    def test_binding_instance_needs_the_feasibility_phase(self, monkeypatch):
+        calls = count_master_lps(monkeypatch)
+        sol = solve_ll(binding_instance(), 0.05)
+        assert calls[:2] == [("cold", False, INFEASIBLE), ("cold", True, OPTIMAL)]
+        assert len(sol.distribution) == 2
+        assert abs(sol.objective - 0.481) < 1e-9

@@ -2,9 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from bidcoord.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve
+from bidcoord.simplex import _PIVOT_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve
 
 
 class TestBasics:
@@ -134,6 +136,114 @@ class TestAgainstScipy:
             # primal complementary slackness
             for j in range(n):
                 assert abs(res.x[j] * reduced[j]) < 1e-6
+
+
+# Few distinct values, so columns tie, repeat and make degenerate vertices.
+# Cent steps keep every coefficient far above the pivot tolerance, where
+# the cold solve is an exact enough reference for a 1e-12 comparison.
+_COEF = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(0, 100).map(lambda c: c / 100)
+)
+
+
+@st.composite
+def master_lps(draw):
+    """A master-shaped LP and the columns later appended to it.
+
+    Variables are one weight per column, one transfer per participation
+    row and, in the elastic form, a relief variable.  Rows: participation
+    ``r . gamma - q_i + relief >= rhs_i`` (rhs often negative), budget
+    ``q . 1 - pay . gamma >= 0`` and normalization ``gamma . 1 + relief
+    = 1``.  A column is (revenues, payment); it may be all zero or repeat
+    an earlier one.
+    """
+    n_c = draw(st.integers(1, 3))
+    elastic = draw(st.booleans())
+    rhs = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-1.0, -0.5, 0.0]),
+                st.integers(-100, 50).map(lambda c: c / 100),
+            ),
+            min_size=n_c,
+            max_size=n_c,
+        )
+    )
+    columns = []
+    for _ in range(draw(st.integers(3, 9))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "repeat"]))
+        if kind == "zero":
+            columns.append(((0.0,) * n_c, 0.0))
+        elif kind == "repeat" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        else:
+            revenue = tuple(draw(_COEF) for _ in range(n_c))
+            columns.append((revenue, draw(_COEF)))
+    n_seed = draw(st.integers(1, 2))
+    return n_c, elastic, rhs, columns, n_seed
+
+
+def master_lp(n_c, elastic, rhs, columns):
+    """(objective, rows, senses, rhs) with variables [gammas | q | relief?]."""
+    if elastic:
+        objective = [0.0] * (len(columns) + n_c) + [-1.0]
+    else:
+        objective = [sum(r) - pay for r, pay in columns] + [0.0] * n_c
+    tail = [1.0] if elastic else []
+    rows = [
+        [r[i] for r, _ in columns] + [-1.0 if j == i else 0.0 for j in range(n_c)] + tail
+        for i in range(n_c)
+    ]
+    rows.append([-pay for _, pay in columns] + [1.0] * n_c + [0.0] * len(tail))
+    rows.append([1.0] * len(columns) + [0.0] * n_c + tail)
+    return objective, rows, [">="] * (n_c + 1) + ["="], list(rhs) + [0.0, 1.0]
+
+
+def assert_dual_feasible(res, objective, rows, senses):
+    y = res.duals
+    for yi, sense in zip(y, senses):
+        if sense == ">=":
+            assert yi <= _PIVOT_TOL
+    reduced = np.array(objective) - y @ np.array(rows)
+    assert (reduced <= _PIVOT_TOL).all()
+
+
+class TestWarmStart:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(master_lps())
+    def test_appended_columns_match_cold_solves(self, case):
+        n_c, elastic, rhs, columns, n_seed = case
+        res = lp_solve(*master_lp(n_c, elastic, rhs, columns[:n_seed]))
+        assume(res.status == OPTIMAL)
+        for k in range(n_seed, len(columns)):
+            revenue, pay = columns[k]
+            value = 0.0 if elastic else sum(revenue) - pay
+            res = res.tableau.add_column(value, list(revenue) + [-pay, 1.0], index=k)
+            objective, rows, senses, b = master_lp(n_c, elastic, rhs, columns[: k + 1])
+            cold = lp_solve(objective, rows, senses, b)
+            assert res.status == cold.status == OPTIMAL
+            assert abs(res.objective - cold.objective) <= 1e-12
+            assert abs(float(np.array(objective) @ res.x) - res.objective) <= 1e-12
+            for sol in (res, cold):
+                assert_dual_feasible(sol, objective, rows, senses)
+
+    def test_add_column_keeps_the_tableau_it_extends(self):
+        res = lp_solve([1.0, 0.0], [[1.0, 1.0]], ["<="], [1.0])
+        width = res.tableau.table.shape[1]
+        grown = res.tableau.add_column(2.0, [1.0], index=2)
+        assert abs(grown.objective - 2.0) < 1e-12
+        assert list(grown.x) == [0.0, 0.0, 1.0]
+        assert res.tableau.table.shape[1] == width
+        again = res.tableau.add_column(0.5, [1.0], index=0)
+        assert abs(again.objective - 1.0) < 1e-12
+        assert list(again.x) == [0.0, 1.0, 0.0]
+
+    def test_add_column_needs_full_rank(self):
+        # a repeated equality row keeps its artificial basic at zero
+        res = lp_solve([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], ["=", "="], [1.0, 1.0])
+        assert res.status == OPTIMAL
+        with pytest.raises(AssertionError, match="full rank"):
+            res.tableau.add_column(1.0, [1.0, 1.0], index=2)
 
 
 class TestValidation:
