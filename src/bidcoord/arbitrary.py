@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 from .core import EQ_TOL, AgencySolution, AuctionInstance, BidProfile, make_profile
 from .discretize import (
     BidGrid,
-    build_grid,
     iter_grid_profiles,
     project_to_grid,
     prune_levels,
+    pruned_grid,
 )
 from .mechanisms import expected_outcome
 from .wup import solve_wup_expected, unit_weights
@@ -100,14 +100,16 @@ def solve_arbitrary(
     participation slack is zero by construction; a negative reported IR
     slack flags that no profile can cover the outside options (the
     feasibility assumption fails), but the solution is still returned
-    with its diagnostics.  ``grid`` is the grid ``build_grid`` returns
-    for p = eps/n_c, built here when not given; the optimizer sees only
-    its pruned levels, whose optimum is the full grid's.
+    with its diagnostics.  ``grid`` is a grid for p = eps/n_c, such as
+    the one ``build_grid`` returns; the optimizer sees only its pruned
+    levels, whose optimum is the full grid's.  When it is not given,
+    ``pruned_grid`` supplies those levels directly.
     """
     params = ArbitraryParams.for_instance(instance, epsilon)
     if grid is None:
-        _, grid = build_grid(instance, params.p)
-    levels = prune_levels(grid.levels, instance.external)
+        levels = pruned_grid(instance, params.p).levels
+    else:
+        levels = prune_levels(grid.levels, instance.external)
     result = solve_wup_expected(levels, unit_weights(instance.n_colluders), instance)
     out = expected_outcome(instance, result.profile)
 

@@ -26,7 +26,7 @@ from .core import (
     instance_to_raw,
     validate_and_normalize,
 )
-from .discretize import BidGrid, IntervalSet, build_grid, prune_levels
+from .discretize import BidGrid, IntervalSet, PrunedGrid, build_grid, prune_levels, pruned_grid
 from .limited import solve_ll
 from .mechanisms import expected_outcome, individual_baseline
 from .wup import WupWeights, solve_wup_expected, solve_wup_fixed
@@ -121,24 +121,35 @@ def _solution_doc(instance: AuctionInstance, solution: AgencySolution) -> dict:
     }
 
 
-def _grid_doc(instance: AuctionInstance, interval_set: IntervalSet, grid: BidGrid) -> dict:
-    """The scalars of the grid ``build_grid`` made, and ``pruned_levels``,
-    the levels the solvers optimize over.  The full ``levels`` and
-    ``intervals`` are left to ``discretize``: the intervals only restate
-    the levels (lower endpoints are the levels, upper ones the next level
-    or 1).  ``eta`` is exactly 2^-max_bits, so the bit count is read off
-    it rather than recomputed (and rewarned)."""
-    pruned = list(prune_levels(grid.levels, instance.external))
+def _grid_doc(grid: PrunedGrid, n_colluders: int) -> dict:
+    """The scalars of the grid split and ``pruned_levels``, the levels
+    the solvers optimize over.  The full ``levels`` and ``intervals`` are
+    left to ``discretize``: the intervals only restate the levels (lower
+    endpoints are the levels, upper ones the next level or 1).  ``eta``
+    is exactly 2^-max_bits, so the bit count is read off it rather than
+    recomputed (and rewarned)."""
     return {
-        "p": interval_set.p,
-        "eta": interval_set.eta,
-        "max_bits": 1 - math.frexp(interval_set.eta)[1],
-        "k_star": len(interval_set),
-        "rec_calls": interval_set.rec_calls,
-        "flat_size": grid.flat_size,
-        "pruned_size": len(pruned),
-        "pruned_levels": pruned,
+        "p": grid.p,
+        "eta": grid.eta,
+        "max_bits": 1 - math.frexp(grid.eta)[1],
+        "k_star": grid.k_star,
+        "rec_calls": grid.rec_calls,
+        "flat_size": grid.k_star * n_colluders,
+        "pruned_size": len(grid.levels),
+        "pruned_levels": list(grid.levels),
     }
+
+
+def _full_grid_doc(instance: AuctionInstance, interval_set: IntervalSet, grid: BidGrid) -> dict:
+    """``_grid_doc`` for a grid ``build_grid`` made."""
+    pruned = PrunedGrid(
+        interval_set.p,
+        interval_set.eta,
+        len(interval_set),
+        interval_set.rec_calls,
+        prune_levels(grid.levels, instance.external),
+    )
+    return _grid_doc(pruned, instance.n_colluders)
 
 
 def _baseline_doc(instance: AuctionInstance, objective: Optional[float]) -> dict:
@@ -178,7 +189,7 @@ def cmd_discretize(args) -> int:
     instance = _load_instance(args.instance, None)
     interval_set, grid = build_grid(instance, args.p)
     intervals = [{"lower": iv.lower, "upper": iv.upper} for iv in interval_set.intervals]
-    doc = _grid_doc(instance, interval_set, grid)
+    doc = _full_grid_doc(instance, interval_set, grid)
     _emit(dict(doc, levels=list(grid.levels), intervals=intervals), args.out)
     return EXIT_OK
 
@@ -189,7 +200,8 @@ def cmd_solve(args) -> int:
     instance = _load_instance(args.instance, args.mechanism)
     p = epsilon / instance.n_colluders
     started = time.perf_counter()
-    interval_set, grid = build_grid(instance, p)
+    pruned = pruned_grid(instance, p)
+    grid = BidGrid(pruned.levels, instance.n_colluders)
     if args.mode == "arbitrary":
         solution = solve_arbitrary(instance, epsilon, grid=grid)
     else:
@@ -214,7 +226,7 @@ def cmd_solve(args) -> int:
         "mechanism": instance.mechanism,
         "epsilon": epsilon,
         "p": p,
-        "grid": _grid_doc(instance, interval_set, grid),
+        "grid": _grid_doc(pruned, instance.n_colluders),
         "solution": solution_doc,
         "baseline": _baseline_doc(instance, solution_doc["objective"]),
         "checks": {
@@ -272,7 +284,7 @@ def cmd_wup(args) -> int:
         _check_unit_interval("--p", args.p)
         interval_set, grid = build_grid(instance, args.p)
         levels = list(grid.levels)
-        grid_doc = dict(_grid_doc(instance, interval_set, grid), levels=levels)
+        grid_doc = dict(_full_grid_doc(instance, interval_set, grid), levels=levels)
     if args.external_index is not None:
         support = instance.external.support
         if not 0 <= args.external_index < len(support):

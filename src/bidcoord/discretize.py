@@ -15,9 +15,26 @@ over the support bids, sorted once, so each interval is decided from one
 slice of them instead of a scan of the whole support.  It yields the
 same intervals in the same order and the same call count.
 
+An interval that splits while its bids share one value b starts a
+chain: each child holding b has the same bids, so only the width test
+decides it, and each sibling holds none and is a leaf.  The loop closes
+such a chain in closed form.  With width W = 2^-a and eta = 2^-M it
+takes t = M - a halvings, adds 2t calls and t + 1 leaves (t of them
+empty siblings), and the leaf holding b ends at lower + ceil((b -
+lower)/eta)*eta, which is ceil(b/eta)*eta as lower is a multiple of
+eta.  This is exact, not a float approximation: every endpoint is a
+multiple of eta >= 2^-53 in [0, 1], so every midpoint and width the
+recursion would compute is a double without rounding.  The
+cent bids' eta = 2^-53 makes such chains about 50 halvings long, nearly
+all of the paper's grid.
+
 ``prune_levels`` then drops every level whose gap below it holds no
 external bid; the solvers optimize over what is left, at most one level
-more than there are distinct support bids, with the same optimum.
+more than there are distinct support bids, with the same optimum.  Those
+levels are 0 and the upper endpoint, below 1, of each interval holding a
+bid, so ``pruned_grid`` reads them off the loop's chains without ever
+building the full grid; ``build_grid`` expands the chains for
+``discretize`` and ``wup --p``.
 """
 
 from __future__ import annotations
@@ -32,6 +49,9 @@ from .core import AuctionInstance, BidProfile, ExternalDistribution, make_profil
 
 #: Fractional bits available in a double; bids needing more are capped.
 MAX_BITS_CAP = 53
+
+#: A piece of the split: (lower, upper, hit, t); see ``_split``.
+_Piece = tuple[float, float, float | None, int]
 
 
 @dataclass(frozen=True)
@@ -101,6 +121,22 @@ class BidGrid:
         return len(self.levels) * self.n_ranks
 
 
+@dataclass(frozen=True)
+class PrunedGrid:
+    """The scalars of a split of (0, 1] and its grid's pruned levels.
+
+    ``k_star`` is the number of intervals (the full grid's level count),
+    ``rec_calls`` the recursive definition's call count, and ``levels``
+    what ``prune_levels`` keeps of the full grid.
+    """
+
+    p: float
+    eta: float
+    k_star: int
+    rec_calls: int
+    levels: tuple[float, ...]
+
+
 def event_probability(distribution: ExternalDistribution, lower: float, upper: float) -> float:
     """Probability that any external bid lands in (lower, upper]."""
     total = 0.0
@@ -112,10 +148,16 @@ def event_probability(distribution: ExternalDistribution, lower: float, upper: f
 
 def _split(
     lower: float, upper: float, p: float, eta: float, distribution: ExternalDistribution
-) -> tuple[list[Interval], int]:
+) -> tuple[list[_Piece], int]:
     """Bisect (lower, upper] depth first, left child before right, and
-    return the leaf intervals in ascending order with the number of
-    intervals decided (the recursive definition's call count).
+    return its pieces in ascending order with the number of intervals
+    decided (the recursive definition's call count).
+
+    A piece (lower, upper, hit, t) is one leaf when t is 0, and ``hit``
+    is its upper endpoint if it holds a support bid, else None.  When
+    t > 0 it is a chain of t halvings (see the module docstring): t + 1
+    leaves tiling (lower, upper], of which the one holding the bid ends
+    at ``hit``; ``_leaves`` expands it.
 
     The positive support bids are sorted once as (bid, entry) pairs, so
     an interval's bids are one slice of them and a child's slice is one
@@ -132,7 +174,20 @@ def _split(
     keys = [b for b, _ in pairs]
     owners = [k for _, k in pairs]
     probs = [prob for _, prob in distribution.support]
-    leaves: list[Interval] = []
+    # Chains close in closed form only where bisection is exact: eta is
+    # 2^-M with M <= MAX_BITS_CAP, the width a power of two and ``lower``
+    # a multiple of eta, so every endpoint is a multiple of eta in [0, 1];
+    # and an empty interval is a leaf (p >= 0).  The walks of (0, 1] that
+    # ``build_grid`` and ``pruned_grid`` make are always such walks.
+    closes = (
+        p >= 0.0
+        and 2.0**-MAX_BITS_CAP <= eta <= 1.0
+        and eta.as_integer_ratio()[0] == 1
+        and (upper - lower).as_integer_ratio()[0] == 1
+        and lower % eta == 0.0
+    )
+    eta_bits = eta.as_integer_ratio()[1].bit_length() if closes else 0
+    pieces: list[_Piece] = []
     calls = 0
     lo = bisect_right(keys, lower)
     # (lower, upper, slice start, slice end, slice equals the parent's)
@@ -148,13 +203,42 @@ def _split(
                 total += probs[k]
             split = not (total <= p or upper - lower <= eta)
         if not split:
-            leaves.append(Interval(lower, upper))
-            continue
-        mid = (lower + upper) / 2.0
-        cut = bisect_right(keys, mid, lo, hi)
-        stack.append((mid, upper, cut, hi, cut == lo))
-        stack.append((lower, mid, lo, cut, cut == hi))
-    return leaves, calls
+            pieces.append((lower, upper, upper if hi > lo else None, 0))
+        elif closes and keys[lo] == keys[hi - 1]:
+            t = eta_bits - (upper - lower).as_integer_ratio()[1].bit_length()
+            calls += 2 * t
+            pieces.append((lower, upper, -(-keys[lo] // eta) * eta, t))
+        else:
+            mid = (lower + upper) / 2.0
+            if not lower < mid < upper:
+                # eta is below the doubles' spacing here; a child would
+                # repeat its parent forever
+                raise ValueError(f"cannot bisect ({lower!r}, {upper!r}] down to eta {eta!r}")
+            cut = bisect_right(keys, mid, lo, hi)
+            stack.append((mid, upper, cut, hi, cut == lo))
+            stack.append((lower, mid, lo, cut, cut == hi))
+    return pieces, calls
+
+
+def _leaves(pieces: Sequence[_Piece]) -> list[Interval]:
+    """Expand ``_split``'s pieces into its leaf intervals, ascending.  A
+    chain is bisected t times toward the leaf ending at ``hit``; the
+    siblings passed on its left precede that leaf and those on its right
+    follow it, innermost first."""
+    leaves: list[Interval] = []
+    for lower, upper, hit, t in pieces:
+        above = []
+        for _ in range(t):
+            mid = (lower + upper) / 2.0
+            if hit <= mid:
+                above.append(Interval(mid, upper))
+                upper = mid
+            else:
+                leaves.append(Interval(lower, mid))
+                lower = mid
+        leaves.append(Interval(lower, upper))
+        leaves.extend(reversed(above))
+    return leaves
 
 
 def rec_split(
@@ -162,7 +246,7 @@ def rec_split(
 ) -> list[Interval]:
     """Bisect an interval until each piece carries external-bid
     probability at most p or has width at most eta."""
-    return _split(interval.lower, interval.upper, p, eta, distribution)[0]
+    return _leaves(_split(interval.lower, interval.upper, p, eta, distribution)[0])
 
 
 def max_bits(distribution: ExternalDistribution) -> int:
@@ -187,8 +271,16 @@ def max_bits(distribution: ExternalDistribution) -> int:
 
 def build_intervals(distribution: ExternalDistribution, p: float, eta: float) -> IntervalSet:
     """Split (0, 1] and record the recursive definition's call count."""
-    intervals, calls = _split(0.0, 1.0, p, eta, distribution)
-    return IntervalSet(tuple(intervals), p, eta, calls)
+    pieces, calls = _split(0.0, 1.0, p, eta, distribution)
+    return IntervalSet(tuple(_leaves(pieces)), p, eta, calls)
+
+
+def _grid_eta(instance: AuctionInstance, p: float) -> float:
+    """The minimum step for threshold p: one ulp of the external
+    support, eta = 2^-M."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p!r}")
+    return 2.0 ** (-max_bits(instance.external))
 
 
 def build_grid(instance: AuctionInstance, p: float) -> tuple[IntervalSet, BidGrid]:
@@ -197,12 +289,23 @@ def build_grid(instance: AuctionInstance, p: float) -> tuple[IntervalSet, BidGri
     The minimum step is one ulp of the external support (eta = 2^-M), so
     every interval's open interior carries probability at most p.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p!r}")
-    eta = 2.0 ** (-max_bits(instance.external))
+    eta = _grid_eta(instance, p)
     interval_set = build_intervals(instance.external, p, eta)
     levels = tuple(iv.lower for iv in interval_set.intervals)
     return interval_set, BidGrid(levels, instance.n_colluders)
+
+
+def pruned_grid(instance: AuctionInstance, p: float) -> PrunedGrid:
+    """What a solve needs of ``build_grid``, read off the same split
+    without building an interval: its scalars and the levels
+    ``prune_levels`` keeps of its grid, which are 0 and the upper
+    endpoint, below 1, of each leaf holding a support bid."""
+    eta = _grid_eta(instance, p)
+    pieces, calls = _split(0.0, 1.0, p, eta, instance.external)
+    levels = [0.0]
+    levels += [hit for _, _, hit, _ in pieces if hit is not None and hit < 1.0]
+    k_star = len(pieces) + sum(t for _, _, _, t in pieces)
+    return PrunedGrid(p, eta, k_star, calls, tuple(levels))
 
 
 def prune_levels(

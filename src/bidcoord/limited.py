@@ -35,7 +35,7 @@ from .core import (
     ToleranceError,
     make_profile,
 )
-from .discretize import BidGrid, build_grid, prune_levels
+from .discretize import BidGrid, prune_levels, pruned_grid
 from .mechanisms import expected_outcome
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, Tableau, lp_solve
 from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
@@ -344,13 +344,15 @@ def solve_ll(
 ) -> AgencySolution:
     """Solve the limited-liability problem to within eps (p = eps/n_c) by
     column generation over the grid's pruned levels, whose master has the
-    full grid's optimum.  ``grid`` is the grid ``build_grid`` returns for
-    that p, built here when not given."""
+    full grid's optimum.  ``grid`` is a grid for that p, such as the one
+    ``build_grid`` returns; when it is not given, ``pruned_grid``
+    supplies the pruned levels directly."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
     p = epsilon / instance.n_colluders
     if grid is None:
-        _, grid = build_grid(instance, p)
-    levels = prune_levels(grid.levels, instance.external)
+        levels = pruned_grid(instance, p).levels
+    else:
+        levels = prune_levels(grid.levels, instance.external)
     solution, _, _ = solve_ll_cg(instance, levels, p)
     return solution

@@ -7,6 +7,7 @@ import pytest
 
 import bidcoord.arbitrary
 import bidcoord.cli
+import bidcoord.discretize
 import bidcoord.limited
 from bidcoord.cli import canonical_json, main
 from bidcoord.core import validate_and_normalize
@@ -31,16 +32,19 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture
 def grid_builds(monkeypatch):
-    """Counts ``build_grid`` calls made through every module that binds it."""
+    """Names ``build_grid`` and ``pruned_grid`` once per call made through
+    any of the modules that bind them."""
     calls = []
-    original = bidcoord.cli.build_grid
+    for name in ("build_grid", "pruned_grid"):
+        original = getattr(bidcoord.discretize, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    for module in (bidcoord.cli, bidcoord.arbitrary, bidcoord.limited):
-        monkeypatch.setattr(module, "build_grid", counting)
+        for module in (bidcoord.cli, bidcoord.arbitrary, bidcoord.limited):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -220,21 +224,27 @@ class TestSolve:
 
     @pytest.mark.parametrize("mode", ["arbitrary", "limited-liability"])
     def test_grid_built_once(self, capsys, grid_builds, mode):
+        # one walk of the split, and never the full grid
         code, out, _ = run_cli(capsys, "solve", EXAMPLE3, "--mode", mode)
         assert code == 0
-        assert len(grid_builds) == 1
+        assert grid_builds == ["pruned_grid"]
         assert json.loads(out)["grid"]["pruned_size"] == 2
 
     @pytest.mark.parametrize("mode", ["arbitrary", "limited-liability"])
-    @pytest.mark.parametrize("raw", [example1_raw(), example3_raw()])
+    @pytest.mark.parametrize("raw", [example1_raw(), example3_raw(), cent_bids_raw()])
     def test_grid_section_is_lean(self, tmp_path, capsys, mode, raw):
         path = write_instance(tmp_path, raw)
-        code, out, _ = run_cli(capsys, "solve", path, "--mode", mode, "--epsilon", "0.1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, _ = run_cli(capsys, "solve", path, "--mode", mode, "--epsilon", "0.1")
+            inst = validate_and_normalize(raw)
+            interval_set, grid = build_grid(inst, 0.1 / inst.n_colluders)
         assert code == 0
         grid_doc = json.loads(out)["grid"]
         assert set(grid_doc) == GRID_SCALARS | {"pruned_levels"}
-        inst = validate_and_normalize(raw)
-        _, grid = build_grid(inst, 0.1 / inst.n_colluders)
+        assert grid_doc["k_star"] == len(interval_set)
+        assert grid_doc["rec_calls"] == interval_set.rec_calls
+        assert grid_doc["flat_size"] == grid.flat_size
         assert grid_doc["pruned_levels"] == list(prune_levels(grid.levels, inst.external))
         assert grid_doc["pruned_size"] == len(grid_doc["pruned_levels"])
 
@@ -391,6 +401,14 @@ class TestBaseline:
         assert abs(doc["baseline"]["cumulative"] - 0.1) < 1e-9
         assert abs(doc["baseline"]["ratio"] - 6.0) < 1e-6
         assert abs(doc["with_agency"]["objective"] - 0.6) < 1e-9
+
+    def test_cent_bids_skip_full_grid(self, tmp_path, capsys, grid_builds):
+        path = write_instance(tmp_path, cent_bids_raw())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, _, _ = run_cli(capsys, "baseline", path)
+        assert code == 0
+        assert grid_builds == ["pruned_grid"]
 
 
 class TestDeterminism:

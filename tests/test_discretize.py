@@ -17,11 +17,13 @@ from bidcoord.discretize import (
     iter_grid_profiles,
     max_bits,
     project_to_grid,
+    prune_levels,
+    pruned_grid,
     rec_split,
 )
 from bidcoord.mechanisms import expected_outcome
 from bidcoord.oracles import recursive_split
-from conftest import dyadic, random_instance
+from conftest import dyadic, example3_raw, random_instance
 
 
 def point_mass(*bids):
@@ -40,6 +42,9 @@ def random_distribution(rng, n_e=None, bits=None, max_support=8):
             for p in probs
         )
     )
+
+
+_EXAMPLE3 = bc.validate_and_normalize(example3_raw())
 
 
 class TestRecSplit:
@@ -68,18 +73,30 @@ class TestRecSplit:
 # Cents are non-dyadic (eta = 2^-53); a short pool makes duplicate bids
 # within and across entries common, and 0 and 1 sit on the endpoints.
 _BID = st.sampled_from([0.0, 1.0, 0.01, 0.1, 0.37, 0.5, 0.99, 0.125, 0.25, 0.75])
+# Bids that end a chain of bisections (one distinct bid in an interval)
+# where it can go wrong: dyadic midpoints exactly on the upper endpoint,
+# 2^-53 and 0.5 + 2^-53 one ulp past the lower one, 1.0 on the last
+# leaf, and cents inside a leaf.
+_CHAIN_BID = st.sampled_from(
+    [0.25, 0.375, 0.5, 0.75, 1.0, 2.0**-53, 0.5 + 2.0**-53, 0.01, 0.37, 0.99]
+)
 
 
 @st.composite
-def split_cases(draw):
+def split_cases(draw, bid=_BID, shared=False):
+    """A distribution, p, eta = 2^-max_bits and a start interval; with
+    ``shared``, one bid is repeated across every entry."""
     n_e = draw(st.integers(0, 4))
     k = draw(st.integers(1, 5))
     # Zero weights give zero-probability entries; sevenths round.
     weights = draw(st.lists(st.integers(0, 7), min_size=k, max_size=k).filter(any))
-    entries = [sorted(draw(st.lists(_BID, min_size=n_e, max_size=n_e)), reverse=True)]
+    entries = [sorted(draw(st.lists(bid, min_size=n_e, max_size=n_e)), reverse=True)]
     for _ in range(k - 1):
         entries.append(entries[0] if draw(st.booleans()) else
-                       sorted(draw(st.lists(_BID, min_size=n_e, max_size=n_e)), reverse=True))
+                       sorted(draw(st.lists(bid, min_size=n_e, max_size=n_e)), reverse=True))
+    if shared:
+        common = draw(bid)
+        entries = [sorted(e + [common], reverse=True) for e in entries]
     probs = [w / sum(weights) for w in weights]
     dist = ExternalDistribution(tuple((tuple(b), q) for b, q in zip(entries, probs)))
     # A running sum of the entry probabilities, as the split adds them,
@@ -110,6 +127,12 @@ class TestSplitVsRecursiveReference:
     without its width test.  Adding them with ``sum`` passes: before
     Python 3.12 ``sum`` adds floats left to right exactly as the loop
     does, so that mutant is equivalent there.
+
+    Mutants of the closed-form chains fail too: one halving more or
+    fewer, the bid's leaf rounded down (``floor``) instead of up,
+    ``pruned_grid`` keeping a leaf upper endpoint of 1, and dropping the
+    test for p >= 0, for eta or the width being a power of two, or for
+    the lower endpoint being a multiple of eta.
     """
 
     @settings(derandomize=True, deadline=None, max_examples=300)
@@ -122,6 +145,53 @@ class TestSplitVsRecursiveReference:
         assert got.rec_calls == calls
         leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
         assert rec_split(start, p, eta, dist) == leaves
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(split_cases(_CHAIN_BID, shared=True))
+    def test_chains_match(self, case):
+        dist, p, eta, start = case
+        intervals, calls = recursive_split(0.0, 1.0, p, eta, dist)
+        got = build_intervals(dist, p, eta)
+        assert (list(got.intervals), got.rec_calls) == (intervals, calls)
+        leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
+        assert rec_split(start, p, eta, dist) == leaves
+
+    @pytest.mark.parametrize("p, eta, start", [
+        (-1.0, 2.0**-4, Interval(0.0, 1.0)),  # empty intervals split too
+        (0.01, 0.375, Interval(0.0, 1.0)),  # eta not a power of two
+        (0.01, 2.0**-53, Interval(2.0**-55, 2.0**-55 + 0.125)),  # lower off the eta grid
+    ])
+    def test_walks_without_closed_form_chains_match(self, p, eta, start):
+        # 2^-52 + 2^-55 ends a chain on the right of its last split, so a
+        # leaf rounded to the eta grid rather than to ``start``'s moves it
+        dist = point_mass(2.0**-52 + 2.0**-55, 0.9)
+        intervals, calls = recursive_split(0.0, 1.0, p, eta, dist)
+        got = build_intervals(dist, p, eta)
+        assert (list(got.intervals), got.rec_calls) == (intervals, calls)
+        leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
+        assert rec_split(start, p, eta, dist) == leaves
+
+    @pytest.mark.parametrize("bids, eta", [
+        ((0.3,), 2.0**-60),
+        ((0.5 + 2.0**-53,), 2.0**-54),
+        ((0.75, 0.3), 2.0**-54),  # rounds a midpoint up to its upper end
+    ])
+    def test_eta_below_double_spacing_raises(self, bids, eta):
+        # below the spacing of doubles near a bid, bisection cannot go on
+        with pytest.raises(ValueError):
+            build_intervals(point_mass(*bids), 0.01, eta)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.one_of(split_cases(), split_cases(_CHAIN_BID, shared=True)))
+    def test_pruned_grid_matches_full_split(self, case):
+        dist, p, eta, _ = case
+        full = build_intervals(dist, p, eta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = pruned_grid(replace(_EXAMPLE3, external=dist), p)
+        assert (got.p, got.eta) == (p, eta)
+        assert (got.k_star, got.rec_calls) == (len(full), full.rec_calls)
+        assert got.levels == prune_levels([iv.lower for iv in full.intervals], dist)
 
 
 class TestMaxBits:
