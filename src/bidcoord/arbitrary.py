@@ -5,10 +5,11 @@ solver discretizes the bid space with probability threshold p = eps/n_c,
 maximizes cumulative expected utility over the grid, and charges each
 colluder its expected revenue minus outside option plus p.  That leaves
 each participation constraint relaxed by exactly p while losing at most
-eps of the optimal value overall.  The optimizer runs over the grid's
-dominance-pruned levels (``discretize.prune_levels``): they keep the
-grid optimum and number at most one more than the distinct external
-support bids, so the work no longer grows with the split's depth.
+eps of the optimal value overall.  The optimizer runs over exactly the
+levels it is given; by default those are the grid's dominance-pruned
+levels (``discretize.pruned_grid``), which keep the grid optimum and
+number at most one more than the distinct external support bids, so
+the work does not grow with the split's depth.
 """
 
 from __future__ import annotations
@@ -17,35 +18,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import EQ_TOL, AgencySolution, AuctionInstance, BidProfile, make_profile
-from .discretize import (
-    BidGrid,
-    iter_grid_profiles,
-    project_to_grid,
-    prune_levels,
-    pruned_grid,
-)
+from .discretize import iter_grid_profiles, project_to_grid, pruned_grid
 from .mechanisms import expected_outcome
 from .wup import solve_wup_expected, unit_weights
-
-
-@dataclass(frozen=True)
-class ArbitraryParams:
-    """Target loss eps in (0, 1] and the derived grid threshold p = eps/n_c."""
-
-    epsilon: float
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {self.p!r}")
-
-    @classmethod
-    def for_instance(cls, instance: AuctionInstance, epsilon: float) -> "ArbitraryParams":
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
-        return cls(epsilon, epsilon / instance.n_colluders)
 
 
 @dataclass(frozen=True)
@@ -92,7 +67,7 @@ def check_assumption1(
 
 
 def solve_arbitrary(
-    instance: AuctionInstance, epsilon: float, grid: BidGrid | None = None
+    instance: AuctionInstance, epsilon: float, levels: Sequence[float] | None = None
 ) -> AgencySolution:
     """Solve the arbitrary-transfers problem to within eps.
 
@@ -100,24 +75,23 @@ def solve_arbitrary(
     participation slack is zero by construction; a negative reported IR
     slack flags that no profile can cover the outside options (the
     feasibility assumption fails), but the solution is still returned
-    with its diagnostics.  ``grid`` is a grid for p = eps/n_c, such as
-    the one ``build_grid`` returns; the optimizer sees only its pruned
-    levels, whose optimum is the full grid's.  When it is not given,
-    ``pruned_grid`` supplies those levels directly.
+    with its diagnostics.  The optimizer runs over exactly ``levels``;
+    when they are not given, it uses the pruned levels of the grid for
+    p = eps/n_c, whose optimum is the full grid's.
     """
-    params = ArbitraryParams.for_instance(instance, epsilon)
-    if grid is None:
-        levels = pruned_grid(instance, params.p).levels
-    else:
-        levels = prune_levels(grid.levels, instance.external)
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
+    p = epsilon / instance.n_colluders
+    if levels is None:
+        levels = pruned_grid(instance, p).levels
     result = solve_wup_expected(levels, unit_weights(instance.n_colluders), instance)
     out = expected_outcome(instance, result.profile)
 
     transfers = tuple(
-        r - c.outside_option + params.p for r, c in zip(out.revenue, instance.colluders)
+        r - c.outside_option + p for r, c in zip(out.revenue, instance.colluders)
     )
     ic_slacks = tuple(
-        (r - q) - (c.outside_option - params.p)
+        (r - q) - (c.outside_option - p)
         for r, q, c in zip(out.revenue, transfers, instance.colluders)
     )
     ir_slack = sum(transfers) - sum(out.payment)
@@ -127,5 +101,5 @@ def solve_arbitrary(
         objective=out.cumulative,
         ic_slacks=ic_slacks,
         ir_slack=ir_slack,
-        relaxation=params.p,
+        relaxation=p,
     )

@@ -23,10 +23,11 @@ from .core import (
     InfeasibleError,
     InstanceError,
     ToleranceError,
+    _number,
     instance_to_raw,
     validate_and_normalize,
 )
-from .discretize import BidGrid, IntervalSet, PrunedGrid, build_grid, prune_levels, pruned_grid
+from .discretize import PrunedGrid, pruned_grid
 from .limited import solve_ll
 from .mechanisms import expected_outcome, individual_baseline
 from .wup import WupWeights, solve_wup_expected, solve_wup_fixed
@@ -124,10 +125,10 @@ def _solution_doc(instance: AuctionInstance, solution: AgencySolution) -> dict:
 def _grid_doc(grid: PrunedGrid, n_colluders: int) -> dict:
     """The scalars of the grid split and ``pruned_levels``, the levels
     the solvers optimize over.  The full ``levels`` and ``intervals`` are
-    left to ``discretize``: the intervals only restate the levels (lower
-    endpoints are the levels, upper ones the next level or 1).  ``eta``
-    is exactly 2^-max_bits, so the bit count is read off it rather than
-    recomputed (and rewarned)."""
+    left to ``discretize`` and ``wup --p``: the intervals only restate
+    the levels (lower endpoints are the levels, upper ones the next level
+    or 1).  ``eta`` is exactly 2^-max_bits, so the bit count is read off
+    it rather than recomputed (and rewarned)."""
     return {
         "p": grid.p,
         "eta": grid.eta,
@@ -138,18 +139,6 @@ def _grid_doc(grid: PrunedGrid, n_colluders: int) -> dict:
         "pruned_size": len(grid.levels),
         "pruned_levels": list(grid.levels),
     }
-
-
-def _full_grid_doc(instance: AuctionInstance, interval_set: IntervalSet, grid: BidGrid) -> dict:
-    """``_grid_doc`` for a grid ``build_grid`` made."""
-    pruned = PrunedGrid(
-        interval_set.p,
-        interval_set.eta,
-        len(interval_set),
-        interval_set.rec_calls,
-        prune_levels(grid.levels, instance.external),
-    )
-    return _grid_doc(pruned, instance.n_colluders)
 
 
 def _baseline_doc(instance: AuctionInstance, objective: Optional[float]) -> dict:
@@ -187,10 +176,12 @@ def cmd_validate(args) -> int:
 def cmd_discretize(args) -> int:
     _check_unit_interval("--p", args.p)
     instance = _load_instance(args.instance, None)
-    interval_set, grid = build_grid(instance, args.p)
-    intervals = [{"lower": iv.lower, "upper": iv.upper} for iv in interval_set.intervals]
-    doc = _full_grid_doc(instance, interval_set, grid)
-    _emit(dict(doc, levels=list(grid.levels), intervals=intervals), args.out)
+    grid = pruned_grid(instance, args.p)
+    intervals = grid.intervals().intervals
+    doc = _grid_doc(grid, instance.n_colluders)
+    doc["levels"] = [iv.lower for iv in intervals]
+    doc["intervals"] = [{"lower": iv.lower, "upper": iv.upper} for iv in intervals]
+    _emit(doc, args.out)
     return EXIT_OK
 
 
@@ -201,12 +192,11 @@ def cmd_solve(args) -> int:
     p = epsilon / instance.n_colluders
     started = time.perf_counter()
     pruned = pruned_grid(instance, p)
-    grid = BidGrid(pruned.levels, instance.n_colluders)
     if args.mode == "arbitrary":
-        solution = solve_arbitrary(instance, epsilon, grid=grid)
+        solution = solve_arbitrary(instance, epsilon, levels=pruned.levels)
     else:
         try:
-            solution = solve_ll(instance, epsilon, grid=grid)
+            solution = solve_ll(instance, epsilon, levels=pruned.levels)
         except InfeasibleError as err:
             _emit(
                 {
@@ -249,7 +239,17 @@ def cmd_solve(args) -> int:
     return EXIT_INFEASIBLE if solution.assumption_violated else EXIT_OK
 
 
+def _weight(raw, path: str) -> float:
+    """A weight: a finite nonnegative number, not a bool."""
+    value = _number(raw, path, 0.0, math.inf)
+    if value == math.inf:
+        raise InstanceError(path, "expected a finite number, got inf")
+    return value
+
+
 def _load_weights(path: str, n_colluders: int) -> tuple[WupWeights, Optional[list[float]]]:
+    """The weights file's weights and its optional ``levels``, each
+    checked like an instance field and named by its path on failure."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "revenue_weights" not in doc or "payment_weight" not in doc:
         raise InstanceError(
@@ -260,17 +260,15 @@ def _load_weights(path: str, n_colluders: int) -> tuple[WupWeights, Optional[lis
         raise InstanceError(
             f"{path}:revenue_weights", f"expected {n_colluders} entries"
         )
-    try:
-        weights = WupWeights(
-            tuple(float(y) for y in revenue), float(doc["payment_weight"])
-        )
-    except (TypeError, ValueError) as err:
-        raise InstanceError(path, str(err)) from err
+    weights = WupWeights(
+        tuple(_weight(y, f"{path}:revenue_weights[{i}]") for i, y in enumerate(revenue)),
+        _weight(doc["payment_weight"], f"{path}:payment_weight"),
+    )
     levels = doc.get("levels")
-    if levels is not None and (
-        not isinstance(levels, list) or not all(isinstance(x, (int, float)) for x in levels)
-    ):
-        raise InstanceError(f"{path}:levels", "must be a list of numbers")
+    if levels is not None:
+        if not isinstance(levels, list) or not levels:
+            raise InstanceError(f"{path}:levels", "must be a nonempty list of numbers")
+        levels = [_number(x, f"{path}:levels[{j}]") for j, x in enumerate(levels)]
     return weights, levels
 
 
@@ -278,13 +276,12 @@ def cmd_wup(args) -> int:
     instance = _load_instance(args.instance, None)
     weights, levels = _load_weights(args.weights_file, instance.n_colluders)
     if levels is not None:
-        levels = [float(x) for x in levels]
         grid_doc = {"levels": sorted(set(levels))}
     else:
         _check_unit_interval("--p", args.p)
-        interval_set, grid = build_grid(instance, args.p)
-        levels = list(grid.levels)
-        grid_doc = dict(_full_grid_doc(instance, interval_set, grid), levels=levels)
+        grid = pruned_grid(instance, args.p)
+        levels = [iv.lower for iv in grid.intervals().intervals]
+        grid_doc = dict(_grid_doc(grid, instance.n_colluders), levels=levels)
     if args.external_index is not None:
         support = instance.external.support
         if not 0 <= args.external_index < len(support):

@@ -28,13 +28,17 @@ recursion would compute is a double without rounding.  The
 cent bids' eta = 2^-53 makes such chains about 50 halvings long, nearly
 all of the paper's grid.
 
-``prune_levels`` then drops every level whose gap below it holds no
-external bid; the solvers optimize over what is left, at most one level
-more than there are distinct support bids, with the same optimum.  Those
-levels are 0 and the upper endpoint, below 1, of each interval holding a
-bid, so ``pruned_grid`` reads them off the loop's chains without ever
-building the full grid; ``build_grid`` expands the chains for
-``discretize`` and ``wup --p``.
+The solvers optimize over the dominance-pruned levels: 0 and the upper
+endpoint, below 1, of each leaf holding a support bid.  Every other
+level's gap below it holds no external bid, so a colluder bidding it can
+move down to the kept level below without changing any allocation or
+raising any payment, and the optimum stays the full grid's with at most
+one level more than there are distinct support bids
+(``oracles.prune_levels`` states this on a given grid and is the test
+reference).  ``pruned_grid`` reads those levels off the loop's chains
+without building an interval, and keeps the pieces, so ``discretize``
+and ``wup --p`` expand the same walk into the full split
+(``PrunedGrid.intervals``, which ``build_grid`` wraps).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .core import AuctionInstance, BidProfile, ExternalDistribution, make_profile
@@ -123,11 +127,13 @@ class BidGrid:
 
 @dataclass(frozen=True)
 class PrunedGrid:
-    """The scalars of a split of (0, 1] and its grid's pruned levels.
+    """One walk of the split of (0, 1]: its scalars, its grid's pruned
+    levels, and the walk's pieces for expanding it.
 
     ``k_star`` is the number of intervals (the full grid's level count),
     ``rec_calls`` the recursive definition's call count, and ``levels``
-    what ``prune_levels`` keeps of the full grid.
+    0 and the upper endpoint, below 1, of each interval holding a support
+    bid: the levels the solvers optimize over.
     """
 
     p: float
@@ -135,6 +141,11 @@ class PrunedGrid:
     k_star: int
     rec_calls: int
     levels: tuple[float, ...]
+    pieces: tuple[_Piece, ...] = field(compare=False, repr=False)
+
+    def intervals(self) -> IntervalSet:
+        """The split's intervals, expanded from the walk's pieces."""
+        return IntervalSet(tuple(_leaves(self.pieces)), self.p, self.eta, self.rec_calls)
 
 
 def event_probability(distribution: ExternalDistribution, lower: float, upper: float) -> float:
@@ -177,8 +188,8 @@ def _split(
     # Chains close in closed form only where bisection is exact: eta is
     # 2^-M with M <= MAX_BITS_CAP, the width a power of two and ``lower``
     # a multiple of eta, so every endpoint is a multiple of eta in [0, 1];
-    # and an empty interval is a leaf (p >= 0).  The walks of (0, 1] that
-    # ``build_grid`` and ``pruned_grid`` make are always such walks.
+    # and an empty interval is a leaf (p >= 0).  The walk of (0, 1] that
+    # ``pruned_grid`` makes is always such a walk.
     closes = (
         p >= 0.0
         and 2.0**-MAX_BITS_CAP <= eta <= 1.0
@@ -283,63 +294,27 @@ def _grid_eta(instance: AuctionInstance, p: float) -> float:
     return 2.0 ** (-max_bits(instance.external))
 
 
-def build_grid(instance: AuctionInstance, p: float) -> tuple[IntervalSet, BidGrid]:
-    """Construct the discretized bid set for this instance.
+def pruned_grid(instance: AuctionInstance, p: float) -> PrunedGrid:
+    """Walk the split of (0, 1] for threshold p once, without building
+    an interval.
 
     The minimum step is one ulp of the external support (eta = 2^-M), so
     every interval's open interior carries probability at most p.
     """
     eta = _grid_eta(instance, p)
-    interval_set = build_intervals(instance.external, p, eta)
-    levels = tuple(iv.lower for iv in interval_set.intervals)
-    return interval_set, BidGrid(levels, instance.n_colluders)
-
-
-def pruned_grid(instance: AuctionInstance, p: float) -> PrunedGrid:
-    """What a solve needs of ``build_grid``, read off the same split
-    without building an interval: its scalars and the levels
-    ``prune_levels`` keeps of its grid, which are 0 and the upper
-    endpoint, below 1, of each leaf holding a support bid."""
-    eta = _grid_eta(instance, p)
     pieces, calls = _split(0.0, 1.0, p, eta, instance.external)
     levels = [0.0]
     levels += [hit for _, _, hit, _ in pieces if hit is not None and hit < 1.0]
     k_star = len(pieces) + sum(t for _, _, _, t in pieces)
-    return PrunedGrid(p, eta, k_star, calls, tuple(levels))
+    return PrunedGrid(p, eta, k_star, calls, tuple(levels), tuple(pieces))
 
 
-def prune_levels(
-    levels: Sequence[float], distribution: ExternalDistribution
-) -> tuple[float, ...]:
-    """Drop the grid levels no optimum needs.
-
-    Keeps level 0 and each level l_k whose gap (l_{k-1}, l_k] holds a
-    positive support bid.  A colluder bidding a dropped l_k can move down
-    to the highest kept level below it, with tie ranks keeping every
-    colluder's order: no external bid lies in the levels it passes and
-    colluders win level ties, so it passes no external agent and no
-    allocation changes.  Every bid only falls or stays, so every GSP
-    price (the next bid below) and every VCG payment (a weighted sum of
-    the bids below) falls or stays equal.  Hence for any revenue weights
-    y >= 0 and payment weight x >= 0, and for the limited-liability
-    master, whose columns keep their revenue and lose payment, the
-    optimum over the kept levels equals the optimum over all of them.
-    So at most 1 + (number of distinct positive support bids) remain.
-
-    ``levels`` is ascending and starts at 0, as in ``BidGrid``; one
-    merge pass over it and the sorted distinct bids decides every level.
-    """
-    if not levels or levels[0] != 0.0:
-        raise ValueError("grid levels must start at 0")
-    bids = sorted({b for entry, _ in distribution.support for b in entry if b > 0.0})
-    kept = [levels[0]]
-    j = 0
-    for below, level in itertools.pairwise(levels):
-        while j < len(bids) and bids[j] <= below:
-            j += 1
-        if j < len(bids) and bids[j] <= level:
-            kept.append(level)
-    return tuple(kept)
+def build_grid(instance: AuctionInstance, p: float) -> tuple[IntervalSet, BidGrid]:
+    """The full split for threshold p and its grid of interval lower
+    endpoints."""
+    interval_set = pruned_grid(instance, p).intervals()
+    levels = tuple(iv.lower for iv in interval_set.intervals)
+    return interval_set, BidGrid(levels, instance.n_colluders)
 
 
 def project_to_grid(profile: BidProfile, grid_levels: Sequence[float]) -> BidProfile:

@@ -14,8 +14,9 @@ is only ever reported for the full grid, never for an unlucky restricted
 master.  Within a phase, only the first master LP is solved from
 scratch: each later round appends its column to the last optimal
 simplex tableau and resumes from that basis (``add_master_column``).
-``solve_ll`` hands column generation the grid's dominance-pruned levels
-(``discretize.prune_levels``): a column on a dropped level is matched by
+Column generation runs over exactly the levels ``solve_ll`` is given;
+by default those are the grid's dominance-pruned levels
+(``discretize.pruned_grid``).  A column on a dropped level is matched by
 one on kept levels with equal revenue and no larger payment, so the
 master's optimum and feasibility are the full grid's, while the pricing
 tables shrink to at most one level more than the distinct support bids.
@@ -35,7 +36,7 @@ from .core import (
     ToleranceError,
     make_profile,
 )
-from .discretize import BidGrid, prune_levels, pruned_grid
+from .discretize import pruned_grid
 from .mechanisms import expected_outcome
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, Tableau, lp_solve
 from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
@@ -340,19 +341,16 @@ def solve_ll_cg(
 
 
 def solve_ll(
-    instance: AuctionInstance, epsilon: float, grid: BidGrid | None = None
+    instance: AuctionInstance, epsilon: float, levels: Sequence[float] | None = None
 ) -> AgencySolution:
     """Solve the limited-liability problem to within eps (p = eps/n_c) by
-    column generation over the grid's pruned levels, whose master has the
-    full grid's optimum.  ``grid`` is a grid for that p, such as the one
-    ``build_grid`` returns; when it is not given, ``pruned_grid``
-    supplies the pruned levels directly."""
+    column generation over exactly ``levels``.  When they are not given,
+    it uses the pruned levels of the grid for that p, whose master has
+    the full grid's optimum."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
     p = epsilon / instance.n_colluders
-    if grid is None:
+    if levels is None:
         levels = pruned_grid(instance, p).levels
-    else:
-        levels = prune_levels(grid.levels, instance.external)
     solution, _, _ = solve_ll_cg(instance, levels, p)
     return solution

@@ -5,14 +5,16 @@ the production solvers: payments are recomputed from first principles
 where payments are the target, profile enumeration is local, and the
 linear-programming gold standard runs on scipy rather than the in-repo
 simplex.  The recursive interval split is the reference for the
-discretizer's iterative one.  The scalar per-arc weight, one support
-entry and one level pair at a time, is the reference for the optimizer's
-numpy tables, and the dense master, every grid column at once, is the
-reference for column generation.  Shared surface is limited to the core
-types, the discretizer's interval type and event probability, the
-mechanisms module's allocation and expectation helpers, the optimizer's
-weight type and colluder order, and the limited-liability module's
-column, master LP and solution extraction.
+discretizer's iterative one, and pruning a given grid gap by gap is the
+reference for the pruned levels the discretizer reads off that split.
+The scalar per-arc weight, one support entry and one level pair at a
+time, is the reference for the optimizer's numpy tables, and the dense
+master, every grid column at once, is the reference for column
+generation.  Shared surface is limited to the core types, the
+discretizer's interval type and event probability, the mechanisms
+module's allocation and expectation helpers, the optimizer's weight type
+and colluder order, and the limited-liability module's column, master LP
+and solution extraction.
 """
 
 from __future__ import annotations
@@ -55,6 +57,40 @@ def recursive_split(
     left, cl = recursive_split(lower, mid, p, eta, distribution)
     right, cr = recursive_split(mid, upper, p, eta, distribution)
     return left + right, cl + cr + 1
+
+
+def prune_levels(
+    levels: Sequence[float], distribution: ExternalDistribution
+) -> tuple[float, ...]:
+    """Drop the grid levels no optimum needs.
+
+    Keeps level 0 and each level l_k whose gap (l_{k-1}, l_k] holds a
+    positive support bid.  A colluder bidding a dropped l_k can move down
+    to the highest kept level below it, with tie ranks keeping every
+    colluder's order: no external bid lies in the levels it passes and
+    colluders win level ties, so it passes no external agent and no
+    allocation changes.  Every bid only falls or stays, so every GSP
+    price (the next bid below) and every VCG payment (a weighted sum of
+    the bids below) falls or stays equal.  Hence for any revenue weights
+    y >= 0 and payment weight x >= 0, and for the limited-liability
+    master, whose columns keep their revenue and lose payment, the
+    optimum over the kept levels equals the optimum over all of them.
+    So at most 1 + (number of distinct positive support bids) remain.
+
+    ``levels`` is ascending and starts at 0, as in ``BidGrid``; one
+    merge pass over it and the sorted distinct bids decides every level.
+    """
+    if not levels or levels[0] != 0.0:
+        raise ValueError("grid levels must start at 0")
+    bids = sorted({b for entry, _ in distribution.support for b in entry if b > 0.0})
+    kept = [levels[0]]
+    j = 0
+    for below, level in itertools.pairwise(levels):
+        while j < len(bids) and bids[j] <= below:
+            j += 1
+        if j < len(bids) and bids[j] <= level:
+            kept.append(level)
+    return tuple(kept)
 
 
 def vcg_externality(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> list[float]:

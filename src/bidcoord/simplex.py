@@ -40,6 +40,16 @@ class LPResult:
     tableau: Optional["Tableau"] = field(default=None, repr=False)
 
 
+def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """Make ``col`` basic in ``row``; mutates tableau and basis."""
+    pivot = tableau[row, col]
+    tableau[row, :] /= pivot
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r, :] -= tableau[r, col] * tableau[row, :]
+    basis[row] = col
+
+
 def _bland_iterate(
     tableau: np.ndarray,
     basis: list[int],
@@ -47,7 +57,6 @@ def _bland_iterate(
     allowed: np.ndarray,
 ) -> str:
     """Pivot until optimal or unbounded; mutates tableau and basis."""
-    m = tableau.shape[0]
     while True:
         cb = cost[basis]
         reduced = cost - cb @ tableau[:, :-1]
@@ -64,12 +73,7 @@ def _bland_iterate(
         # Bland tie-break: smallest basis variable index among minimal ratios.
         tied = rows[ratios <= best + 1e-12]
         leave = int(min(tied, key=lambda r: basis[r]))
-        pivot = tableau[leave, enter]
-        tableau[leave, :] /= pivot
-        for r in range(m):
-            if r != leave and tableau[r, enter] != 0.0:
-                tableau[r, :] -= tableau[r, enter] * tableau[leave, :]
-        basis[leave] = enter
+        _pivot(tableau, basis, leave, enter)
 
 
 def lp_solve(
@@ -138,12 +142,7 @@ def lp_solve(
         if basis[r] >= art0:
             for j in range(art0):
                 if abs(tableau[r, j]) > _PIVOT_TOL:
-                    pivot = tableau[r, j]
-                    tableau[r, :] /= pivot
-                    for rr in range(m):
-                        if rr != r and tableau[rr, j] != 0.0:
-                            tableau[rr, :] -= tableau[rr, j] * tableau[r, :]
-                    basis[r] = j
+                    _pivot(tableau, basis, r, j)
                     break
 
     allowed[art0:] = False

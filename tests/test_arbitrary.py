@@ -3,7 +3,7 @@ import random
 import pytest
 
 import bidcoord as bc
-from bidcoord.arbitrary import ArbitraryParams, check_assumption1, solve_arbitrary
+from bidcoord.arbitrary import check_assumption1, solve_arbitrary
 from bidcoord.discretize import build_grid
 from bidcoord.mechanisms import expected_outcome, individual_baseline
 from bidcoord.oracles import brute_force_arbitrary
@@ -25,14 +25,13 @@ def instance_with(mechanism="vcg", slots=(1.0,), colluders=((0.6, 0.1), (0.5, 0.
 
 class TestParams:
     def test_p_is_epsilon_over_colluders(self, example1):
-        params = ArbitraryParams.for_instance(example1, 0.05)
-        assert params.p == 0.025
+        assert solve_arbitrary(example1, 0.05).relaxation == 0.025
 
     def test_epsilon_range(self, example1):
         with pytest.raises(ValueError):
-            ArbitraryParams.for_instance(example1, 0.0)
+            solve_arbitrary(example1, 0.0)
         with pytest.raises(ValueError):
-            ArbitraryParams.for_instance(example1, 1.5)
+            solve_arbitrary(example1, 1.5)
 
 
 class TestExample1Golden:

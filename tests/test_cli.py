@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,7 +14,8 @@ import bidcoord.discretize
 import bidcoord.limited
 from bidcoord.cli import canonical_json, main
 from bidcoord.core import validate_and_normalize
-from bidcoord.discretize import build_grid, max_bits, prune_levels
+from bidcoord.discretize import build_grid, max_bits
+from bidcoord.oracles import prune_levels
 from conftest import cent_bids_raw, example1_raw, example3_raw
 
 EXAMPLE3 = str(Path(__file__).resolve().parent.parent / "instances" / "example3.json")
@@ -222,13 +226,24 @@ class TestSolve:
         assert code == 1
         assert "slots" in err
 
-    @pytest.mark.parametrize("mode", ["arbitrary", "limited-liability"])
-    def test_grid_built_once(self, capsys, grid_builds, mode):
-        # one walk of the split, and never the full grid
-        code, out, _ = run_cli(capsys, "solve", EXAMPLE3, "--mode", mode)
+    @pytest.mark.parametrize("command", [
+        pytest.param(("solve", "--mode", "arbitrary"), id="arbitrary"),
+        pytest.param(("solve", "--mode", "limited-liability"), id="limited-liability"),
+        pytest.param(("discretize",), id="discretize"),
+        pytest.param(("wup", "--p", "0.05"), id="wup-p"),
+    ])
+    def test_grid_built_once(self, tmp_path, capsys, grid_builds, command):
+        # one walk of the split for every command that reports a grid
+        name, *options = command
+        if name == "wup":
+            weights = tmp_path / "weights.json"
+            weights.write_text(json.dumps({"revenue_weights": [1.0, 1.0], "payment_weight": 1.0}))
+            options += ["--weights-file", str(weights)]
+        code, out, _ = run_cli(capsys, name, EXAMPLE3, *options)
         assert code == 0
         assert grid_builds == ["pruned_grid"]
-        assert json.loads(out)["grid"]["pruned_size"] == 2
+        doc = json.loads(out)
+        assert doc.get("grid", doc)["pruned_size"] == 2
 
     @pytest.mark.parametrize("mode", ["arbitrary", "limited-liability"])
     @pytest.mark.parametrize("raw", [example1_raw(), example3_raw(), cent_bids_raw()])
@@ -274,7 +289,7 @@ class TestSolve:
         import bidcoord.cli as cli_mod
         from bidcoord.core import ToleranceError
 
-        def boom(instance, epsilon, grid=None):
+        def boom(instance, epsilon, levels=None):
             raise ToleranceError("synthetic breach")
 
         monkeypatch.setattr(cli_mod, "solve_ll", boom)
@@ -336,6 +351,26 @@ class TestWup:
         doc = json.loads(out)
         assert doc["fixed_external_index"] == 0
         assert doc["grid"]["levels"] == [0.0, 0.75]
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("payment_weight", float("nan"), id="payment-nan"),
+        pytest.param("revenue_weights", [float("inf"), 1.0], id="revenue-inf"),
+        pytest.param("levels", [], id="levels-empty"),
+        pytest.param("levels", [0.0, 2.0], id="levels-above-one"),
+        pytest.param("levels", [0.0, float("nan")], id="levels-nan"),
+        pytest.param("levels", [0.0, True], id="levels-bool"),
+    ])
+    def test_invalid_weights_file_rejected(self, tmp_path, capsys, field, value):
+        # one line naming the field; never a traceback, a non-JSON value
+        # in the report, or a bool read as a number
+        inst = write_instance(tmp_path, example3_raw())
+        doc = {"revenue_weights": [1.0, 1.0], "payment_weight": 1.0, field: value}
+        weights = self._weights(tmp_path, doc)
+        code, out, err = run_cli(capsys, "wup", inst, "--weights-file", weights)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invalid instance: ") and err.count("\n") == 1
+        assert f"weights.json:{field}" in err
 
     def test_ragged_weights_rejected(self, tmp_path, capsys):
         inst = write_instance(tmp_path, example3_raw())
@@ -428,3 +463,17 @@ class TestDeterminism:
             doc.pop("timings")
             docs.append(canonical_json(doc))
         assert docs[0] == docs[1]
+
+
+def test_cli_import_leaves_out_scipy_and_oracles():
+    # the brute-force references and scipy stay off the command path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import sys, bidcoord.cli; "
+        "print(sorted(m for m in sys.modules if m == 'bidcoord.oracles' or m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

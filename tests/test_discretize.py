@@ -17,12 +17,11 @@ from bidcoord.discretize import (
     iter_grid_profiles,
     max_bits,
     project_to_grid,
-    prune_levels,
     pruned_grid,
     rec_split,
 )
 from bidcoord.mechanisms import expected_outcome
-from bidcoord.oracles import recursive_split
+from bidcoord.oracles import prune_levels, recursive_split
 from conftest import dyadic, example3_raw, random_instance
 
 
@@ -192,6 +191,7 @@ class TestSplitVsRecursiveReference:
         assert (got.p, got.eta) == (p, eta)
         assert (got.k_star, got.rec_calls) == (len(full), full.rec_calls)
         assert got.levels == prune_levels([iv.lower for iv in full.intervals], dist)
+        assert got.intervals() == full
 
 
 class TestMaxBits:

@@ -6,7 +6,7 @@ import pytest
 import bidcoord as bc
 from bidcoord import arbitrary, limited
 from bidcoord.core import make_profile
-from bidcoord.discretize import build_grid, iter_grid_profiles, prune_levels
+from bidcoord.discretize import build_grid, iter_grid_profiles
 from bidcoord.limited import (
     DualValues,
     MasterSolution,
@@ -17,7 +17,7 @@ from bidcoord.limited import (
     solve_ll_cg,
 )
 from bidcoord.mechanisms import expected_outcome, individual_baseline
-from bidcoord.oracles import best_deterministic_ll, brute_force_ll, solve_ll_dense
+from bidcoord.oracles import best_deterministic_ll, brute_force_ll, prune_levels, solve_ll_dense
 from bidcoord.simplex import INFEASIBLE, OPTIMAL
 from bidcoord.wup import expected_tables, solve_wup_expected, unit_weights
 from conftest import random_instance

@@ -16,7 +16,8 @@ import pytest
 
 from bidcoord.cli import main
 from bidcoord.core import validate_and_normalize
-from bidcoord.discretize import build_grid, max_bits, prune_levels
+from bidcoord.discretize import build_grid, max_bits
+from bidcoord.oracles import prune_levels
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 

@@ -8,9 +8,9 @@ import bidcoord as bc
 from bidcoord import arbitrary, limited
 from bidcoord.arbitrary import solve_arbitrary
 from bidcoord.core import ExternalDistribution, InfeasibleError
-from bidcoord.discretize import BidGrid, build_grid, prune_levels
+from bidcoord.discretize import build_grid
 from bidcoord.limited import solve_ll
-from bidcoord.oracles import brute_force_arbitrary, brute_force_ll
+from bidcoord.oracles import brute_force_arbitrary, brute_force_ll, prune_levels
 from bidcoord.wup import WupWeights, solve_wup_expected
 from conftest import cent_bids_raw
 
@@ -144,7 +144,7 @@ class TestPrunedEqualsFullGrid:
     @given(small_grids(), st.sampled_from([0.05, 0.5, 1.0]))
     def test_arbitrary_against_full_grid_oracle(self, case, eps):
         inst, levels = case
-        sol = solve_arbitrary(inst, eps, grid=BidGrid(levels, inst.n_colluders))
+        sol = solve_arbitrary(inst, eps, levels=prune_levels(levels, inst.external))
         assert abs(sol.objective - brute_force_arbitrary(inst, levels)) <= 1e-12
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -153,7 +153,7 @@ class TestPrunedEqualsFullGrid:
         inst, levels = case
         value, status = brute_force_ll(inst, levels, eps / inst.n_colluders)
         try:
-            sol = solve_ll(inst, eps, grid=BidGrid(levels, inst.n_colluders))
+            sol = solve_ll(inst, eps, levels=prune_levels(levels, inst.external))
         except InfeasibleError:
             assert status == "infeasible"
             return
@@ -162,6 +162,8 @@ class TestPrunedEqualsFullGrid:
 
 
 def test_cent_bid_solvers_see_only_pruned_levels(monkeypatch):
+    # called without levels, a solver optimizes the pruned grid; called
+    # with levels, exactly those, pruned or not
     inst = bc.validate_and_normalize(cent_bids_raw())
     eps = 0.05
     with pytest.warns(UserWarning, match="fractional bits"):
@@ -179,7 +181,16 @@ def test_cent_bid_solvers_see_only_pruned_levels(monkeypatch):
 
     monkeypatch.setattr(arbitrary, "solve_wup_expected", counting(arbitrary.solve_wup_expected, 0))
     monkeypatch.setattr(limited, "expected_tables", counting(limited.expected_tables, 1))
-    solve_arbitrary(inst, eps, grid=grid)
-    solve_ll(inst, eps, grid=grid)
+    with pytest.warns(UserWarning, match="fractional bits"):
+        solve_arbitrary(inst, eps)
+    with pytest.warns(UserWarning, match="fractional bits"):
+        solve_ll(inst, eps)
     assert len(seen) == 2
     assert all(d <= bound for d in seen), (seen, bound)
+
+    levels = grid.levels[::20]
+    assert len(levels) > bound
+    seen.clear()
+    solve_arbitrary(inst, eps, levels=levels)
+    solve_ll(inst, eps, levels=levels)
+    assert seen == [len(levels)] * 2
