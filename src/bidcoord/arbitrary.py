@@ -9,7 +9,10 @@ eps of the optimal value overall.  The optimizer runs over exactly the
 levels it is given; by default those are the grid's dominance-pruned
 levels (``discretize.pruned_grid``), which keep the grid optimum and
 number at most one more than the distinct external support bids, so
-the work does not grow with the split's depth.
+the work does not grow with the split's depth.  The solver contributes
+the profile and the transfer rule r_i - t_i + p; ``mechanisms.certify``
+computes the expected revenues and payments, the objective and the
+slacks from the point-mass distribution.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional, Sequence
 
 from .core import EQ_TOL, AgencySolution, AuctionInstance, BidProfile, make_profile
 from .discretize import iter_grid_profiles, project_to_grid, pruned_grid
-from .mechanisms import expected_outcome
+from .mechanisms import certify, expected_outcome
 from .wup import solve_wup_expected, unit_weights
 
 
@@ -85,21 +88,9 @@ def solve_arbitrary(
     if levels is None:
         levels = pruned_grid(instance, p).levels
     result = solve_wup_expected(levels, unit_weights(instance.n_colluders), instance)
-    out = expected_outcome(instance, result.profile)
-
-    transfers = tuple(
-        r - c.outside_option + p for r, c in zip(out.revenue, instance.colluders)
-    )
-    ic_slacks = tuple(
-        (r - q) - (c.outside_option - p)
-        for r, q, c in zip(out.revenue, transfers, instance.colluders)
-    )
-    ir_slack = sum(transfers) - sum(out.payment)
-    return AgencySolution(
-        distribution=((result.profile, 1.0),),
-        transfers=transfers,
-        objective=out.cumulative,
-        ic_slacks=ic_slacks,
-        ir_slack=ir_slack,
-        relaxation=p,
+    return certify(
+        instance,
+        ((result.profile, 1.0),),
+        lambda rbar: [r - c.outside_option + p for r, c in zip(rbar, instance.colluders)],
+        p,
     )

@@ -3,7 +3,9 @@ solving, weighted-utility queries, and baseline comparison.
 
 All reports are JSON (sorted keys, round-tripping doubles) and fully
 deterministic for a fixed input; wall-clock timings are the only
-non-reproducible fields.
+non-reproducible fields.  A report's solution numbers are the ones
+``mechanisms.certify`` computed for the solution; the CLI only formats
+them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .core import (
 )
 from .discretize import PrunedGrid, pruned_grid
 from .limited import solve_ll
-from .mechanisms import expected_outcome, individual_baseline
+from .mechanisms import individual_baseline
 from .wup import WupWeights, solve_wup_expected, solve_wup_fixed
 
 EXIT_OK = 0
@@ -89,36 +91,21 @@ def _profile_doc(profile) -> dict:
     }
 
 
-def _solution_doc(instance: AuctionInstance, solution: AgencySolution) -> dict:
-    """Recompute every reported number from the distribution itself."""
-    n = instance.n_colluders
-    rbar = [0.0] * n
-    pbar = [0.0] * n
-    objective = 0.0
+def _solution_doc(solution: AgencySolution) -> dict:
+    """The certified solution's numbers, as ``mechanisms.certify`` computed them."""
     dist_doc = []
     for profile, prob in solution.distribution:
-        out = expected_outcome(instance, profile)
-        for i in range(n):
-            rbar[i] += prob * out.revenue[i]
-            pbar[i] += prob * out.payment[i]
-        objective += prob * out.cumulative
         entry = _profile_doc(profile)
         entry["probability"] = prob
         dist_doc.append(entry)
-    p = solution.relaxation
-    ic_slacks = [
-        rbar[i] - solution.transfers[i] - (instance.colluders[i].outside_option - p)
-        for i in range(n)
-    ]
-    ir_slack = sum(solution.transfers) - sum(pbar)
     return {
         "distribution": dist_doc,
         "transfers": list(solution.transfers),
-        "objective": objective,
-        "relaxation": p,
-        "slacks": {"ic": ic_slacks, "ir": ir_slack},
-        "expected_revenue": rbar,
-        "expected_payment": pbar,
+        "objective": solution.objective,
+        "relaxation": solution.relaxation,
+        "slacks": {"ic": list(solution.ic_slacks), "ir": solution.ir_slack},
+        "expected_revenue": list(solution.expected_revenue),
+        "expected_payment": list(solution.expected_payment),
     }
 
 
@@ -210,7 +197,7 @@ def cmd_solve(args) -> int:
             return EXIT_INFEASIBLE
     solve_seconds = time.perf_counter() - started
 
-    solution_doc = _solution_doc(instance, solution)
+    solution_doc = _solution_doc(solution)
     report = {
         "mode": args.mode,
         "mechanism": instance.mechanism,
@@ -273,12 +260,12 @@ def _load_weights(path: str, n_colluders: int) -> tuple[WupWeights, Optional[lis
 
 
 def cmd_wup(args) -> int:
+    _check_unit_interval("--p", args.p)
     instance = _load_instance(args.instance, None)
     weights, levels = _load_weights(args.weights_file, instance.n_colluders)
     if levels is not None:
         grid_doc = {"levels": sorted(set(levels))}
     else:
-        _check_unit_interval("--p", args.p)
         grid = pruned_grid(instance, args.p)
         levels = [iv.lower for iv in grid.intervals().intervals]
         grid_doc = dict(_grid_doc(grid, instance.n_colluders), levels=levels)
@@ -310,7 +297,7 @@ def cmd_baseline(args) -> int:
     _check_unit_interval("--epsilon", args.epsilon)
     instance = _load_instance(args.instance, None)
     solution = solve_arbitrary(instance, args.epsilon)
-    solution_doc = _solution_doc(instance, solution)
+    solution_doc = _solution_doc(solution)
     doc = {
         "mechanism": instance.mechanism,
         "baseline": _baseline_doc(instance, solution_doc["objective"]),

@@ -202,11 +202,14 @@ class AuctionInstance:
 
 @dataclass(frozen=True)
 class AgencySolution:
-    """A distribution over bid profiles and a transfer vector.
+    """A distribution over bid profiles and a transfer vector, with the
+    numbers ``mechanisms.certify`` computes from them.
 
     Transfers follow the convention that ``transfers[i] > 0`` moves money
     from colluder i to the agency.  ``relaxation`` is the additive slack
     applied to the participation constraints when the solution was built.
+    ``expected_revenue`` and ``expected_payment`` are each colluder's
+    expectation under the distribution.
     """
 
     distribution: tuple[tuple[BidProfile, float], ...]
@@ -215,6 +218,8 @@ class AgencySolution:
     ic_slacks: tuple[float, ...]
     ir_slack: float
     relaxation: float
+    expected_revenue: tuple[float, ...]
+    expected_payment: tuple[float, ...]
 
     def __post_init__(self):
         if not self.distribution:
@@ -341,16 +346,7 @@ def check_delta_ic(
     Colluder i passes iff its expected revenue under the solution's
     distribution minus its transfer is at least t_i - delta - 1e-9.
     """
-    from .mechanisms import expected_outcome
-
-    n = instance.n_colluders
-    rbar = [0.0] * n
-    for profile, prob in solution.distribution:
-        out = expected_outcome(instance, profile)
-        for i in range(n):
-            rbar[i] += prob * out.revenue[i]
     return tuple(
-        rbar[i] - solution.transfers[i]
-        >= instance.colluders[i].outside_option - delta - EQ_TOL
-        for i in range(n)
+        r - q >= c.outside_option - delta - EQ_TOL
+        for r, q, c in zip(solution.expected_revenue, solution.transfers, instance.colluders)
     )

@@ -20,6 +20,8 @@ by default those are the grid's dominance-pruned levels
 one on kept levels with equal revenue and no larger payment, so the
 master's optimum and feasibility are the full grid's, while the pricing
 tables shrink to at most one level more than the distinct support bids.
+The master optimum's distribution is certified by ``mechanisms.certify``;
+this module contributes only the canonical transfer fill.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .core import (
     make_profile,
 )
 from .discretize import pruned_grid
-from .mechanisms import expected_outcome
+from .mechanisms import certify, expected_outcome
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, Tableau, lp_solve
 from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
 
@@ -210,15 +212,15 @@ def pricing(
 def extract_solution(
     instance: AuctionInstance, master: MasterSolution, p: float
 ) -> AgencySolution:
-    """Rebuild a certified solution from the master optimum.
+    """The certified solution of the master optimum.
 
     Columns below 1e-12 weight are dropped and the rest renormalized;
-    revenues, payments, the objective and all slacks are recomputed from
-    each column's cached ``mechanisms.expected_outcome`` rather than
-    trusted from LP arithmetic.
+    ``mechanisms.certify`` computes every reported number from that
+    distribution rather than trusting LP arithmetic.
     Transfers are re-derived canonically: the smallest nonnegative
     amounts, filled in colluder order, that exactly cover the agency's
-    expected payment (the LP leaves them underdetermined).
+    expected payment (the LP leaves them underdetermined), read off the
+    kept columns' cached payments.
     """
     kept = [
         (col, g) for col, g in zip(master.columns, master.gammas) if g > 1e-12
@@ -227,46 +229,28 @@ def extract_solution(
     if abs(total - 1.0) > 1e-9:
         raise ToleranceError(f"distribution mass {total} drifted beyond 1e-9")
     kept = [(col, g / total) for col, g in kept]
-
-    n_c = instance.n_colluders
-    rbar = [0.0] * n_c
     pay_total = 0.0
-    objective = 0.0
     for col, g in kept:
-        for i in range(n_c):
-            rbar[i] += g * col.revenue[i]
         pay_total += g * sum(col.payment)
-        # ExpectedOutcome.cumulative's sum, not Column.coefficient's: same bits
-        objective += g * sum(r - q for r, q in zip(col.revenue, col.payment))
 
-    caps = []
-    for i in range(n_c):
-        cap = rbar[i] - (instance.colluders[i].outside_option - p)
-        if cap < -EQ_TOL:
-            raise ToleranceError("participation constraint violated after recomputation")
-        caps.append(max(cap, 0.0))
-    if sum(caps) < pay_total - EQ_TOL:
-        raise ToleranceError("transfers cannot cover the agency payment")
-    transfers = []
-    need = pay_total
-    for cap in caps:
-        q = min(cap, max(need, 0.0))
-        transfers.append(q)
-        need -= q
+    def fill(rbar: list[float]) -> list[float]:
+        caps = []
+        for r, c in zip(rbar, instance.colluders):
+            cap = r - (c.outside_option - p)
+            if cap < -EQ_TOL:
+                raise ToleranceError("participation constraint violated after recomputation")
+            caps.append(max(cap, 0.0))
+        if sum(caps) < pay_total - EQ_TOL:
+            raise ToleranceError("transfers cannot cover the agency payment")
+        transfers = []
+        need = pay_total
+        for cap in caps:
+            q = min(cap, max(need, 0.0))
+            transfers.append(q)
+            need -= q
+        return transfers
 
-    ic_slacks = tuple(
-        rbar[i] - transfers[i] - (instance.colluders[i].outside_option - p)
-        for i in range(n_c)
-    )
-    ir_slack = sum(transfers) - pay_total
-    return AgencySolution(
-        distribution=tuple((col.profile, g) for col, g in kept),
-        transfers=tuple(transfers),
-        objective=objective,
-        ic_slacks=ic_slacks,
-        ir_slack=ir_slack,
-        relaxation=p,
-    )
+    return certify(instance, [(col.profile, g) for col, g in kept], fill, p)
 
 
 def solve_ll_cg(
@@ -302,42 +286,47 @@ def solve_ll_cg(
             columns.append(make_column(instance, profile))
 
     rounds = 0
+
+    def price_in(master: MasterSolution, elastic: bool) -> tuple[Optional[MasterSolution], float]:
+        """One pricing round: the master over the priced column, or None
+        when no new column prices in, with the round's reduced cost."""
+        nonlocal rounds
+        if rounds >= max_rounds:
+            raise ToleranceError(f"column generation exceeded {max_rounds} rounds")
+        rounds += 1
+        profile, reduced = pricing(master.duals, tables, instance, include_objective=not elastic)
+        if reduced <= tol or profile in seen:
+            return None, reduced
+        seen.add(profile)
+        columns.append(make_column(instance, profile))
+        return add_master_column(master, columns[-1], elastic=elastic), reduced
+
     master = solve_master(instance, columns, p)
     if master is None:
         master = solve_master(instance, columns, p, elastic=True)
         assert master is not None  # the relief column keeps this feasible
         while master.relief > 1e-9:
-            if rounds >= max_rounds:
-                raise ToleranceError(f"column generation exceeded {max_rounds} rounds")
-            rounds += 1
-            profile, reduced = pricing(master.duals, tables, instance, include_objective=False)
-            if reduced <= tol or profile in seen:
+            grown, _ = price_in(master, elastic=True)
+            if grown is None:
                 raise InfeasibleError(
                     "master infeasible even over the full grid; outside options"
                     f" cannot be covered (residual relief {master.relief!r})"
                 )
-            seen.add(profile)
-            columns.append(make_column(instance, profile))
-            master = add_master_column(master, columns[-1], elastic=True)
+            master = grown
         master = solve_master(instance, columns, p)
         if master is None:
             # cannot happen after the feasibility phase succeeded
             raise ToleranceError("master lost feasibility between phases")
 
     while True:
-        if rounds >= max_rounds:
-            raise ToleranceError(f"column generation exceeded {max_rounds} rounds")
-        rounds += 1
-        profile, reduced = pricing(master.duals, tables, instance)
-        if reduced <= tol or profile in seen:
+        grown, reduced = price_in(master, elastic=False)
+        if grown is None:
             if reduced > 1e-5:
                 raise ToleranceError(
                     f"pricing re-proposed a known column with reduced cost {reduced}"
                 )
             return extract_solution(instance, master, p), master, rounds
-        seen.add(profile)
-        columns.append(make_column(instance, profile))
-        master = add_master_column(master, columns[-1])
+        master = grown
 
 
 def solve_ll(

@@ -1,17 +1,21 @@
-"""GSP and VCG allocation, payments, and exact expected outcomes.
+"""GSP and VCG allocation, payments, exact expected outcomes, and the
+certifier of every reported solution number.
 
 Everything here is a pure function; expectations enumerate the external
 distribution's finite support in a fixed order, so results are
-deterministic.
+deterministic.  ``certify`` is the only code that turns a distribution
+over bid profiles into expected revenues and payments, the objective
+and the participation/budget slacks; the solvers contribute only the
+distribution and the rule that maps expected revenues to transfers.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .core import GSP, AuctionInstance, Bid, BidProfile, make_profile
+from .core import GSP, AgencySolution, AuctionInstance, Bid, BidProfile, make_profile
 
 #: One entry of a merged ranking: kind is "c" (colluder) or "e" (external),
 #: index points into the respective group.
@@ -65,18 +69,14 @@ def payments_vcg(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> li
 
 @dataclass(frozen=True)
 class Outcome:
-    """Per-agent result of one auction realization.
+    """Per-colluder result of one auction realization.
 
-    Slots are 1-based; ``None`` marks an unallocated agent.  Revenues are
-    tracked for colluders only, since external valuations are unknown.
+    Slots are 1-based; ``None`` marks an unallocated colluder.
     """
 
-    ranking: tuple[RankedAgent, ...]
     colluder_slot: tuple[Optional[int], ...]
     colluder_revenue: tuple[float, ...]
     colluder_payment: tuple[float, ...]
-    external_slot: tuple[Optional[int], ...]
-    external_payment: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -100,33 +100,16 @@ def single_outcome(
         pays = payments_gsp(ranking, instance.slots)
     else:
         pays = payments_vcg(ranking, instance.slots)
-    m = instance.n_slots
     n_c = instance.n_colluders
     c_slot: list[Optional[int]] = [None] * n_c
     c_rev = [0.0] * n_c
     c_pay = [0.0] * n_c
-    e_slot: list[Optional[int]] = [None] * len(external_levels)
-    e_pay = [0.0] * len(external_levels)
-    for k, agent in enumerate(ranking):
-        allocated = k < m
-        slot = k + 1 if allocated else None
+    for k, agent in enumerate(ranking[: instance.n_slots]):
         if agent.kind == "c":
-            c_slot[agent.index] = slot
-            if allocated:
-                c_rev[agent.index] = instance.slots[k] * instance.colluders[agent.index].valuation
-                c_pay[agent.index] = pays[k]
-        else:
-            e_slot[agent.index] = slot
-            if allocated:
-                e_pay[agent.index] = pays[k]
-    return Outcome(
-        tuple(ranking),
-        tuple(c_slot),
-        tuple(c_rev),
-        tuple(c_pay),
-        tuple(e_slot),
-        tuple(e_pay),
-    )
+            c_slot[agent.index] = k + 1
+            c_rev[agent.index] = instance.slots[k] * instance.colluders[agent.index].valuation
+            c_pay[agent.index] = pays[k]
+    return Outcome(tuple(c_slot), tuple(c_rev), tuple(c_pay))
 
 
 def expected_outcome(instance: AuctionInstance, profile: BidProfile) -> ExpectedOutcome:
@@ -140,6 +123,48 @@ def expected_outcome(instance: AuctionInstance, profile: BidProfile) -> Expected
             rev[i] += prob * out.colluder_revenue[i]
             pay[i] += prob * out.colluder_payment[i]
     return ExpectedOutcome(tuple(rev), tuple(pay))
+
+
+def certify(
+    instance: AuctionInstance,
+    distribution: Sequence[tuple[BidProfile, float]],
+    transfer_rule: Callable[[list[float]], Sequence[float]],
+    relaxation: float,
+) -> AgencySolution:
+    """The solution that plays ``distribution``, with every number exact.
+
+    Each profile's outcome is computed once with ``expected_outcome``;
+    the expected revenues rbar and payments pbar, and the objective, are
+    their probability-weighted sums.  ``transfer_rule(rbar)`` gives the
+    transfers q.  With p = ``relaxation``, colluder i's participation
+    slack is rbar_i - q_i - (t_i - p) and the budget slack is
+    sum(q) - sum(pbar).
+    """
+    n = instance.n_colluders
+    rbar = [0.0] * n
+    pbar = [0.0] * n
+    objective = 0.0
+    for profile, prob in distribution:
+        out = expected_outcome(instance, profile)
+        for i in range(n):
+            rbar[i] += prob * out.revenue[i]
+            pbar[i] += prob * out.payment[i]
+        objective += prob * out.cumulative
+    transfers = tuple(transfer_rule(rbar))
+    ic_slacks = tuple(
+        rbar[i] - transfers[i] - (instance.colluders[i].outside_option - relaxation)
+        for i in range(n)
+    )
+    return AgencySolution(
+        distribution=tuple(distribution),
+        transfers=transfers,
+        objective=objective,
+        ic_slacks=ic_slacks,
+        ir_slack=sum(transfers) - sum(pbar),
+        relaxation=relaxation,
+        expected_revenue=tuple(rbar),
+        expected_payment=tuple(pbar),
+    )
 
 
 def individual_baseline(instance: AuctionInstance) -> tuple[float, ...]:

@@ -5,6 +5,7 @@ import pytest
 import bidcoord as bc
 from bidcoord.arbitrary import check_assumption1, solve_arbitrary
 from bidcoord.discretize import build_grid
+from bidcoord.limited import solve_ll
 from bidcoord.mechanisms import expected_outcome, individual_baseline
 from bidcoord.oracles import brute_force_arbitrary
 from conftest import example3_raw, random_instance
@@ -114,15 +115,32 @@ class TestGuarantee:
             assert values[1] <= values[2] + 1e-12
 
     def test_recorded_objective_matches_recomputation(self):
+        # every certified number of both solvers, bit for bit, against the
+        # report's arithmetic from before mechanisms.certify existed
         rng = random.Random(717)
         for _ in range(10):
             inst = random_instance(rng, feasible_outside=True)
-            sol = solve_arbitrary(inst, 0.1)
-            recomputed = sum(
-                prob * expected_outcome(inst, prof).cumulative
-                for prof, prob in sol.distribution
-            )
-            assert abs(sol.objective - recomputed) < 1e-9
+            for solve in (solve_arbitrary, solve_ll):
+                sol = solve(inst, 0.1)
+                n = inst.n_colluders
+                rbar = [0.0] * n
+                pbar = [0.0] * n
+                objective = 0.0
+                for prof, prob in sol.distribution:
+                    out = expected_outcome(inst, prof)
+                    for i in range(n):
+                        rbar[i] += prob * out.revenue[i]
+                        pbar[i] += prob * out.payment[i]
+                    objective += prob * out.cumulative
+                p = sol.relaxation
+                assert sol.objective == objective
+                assert sol.expected_revenue == tuple(rbar)
+                assert sol.expected_payment == tuple(pbar)
+                assert sol.ic_slacks == tuple(
+                    rbar[i] - sol.transfers[i] - (inst.colluders[i].outside_option - p)
+                    for i in range(n)
+                )
+                assert sol.ir_slack == sum(sol.transfers) - sum(pbar)
 
 
 class TestAssumptionViolationDiagnostic:

@@ -1,8 +1,10 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -12,13 +14,16 @@ import bidcoord.arbitrary
 import bidcoord.cli
 import bidcoord.discretize
 import bidcoord.limited
+import bidcoord.mechanisms
 from bidcoord.cli import canonical_json, main
 from bidcoord.core import validate_and_normalize
 from bidcoord.discretize import build_grid, max_bits
 from bidcoord.oracles import prune_levels
 from conftest import cent_bids_raw, example1_raw, example3_raw
 
-EXAMPLE3 = str(Path(__file__).resolve().parent.parent / "instances" / "example3.json")
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+EXAMPLE3 = str(INSTANCES / "example3.json")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 GRID_SCALARS = {"p", "eta", "max_bits", "k_star", "rec_calls", "flat_size", "pruned_size"}
 
 
@@ -299,6 +304,25 @@ class TestSolve:
         assert "synthetic breach" in err
 
 
+    def test_arbitrary_solve_evaluates_outcomes_twice(self, capsys, monkeypatch):
+        # once to certify the solution, once for the baseline: the report
+        # restates the certified numbers and recomputes none of them
+        calls = []
+        original = bidcoord.mechanisms.expected_outcome
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("bidcoord"):
+                if vars(module).get("expected_outcome") is original:
+                    monkeypatch.setattr(module, "expected_outcome", counting)
+        code, _, _ = run_cli(capsys, "solve", str(INSTANCES / "example1.json"))
+        assert code == 0
+        assert len(calls) == 2
+
+
 class TestWup:
     def _weights(self, tmp_path, doc):
         path = tmp_path / "weights.json"
@@ -417,9 +441,17 @@ class TestOptionRange:
         assert out == ""
         assert err.count("\n") == 1 and "--p" in err
 
-    def test_wup_p(self, tmp_path, capsys):
+    @pytest.mark.parametrize("levels", [
+        pytest.param(None, id="no-levels"),
+        pytest.param([0.0, 0.75], id="levels"),
+    ])
+    def test_wup_p(self, tmp_path, capsys, levels):
+        # checked before the weights file is read, so its levels cannot skip it
+        doc = {"revenue_weights": [1.0, 1.0], "payment_weight": 1.0}
+        if levels is not None:
+            doc["levels"] = levels
         weights = tmp_path / "weights.json"
-        weights.write_text(json.dumps({"revenue_weights": [1.0, 1.0], "payment_weight": 1.0}))
+        weights.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "wup", EXAMPLE3, "--weights-file", str(weights),
                                  "--p", "1.5")
         assert code == 1
@@ -477,3 +509,57 @@ def test_cli_import_leaves_out_scipy_and_oracles():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+#: The golden reports cover every report-printing command except
+#: ``validate`` (which echoes its input) on the two worked instances and
+#: the cent-bid instance, whose full grid runs past 1000 levels.
+GOLDEN_INSTANCES = ("example1", "example3", "cent-bids")
+GOLDEN_COMMANDS = {
+    "solve-arbitrary": ("solve", "--mode", "arbitrary"),
+    "solve-limited-liability": ("solve", "--mode", "limited-liability"),
+    "baseline": ("baseline",),
+    "discretize": ("discretize",),
+    "wup-p": ("wup", "--p", "0.05"),
+}
+
+
+def golden_report(directory, instance: str, command: str) -> str:
+    """The report ``command`` prints for ``instance``, ``timings`` removed."""
+    if instance == "cent-bids":
+        path = write_instance(directory, cent_bids_raw())
+    else:
+        path = str(INSTANCES / f"{instance}.json")
+    name, *options = GOLDEN_COMMANDS[command]
+    if name == "wup":
+        weights = Path(directory) / "weights.json"
+        # every golden instance has two colluders
+        weights.write_text(json.dumps({"revenue_weights": [1.0, 1.0], "payment_weight": 1.0}))
+        options += ["--weights-file", str(weights)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([name, path, *options])
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    doc.pop("timings", None)
+    return canonical_json(doc)
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+@pytest.mark.parametrize("instance", GOLDEN_INSTANCES)
+def test_golden_report(tmp_path, instance, command):
+    # byte for byte: a refactor that changes any reported bit fails here
+    expected = (GOLDEN / f"{instance}-{command}.json").read_text(encoding="utf-8")
+    assert golden_report(tmp_path, instance, command) == expected
+
+
+if __name__ == "__main__":
+    # Re-record tests/golden/ after a deliberate change to a report:
+    #   PYTHONPATH=src python tests/test_cli.py
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        for instance in GOLDEN_INSTANCES:
+            for command in GOLDEN_COMMANDS:
+                report = golden_report(Path(scratch), instance, command)
+                (GOLDEN / f"{instance}-{command}.json").write_text(report, encoding="utf-8")

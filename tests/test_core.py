@@ -4,6 +4,7 @@ import pytest
 
 import bidcoord as bc
 from bidcoord.core import Bid, BidProfile, make_profile
+from bidcoord.mechanisms import certify
 from conftest import example1_raw, random_instance
 
 
@@ -153,21 +154,20 @@ class TestAgencySolution:
     def test_negative_probability_rejected(self):
         prof = make_profile([0.0])
         with pytest.raises(ValueError):
-            bc.AgencySolution(((prof, -0.1), (prof, 1.1)), (0.0,), 0.0, (0.0,), 0.0, 0.0)
+            bc.AgencySolution(
+                ((prof, -0.1), (prof, 1.1)), (0.0,), 0.0, (0.0,), 0.0, 0.0, (0.0,), (0.0,)
+            )
 
     def test_mass_must_sum_to_one(self):
         prof = make_profile([0.0])
         with pytest.raises(ValueError):
-            bc.AgencySolution(((prof, 0.5),), (0.0,), 0.0, (0.0,), 0.0, 0.0)
+            bc.AgencySolution(((prof, 0.5),), (0.0,), 0.0, (0.0,), 0.0, 0.0, (0.0,), (0.0,))
 
 
 class TestCheckDeltaIC:
     def _solution(self, instance, transfers, relaxation):
         profile = make_profile([0.0] * instance.n_colluders)
-        return bc.AgencySolution(
-            ((profile, 1.0),), tuple(transfers), 0.0,
-            (0.0,) * instance.n_colluders, 0.0, relaxation,
-        )
+        return certify(instance, ((profile, 1.0),), lambda rbar: transfers, relaxation)
 
     def test_equality_by_construction(self, example1):
         p = 0.05
