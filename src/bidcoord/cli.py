@@ -358,24 +358,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import warnings
+
     args = build_parser().parse_args(argv)
     # Looked up per call, not stored in the cached parser, so a command
     # function rebound on this module (a wrapper or a test double) runs.
     command = globals()[f"cmd_{args.command}"]
-    try:
-        return command(args)
-    except OptionError as err:
-        print(f"invalid option: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except InstanceError as err:
-        print(f"invalid instance: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except InfeasibleError as err:
-        print(f"infeasible: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ToleranceError as err:
-        print(f"tolerance breach: {err}", file=sys.stderr)
-        return EXIT_TOLERANCE
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return command(args)
+        except OptionError as err:
+            print(f"invalid option: {err}", file=sys.stderr)
+            return EXIT_INVALID
+        except InstanceError as err:
+            print(f"invalid instance: {err}", file=sys.stderr)
+            return EXIT_INVALID
+        except InfeasibleError as err:
+            print(f"infeasible: {err}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        except ToleranceError as err:
+            print(f"tolerance breach: {err}", file=sys.stderr)
+            return EXIT_TOLERANCE
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one stderr line of the command's own, without
+    the source line it was raised for."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

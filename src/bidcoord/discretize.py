@@ -272,12 +272,22 @@ def max_bits(distribution: ExternalDistribution) -> int:
             _, den = float(b).as_integer_ratio()
             worst = max(worst, den.bit_length() - 1)
     if worst > MAX_BITS_CAP:
-        warnings.warn(
-            f"support bid needs {worst} fractional bits; capping at {MAX_BITS_CAP}",
-            stacklevel=2,
-        )
+        _warn_caller(f"support bid needs {worst} fractional bits; capping at {MAX_BITS_CAP}")
         worst = MAX_BITS_CAP
     return worst
+
+
+def _warn_caller(message: str) -> None:
+    """Warn, naming the first calling frame outside this package."""
+    import sys  # for the frame walk, on this rare path only
+
+    package = __name__.partition(".")[0]
+    frame = sys._getframe(1)
+    level = 2  # the stacklevel that names ``frame``
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == package:
+        frame = frame.f_back
+        level += 1
+    warnings.warn(message, stacklevel=level)
 
 
 def build_intervals(distribution: ExternalDistribution, p: float, eta: float) -> IntervalSet:

@@ -1,70 +1,26 @@
-"""GSP and VCG allocation, payments, exact expected outcomes, and the
-certifier of every reported solution number.
+"""GSP and VCG outcomes, exact expected outcomes, and the certifier of
+every reported solution number.
 
 Everything here is a pure function; expectations enumerate the external
 distribution's finite support in a fixed order, so results are
-deterministic.  ``certify`` is the only code that turns a distribution
-over bid profiles into expected revenues and payments, the objective
-and the participation/budget slacks; the solvers contribute only the
-distribution and the rule that maps expected revenues to transfers.
+deterministic.  One merge kernel serves ``single_outcome`` and
+``expected_outcome``: the profile's colluders are ranked once per call,
+then merged with each support entry's external bids, which are already
+descending.  Its float operations and their order are those of ranking
+every agent with one sort and paying every rank, the reference kept in
+``oracles``, so both give the same bits.  ``certify`` is the only code
+that turns a distribution over bid profiles into expected revenues and
+payments, the objective and the participation/budget slacks; the
+solvers contribute only the distribution and the rule that maps
+expected revenues to transfers.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import GSP, AgencySolution, AuctionInstance, Bid, BidProfile, make_profile
-
-#: One entry of a merged ranking: kind is "c" (colluder) or "e" (external),
-#: index points into the respective group.
-RankedAgent = namedtuple("RankedAgent", ["kind", "index", "bid"])
-
-
-def allocate(profile: BidProfile, external_levels: Sequence[float]) -> list[RankedAgent]:
-    """Merge colluder and external bids into a descending ranking.
-
-    The agent at rank k (1-based) occupies slot k while slots last.
-    External agents carry tie rank 0, so colluders win level ties; equal
-    external bids keep their profile order.
-    """
-    entries = [RankedAgent("c", i, b) for i, b in enumerate(profile.bids)]
-    entries += [RankedAgent("e", j, Bid(lvl, 0)) for j, lvl in enumerate(external_levels)]
-    entries.sort(key=lambda a: (-a.bid.level, -a.bid.tie_rank))
-    return entries
-
-
-def payments_gsp(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> list[float]:
-    """Next-bid-level payments: slot k pays lambda_k times the (k+1)-th level."""
-    n = len(ranking)
-    pays = [0.0] * n
-    for k in range(min(n, len(lambdas))):
-        nxt = ranking[k + 1].bid.level if k + 1 < n else 0.0
-        pays[k] = lambdas[k] * nxt
-    return pays
-
-
-def payments_vcg(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> list[float]:
-    """Closed-form VCG payments over the merged ranking.
-
-    The agent in slot k pays sum_{j=k+1}^{m+1} b_j (lambda_{j-1} - lambda_j)
-    with lambda extended by 0 beyond the last slot and b_j = 0 beyond the
-    last agent.
-    """
-    n = len(ranking)
-    m = len(lambdas)
-    pays = [0.0] * n
-
-    def lam(j: int) -> float:
-        return lambdas[j - 1] if 1 <= j <= m else 0.0
-
-    acc = 0.0
-    for k in range(min(n, m), 0, -1):
-        nxt = ranking[k].bid.level if k < n else 0.0
-        acc += nxt * (lam(k) - lam(k + 1))
-        pays[k - 1] = acc
-    return pays
+from .core import GSP, AgencySolution, AuctionInstance, BidProfile, make_profile
 
 
 @dataclass(frozen=True)
@@ -91,37 +47,105 @@ class ExpectedOutcome:
         return sum(r - p for r, p in zip(self.revenue, self.payment))
 
 
+def _ranked_colluders(profile: BidProfile) -> tuple[list[int], list[float]]:
+    """The profile's colluders in ranking order, (level desc, tie rank
+    desc), and their levels in that order."""
+    bids = profile.bids
+    order = sorted(range(len(bids)), key=lambda i: (-bids[i].level, -bids[i].tie_rank))
+    return order, [bids[i].level for i in order]
+
+
+def _rate_gaps(lambdas: Sequence[float]) -> list[float]:
+    """lambda_k - lambda_{k+1} for k = 1..m, with lambda_{m+1} = 0."""
+    m = len(lambdas)
+    return [lambdas[k - 1] - (lambdas[k] if k < m else 0.0) for k in range(1, m + 1)]
+
+
+def _winners(
+    instance: AuctionInstance,
+    order: Sequence[int],
+    c_levels: Sequence[float],
+    gaps: Sequence[float],
+    external_levels: Sequence[float],
+) -> list[tuple[int, int, float]]:
+    """(colluder, 0-based slot, payment) of each colluder that wins a slot
+    against one external bid profile, in slot order.
+
+    Merges the ranked colluders with the external bids, which are
+    descending.  At an equal level the colluder goes first: its tie rank
+    is at least 1 and an external's is 0.  Only the first m + 1 agents
+    are placed, the slot holders and the bid below the last slot.  Under
+    GSP slot k pays lambda_k times the (k+1)-th level.  Under VCG the agent
+    in slot k pays sum_{j=k+1}^{m+1} b_j (lambda_{j-1} - lambda_j), with
+    b_j = 0 beyond the last agent, summed from the bottom rank up.
+    """
+    lambdas = instance.slots
+    m = len(lambdas)
+    n_c = len(c_levels)
+    n_e = len(external_levels)
+    top = min(n_c + n_e, m + 1)
+    levels: list[float] = []
+    holders: list[tuple[int, int]] = []  # (slot, colluder)
+    ci = ej = 0
+    for k in range(top):
+        if ci == n_c:
+            levels += external_levels[ej : ej + top - k]
+            break
+        if ej == n_e or c_levels[ci] >= external_levels[ej]:
+            if k < m:
+                holders.append((k, order[ci]))
+            levels.append(c_levels[ci])
+            ci += 1
+        else:
+            levels.append(external_levels[ej])
+            ej += 1
+    if not holders:
+        return []
+    if instance.mechanism == GSP:
+        return [(i, k, lambdas[k] * (levels[k + 1] if k + 1 < top else 0.0)) for k, i in holders]
+    pays = [0.0] * m
+    acc = 0.0
+    for k in range(min(top, m), holders[0][0], -1):
+        acc += (levels[k] if k < top else 0.0) * gaps[k - 1]
+        pays[k - 1] = acc
+    return [(i, k, pays[k]) for k, i in holders]
+
+
 def single_outcome(
     instance: AuctionInstance, profile: BidProfile, external_levels: Sequence[float]
 ) -> Outcome:
     """Outcome of one fixed external bid profile."""
-    ranking = allocate(profile, external_levels)
-    if instance.mechanism == GSP:
-        pays = payments_gsp(ranking, instance.slots)
-    else:
-        pays = payments_vcg(ranking, instance.slots)
+    order, c_levels = _ranked_colluders(profile)
+    external = sorted(external_levels, reverse=True)
     n_c = instance.n_colluders
     c_slot: list[Optional[int]] = [None] * n_c
     c_rev = [0.0] * n_c
     c_pay = [0.0] * n_c
-    for k, agent in enumerate(ranking[: instance.n_slots]):
-        if agent.kind == "c":
-            c_slot[agent.index] = k + 1
-            c_rev[agent.index] = instance.slots[k] * instance.colluders[agent.index].valuation
-            c_pay[agent.index] = pays[k]
+    for i, k, price in _winners(instance, order, c_levels, _rate_gaps(instance.slots), external):
+        c_slot[i] = k + 1
+        c_rev[i] = instance.slots[k] * instance.colluders[i].valuation
+        c_pay[i] = price
     return Outcome(tuple(c_slot), tuple(c_rev), tuple(c_pay))
 
 
 def expected_outcome(instance: AuctionInstance, profile: BidProfile) -> ExpectedOutcome:
-    """Exact expectation over the external support, linear in support size."""
-    n_c = instance.n_colluders
-    rev = [0.0] * n_c
-    pay = [0.0] * n_c
+    """Exact expectation over the external support, linear in support size.
+
+    Each support entry adds prob * r_i and prob * p_i to colluder i's sums,
+    in support order.  A colluder without a slot adds nothing: every term
+    is nonnegative, so no sum is ever -0.0, and adding prob * 0.0 would
+    leave it as it is.
+    """
+    order, c_levels = _ranked_colluders(profile)
+    gaps = _rate_gaps(instance.slots)
+    slots = instance.slots
+    values = instance.valuations
+    rev = [0.0] * len(values)
+    pay = [0.0] * len(values)
     for levels, prob in instance.external.support:
-        out = single_outcome(instance, profile, levels)
-        for i in range(n_c):
-            rev[i] += prob * out.colluder_revenue[i]
-            pay[i] += prob * out.colluder_payment[i]
+        for i, k, price in _winners(instance, order, c_levels, gaps, levels):
+            rev[i] += prob * (slots[k] * values[i])
+            pay[i] += prob * price
     return ExpectedOutcome(tuple(rev), tuple(pay))
 
 

@@ -7,12 +7,14 @@ linear-programming gold standard runs on scipy rather than the in-repo
 simplex.  The recursive interval split is the reference for the
 discretizer's iterative one, and pruning a given grid gap by gap is the
 reference for the pruned levels the discretizer reads off that split.
+Ranking every agent with one sort of (level, tie rank) keys and paying
+every rank is the reference for the mechanisms module's merge kernel.
 The scalar per-arc weight, one support entry and one level pair at a
 time, is the reference for the optimizer's numpy tables, and the dense
 master, every grid column at once, is the reference for column
 generation.  Shared surface is limited to the core types, the
 discretizer's interval type and event probability, the mechanisms
-module's allocation and expectation helpers, the optimizer's weight type
+module's outcome types and expected outcome, the optimizer's weight type
 and colluder order, and the limited-liability module's column, master LP
 and solution extraction.
 """
@@ -20,6 +22,7 @@ and solution extraction.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -30,6 +33,7 @@ from .core import (
     GSP,
     AgencySolution,
     AuctionInstance,
+    Bid,
     BidProfile,
     ExternalDistribution,
     InfeasibleError,
@@ -37,7 +41,7 @@ from .core import (
 )
 from .discretize import Interval, event_probability
 from .limited import MasterSolution, extract_solution, make_column, solve_master
-from .mechanisms import RankedAgent, expected_outcome
+from .mechanisms import ExpectedOutcome, Outcome, expected_outcome
 from .wup import WupWeights, wup_colluder_order
 
 _EXTERNALITY_CAP = 20
@@ -91,6 +95,92 @@ def prune_levels(
         if j < len(bids) and bids[j] <= level:
             kept.append(level)
     return tuple(kept)
+
+
+#: One entry of a merged ranking: kind is "c" (colluder) or "e" (external),
+#: index points into the respective group.
+RankedAgent = namedtuple("RankedAgent", ["kind", "index", "bid"])
+
+
+def allocate(profile: BidProfile, external_levels: Sequence[float]) -> list[RankedAgent]:
+    """Merge colluder and external bids into a descending ranking.
+
+    The agent at rank k (1-based) occupies slot k while slots last.
+    External agents carry tie rank 0, so colluders win level ties; equal
+    external bids keep their profile order.
+    """
+    entries = [RankedAgent("c", i, b) for i, b in enumerate(profile.bids)]
+    entries += [RankedAgent("e", j, Bid(lvl, 0)) for j, lvl in enumerate(external_levels)]
+    entries.sort(key=lambda a: (-a.bid.level, -a.bid.tie_rank))
+    return entries
+
+
+def payments_gsp(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> list[float]:
+    """Next-bid-level payments: slot k pays lambda_k times the (k+1)-th level."""
+    n = len(ranking)
+    pays = [0.0] * n
+    for k in range(min(n, len(lambdas))):
+        nxt = ranking[k + 1].bid.level if k + 1 < n else 0.0
+        pays[k] = lambdas[k] * nxt
+    return pays
+
+
+def payments_vcg(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> list[float]:
+    """Closed-form VCG payments over the merged ranking.
+
+    The agent in slot k pays sum_{j=k+1}^{m+1} b_j (lambda_{j-1} - lambda_j)
+    with lambda extended by 0 beyond the last slot and b_j = 0 beyond the
+    last agent.
+    """
+    n = len(ranking)
+    m = len(lambdas)
+    pays = [0.0] * n
+
+    def lam(j: int) -> float:
+        return lambdas[j - 1] if 1 <= j <= m else 0.0
+
+    acc = 0.0
+    for k in range(min(n, m), 0, -1):
+        nxt = ranking[k].bid.level if k < n else 0.0
+        acc += nxt * (lam(k) - lam(k + 1))
+        pays[k - 1] = acc
+    return pays
+
+
+def ranking_outcome(
+    instance: AuctionInstance, profile: BidProfile, external_levels: Sequence[float]
+) -> Outcome:
+    """Reference for ``mechanisms.single_outcome``: every agent ranked by
+    one sort of (level, tie rank) keys, every rank paid."""
+    ranking = allocate(profile, external_levels)
+    if instance.mechanism == GSP:
+        pays = payments_gsp(ranking, instance.slots)
+    else:
+        pays = payments_vcg(ranking, instance.slots)
+    n_c = instance.n_colluders
+    c_slot: list[Optional[int]] = [None] * n_c
+    c_rev = [0.0] * n_c
+    c_pay = [0.0] * n_c
+    for k, agent in enumerate(ranking[: instance.n_slots]):
+        if agent.kind == "c":
+            c_slot[agent.index] = k + 1
+            c_rev[agent.index] = instance.slots[k] * instance.colluders[agent.index].valuation
+            c_pay[agent.index] = pays[k]
+    return Outcome(tuple(c_slot), tuple(c_rev), tuple(c_pay))
+
+
+def ranking_expected_outcome(instance: AuctionInstance, profile: BidProfile) -> ExpectedOutcome:
+    """Reference for ``mechanisms.expected_outcome``: ``ranking_outcome``
+    per support entry, every colluder's share added in support order."""
+    n_c = instance.n_colluders
+    rev = [0.0] * n_c
+    pay = [0.0] * n_c
+    for levels, prob in instance.external.support:
+        out = ranking_outcome(instance, profile, levels)
+        for i in range(n_c):
+            rev[i] += prob * out.colluder_revenue[i]
+            pay[i] += prob * out.colluder_payment[i]
+    return ExpectedOutcome(tuple(rev), tuple(pay))
 
 
 def vcg_externality(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> list[float]:

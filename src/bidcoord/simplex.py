@@ -4,7 +4,10 @@ Solves  max c'x  s.t.  A x (<=|>=|=) b,  x >= 0,  returning both the
 primal solution and one dual value per constraint row.  Bland's rule is
 used for entering and leaving variables, so the method cannot cycle and
 is deterministic.  Intended for desk-scale problems: few rows, up to a
-few ten-thousand columns.
+few ten-thousand columns.  A pivot is one masked rank-1 update of the
+rows with a nonzero pivot-column entry, and the reduced costs and duals
+are numpy products ``cost[basis] @ table``; the leaving-row ratio test
+runs on Python floats, which divide and compare as numpy's do.
 
 An optimal result carries its final tableau.  ``Tableau.add_column``
 appends one more variable and resumes phase 2 from that basis, as column
@@ -28,6 +31,8 @@ UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
+#: The slack coefficient of a row of each sense; = rows have no slack.
+_SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "=": 0.0}
 
 
 @dataclass
@@ -41,12 +46,16 @@ class LPResult:
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    """Make ``col`` basic in ``row``; mutates tableau and basis."""
-    pivot = tableau[row, col]
-    tableau[row, :] /= pivot
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r, :] -= tableau[r, col] * tableau[row, :]
+    """Make ``col`` basic in ``row``; mutates tableau and basis.
+
+    One rank-1 update over the rows whose ``col`` entry is nonzero; the
+    rest, ``-0.0`` entries included, are left untouched.
+    """
+    tableau[row, :] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    rows = (factors != 0.0)[:, None]
+    np.subtract(tableau, np.multiply.outer(factors, tableau[row]), out=tableau, where=rows)
     basis[row] = col
 
 
@@ -57,23 +66,47 @@ def _bland_iterate(
     allowed: np.ndarray,
 ) -> str:
     """Pivot until optimal or unbounded; mutates tableau and basis."""
+    cb = cost[basis]
     while True:
-        cb = cost[basis]
         reduced = cost - cb @ tableau[:, :-1]
-        candidates = np.flatnonzero((reduced > _PIVOT_TOL) & allowed)
-        if candidates.size == 0:
+        candidates = (reduced > _PIVOT_TOL) & allowed
+        enter = int(candidates.argmax())
+        if not candidates[enter]:
             return OPTIMAL
-        enter = int(candidates[0])
-        col = tableau[:, enter]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
-        if rows.size == 0:
+        rhs = tableau[:, -1].tolist()
+        ratios = {
+            r: rhs[r] / a for r, a in enumerate(tableau[:, enter].tolist()) if a > _PIVOT_TOL
+        }
+        if not ratios:
             return UNBOUNDED
-        ratios = tableau[rows, -1] / col[rows]
-        best = ratios.min()
+        bound = min(ratios.values()) + 1e-12
         # Bland tie-break: smallest basis variable index among minimal ratios.
-        tied = rows[ratios <= best + 1e-12]
-        leave = int(min(tied, key=lambda r: basis[r]))
+        leave = min((r for r, q in ratios.items() if q <= bound), key=basis.__getitem__)
         _pivot(tableau, basis, leave, enter)
+        cb[leave] = cost[enter]  # cb stays cost[basis]
+
+
+def _initial_tableau(
+    a: np.ndarray, b: np.ndarray, senses: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The phase-1 tableau [A | slacks | artificials | b], each row's sign
+    flip and the first artificial column.
+
+    Rows with a negative right-hand side are negated, which swaps <= and
+    >=; each inequality row then gets a slack of sign +1 (<=) or -1 (>=),
+    and every row an artificial.
+    """
+    m, n = a.shape
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    slack = np.array([_SLACK_SIGN[s] for s in senses]) * sign
+    slack_rows = np.flatnonzero(slack)
+    art0 = n + slack_rows.size
+    tableau = np.zeros((m, art0 + m + 1))
+    np.multiply(a, sign[:, None], out=tableau[:, :n])
+    tableau[slack_rows, n + np.arange(slack_rows.size)] = slack[slack_rows]
+    tableau[np.arange(m), art0 + np.arange(m)] = 1.0
+    tableau[:, -1] = b * sign
+    return tableau, sign, art0
 
 
 def lp_solve(
@@ -100,36 +133,11 @@ def lp_solve(
         if s not in ("<=", ">=", "="):
             raise ValueError(f"unknown sense {s!r}")
 
-    sign = np.ones(m)
-    a = a.copy()
-    b = b.copy()
-    flipped = list(senses)
-    for i in range(m):
-        if b[i] < 0.0:
-            a[i, :] *= -1.0
-            b[i] *= -1.0
-            sign[i] = -1.0
-            if senses[i] == "<=":
-                flipped[i] = ">="
-            elif senses[i] == ">=":
-                flipped[i] = "<="
-
-    slack_cols = [i for i, s in enumerate(flipped) if s != "="]
-    n_slack = len(slack_cols)
-    width = n + n_slack + m + 1
-    tableau = np.zeros((m, width))
-    tableau[:, :n] = a
-    for k, i in enumerate(slack_cols):
-        tableau[i, n + k] = 1.0 if flipped[i] == "<=" else -1.0
-    art0 = n + n_slack
-    for i in range(m):
-        tableau[i, art0 + i] = 1.0
-    tableau[:, -1] = b
-
+    tableau, sign, art0 = _initial_tableau(a, b, senses)
     basis = [art0 + i for i in range(m)]
-    allowed = np.ones(width - 1, dtype=bool)
+    allowed = np.ones(tableau.shape[1] - 1, dtype=bool)
 
-    phase1 = np.zeros(width - 1)
+    phase1 = np.zeros(allowed.size)
     phase1[art0:] = -1.0
     status = _bland_iterate(tableau, basis, phase1, allowed)
     assert status == OPTIMAL  # phase 1 is bounded by construction
@@ -146,7 +154,7 @@ def lp_solve(
                     break
 
     allowed[art0:] = False
-    phase2 = np.zeros(width - 1)
+    phase2 = np.zeros(allowed.size)
     phase2[:n] = c
     return Tableau(tableau, basis, phase2, allowed, sign, art0, list(range(n))).solve()
 
@@ -206,7 +214,7 @@ class Tableau:
         columns = list(self.columns)
         columns.insert(index, self.cost.size)
         return Tableau(
-            np.insert(self.table, -1, entry, axis=1),
+            np.concatenate((self.table[:, :-1], entry[:, None], self.table[:, -1:]), axis=1),
             list(self.basis),
             np.append(self.cost, float(objective)),
             np.append(self.allowed, True),

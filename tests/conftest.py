@@ -1,6 +1,9 @@
 """Shared builders for randomized desk-scale test instances."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +66,21 @@ def random_levels(rng: random.Random, max_levels: int = 6, bits: int = 10) -> li
     d = rng.randint(1, max_levels)
     levels = {dyadic(rng, bits) for _ in range(d)} | {0.0}
     return sorted(levels)
+
+
+def load_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # perfbench/ stays as it is
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 @pytest.fixture

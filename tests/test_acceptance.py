@@ -19,17 +19,13 @@ from bidcoord.cli import canonical_json, main as cli_main
 from bidcoord.core import ExternalDistribution, make_profile
 from bidcoord.discretize import build_grid, build_intervals, event_probability, max_bits, project_to_grid
 from bidcoord.limited import solve_ll, solve_ll_cg
-from bidcoord.mechanisms import (
-    allocate,
-    expected_outcome,
-    individual_baseline,
-    payments_vcg,
-    single_outcome,
-)
+from bidcoord.mechanisms import expected_outcome, individual_baseline, single_outcome
 from bidcoord.oracles import (
+    allocate,
     best_deterministic_ll,
     brute_force_arbitrary,
     brute_force_wup,
+    payments_vcg,
     solve_ll_dense,
     vcg_externality,
 )

@@ -152,11 +152,19 @@ class TestDiscretize:
         path = write_instance(tmp_path, raw)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, _, _ = run_cli(capsys, argv[0], path, *argv[1:])
+            code, _, err = run_cli(capsys, argv[0], path, *argv[1:])
         assert code == 0
-        assert [str(w.message) for w in caught] == [
-            "support bid needs 59 fractional bits; capping at 53"
-        ]
+        # the command prints the warning as its own line; none escapes it
+        assert caught == []
+        assert err == "warning: support bid needs 59 fractional bits; capping at 53\n"
+
+    def test_capped_bits_note_on_cent_bids(self, tmp_path, capsys):
+        path = write_instance(tmp_path, cent_bids_raw())
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "discretize", path)
+        assert code == 0
+        assert err == "warning: support bid needs 55 fractional bits; capping at 53\n"
 
 
 class TestSolve:

@@ -1,3 +1,4 @@
+import linecache
 import math
 import random
 import warnings
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidcoord as bc
+from bidcoord.arbitrary import solve_arbitrary
 from bidcoord.core import ExternalDistribution, make_profile
 from bidcoord.discretize import (
     Interval,
@@ -22,7 +24,7 @@ from bidcoord.discretize import (
 )
 from bidcoord.mechanisms import expected_outcome
 from bidcoord.oracles import prune_levels, recursive_split
-from conftest import dyadic, example3_raw, random_instance
+from conftest import cent_bids_raw, dyadic, example3_raw, random_instance
 
 
 def point_mass(*bids):
@@ -208,6 +210,21 @@ class TestMaxBits:
     def test_non_dyadic_capped_with_warning(self):
         with pytest.warns(UserWarning):
             assert max_bits(point_mass(1 / 3)) == 53
+
+    def test_cap_warning_names_the_library_caller(self):
+        # the warning points at the caller's own line, however deep in
+        # the package the bits are counted
+        instance = bc.validate_and_normalize(cent_bids_raw())
+        with pytest.warns(UserWarning, match="needs 55 fractional bits") as direct:
+            max_bits(instance.external)
+        with pytest.warns(UserWarning, match="needs 55 fractional bits") as solved:
+            solve_arbitrary(instance, 0.05)
+        named = [(w.filename, linecache.getline(w.filename, w.lineno).strip())
+                 for w in [*direct, *solved]]
+        assert named == [
+            (__file__, "max_bits(instance.external)"),
+            (__file__, "solve_arbitrary(instance, 0.05)"),
+        ]
 
 
 class TestBuildGrid:

@@ -1,16 +1,19 @@
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 import bidcoord as bc
 from bidcoord.core import ExternalDistribution, make_profile
-from bidcoord.mechanisms import (
+from bidcoord.mechanisms import expected_outcome, individual_baseline, single_outcome
+from bidcoord.oracles import (
     allocate,
-    expected_outcome,
-    individual_baseline,
     payments_gsp,
     payments_vcg,
-    single_outcome,
+    ranking_expected_outcome,
+    ranking_outcome,
+    vcg_externality,
 )
-from bidcoord.oracles import vcg_externality
 from conftest import random_instance
 from dataclasses import replace
 
@@ -181,3 +184,79 @@ class TestMechanismInvariants:
         assert out.colluder_slot[1] is None
         assert out.colluder_payment[1] == 0.0
         assert out.colluder_revenue[1] == 0.0
+
+
+def kernel_case(mechanism, slots, values, support, levels, priority):
+    """An instance and a colluder profile; ``support`` holds (bids, weight)
+    pairs, normalized to probabilities."""
+    total = sum(w for _, w in support)
+    raw = {
+        "mechanism": mechanism,
+        "slots": list(slots),
+        "colluders": [{"v": v, "t": 0.0} for v in values],
+        "external": {"support": [{"bids": list(b), "prob": w / total} for b, w in support]},
+    }
+    return bc.validate_and_normalize(raw), make_profile(levels, priority)
+
+
+#: Few levels, so colluders tie with each other and with externals;
+#: 0, -0.0 and 1 are the ends of the bid range.
+LEVELS = (1.0, 0.75, 0.5, 0.3, 0.125, 0.0, -0.0)
+
+
+@st.composite
+def kernel_cases(draw):
+    level = st.sampled_from(LEVELS)
+    n_c = draw(st.integers(1, 4))
+    n_e = draw(st.integers(0, 4))
+    m = draw(st.integers(1, n_c + n_e))
+    support = draw(st.lists(
+        st.tuples(st.lists(level, min_size=n_e, max_size=n_e), st.integers(0, 3)),
+        min_size=1, max_size=4,
+    ).filter(lambda entries: any(w for _, w in entries)))
+    return kernel_case(
+        draw(st.sampled_from(("gsp", "vcg"))),
+        draw(st.lists(st.sampled_from((1.0, 0.7, 0.5, 0.3, 0.1, 0.0)), min_size=m, max_size=m)),
+        draw(st.lists(st.sampled_from((1.0, 0.9, 0.6, 0.3, 0.0)), min_size=n_c, max_size=n_c)),
+        support,
+        draw(st.lists(level, min_size=n_c, max_size=n_c)),
+        draw(st.permutations(range(n_c))),
+    )
+
+
+def hexed(values):
+    return [v if v is None or isinstance(v, int) else v.hex() for v in values]
+
+
+class TestOutcomeKernelVsRanking:
+    """The merge kernel against the ranking-sort reference, bit for bit:
+    floats are compared by ``float.hex``, so ``-0.0`` differs from ``0.0``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(kernel_cases())
+    # a colluder at an external's level, with the externals tied
+    @example(kernel_case("gsp", (1.0, 0.5, 0.2), (0.9, 0.6), [((0.5, 0.5), 1)],
+                         (0.5, 0.3), (0, 1)))
+    @example(kernel_case("vcg", (1.0, 0.5, 0.2), (0.9, 0.6), [((0.5, 0.5), 1)],
+                         (0.5, 0.5), (1, 0)))
+    # no externals, colluders tied
+    @example(kernel_case("vcg", (1.0, 0.7), (0.9, 0.6), [((), 1)], (0.75, 0.75), (1, 0)))
+    # more slots than colluders
+    @example(kernel_case("vcg", (1.0, 0.7, 0.4), (0.9,), [((0.5, 0.25), 1)], (0.3,), (0,)))
+    # a zero-probability entry, and bids at 0 and 1
+    @example(kernel_case("gsp", (1.0, 0.7, 0.3), (1.0, 0.5),
+                         [((1.0, 0.0), 0), ((0.0, -0.0), 2), ((1.0, 1.0), 1)],
+                         (1.0, 0.0), (0, 1)))
+    def test_matches_ranking_reference(self, case):
+        instance, profile = case
+        exp = expected_outcome(instance, profile)
+        ref = ranking_expected_outcome(instance, profile)
+        assert hexed(exp.revenue) == hexed(ref.revenue)
+        assert hexed(exp.payment) == hexed(ref.payment)
+        for bids, _ in instance.external.support:
+            for external in (bids, bids[::-1]):
+                out = single_outcome(instance, profile, external)
+                ref = ranking_outcome(instance, profile, external)
+                assert out.colluder_slot == ref.colluder_slot
+                assert hexed(out.colluder_revenue) == hexed(ref.colluder_revenue)
+                assert hexed(out.colluder_payment) == hexed(ref.colluder_payment)

@@ -5,12 +5,14 @@ import pytest
 import bidcoord as bc
 from bidcoord.core import make_profile
 from bidcoord.discretize import build_grid
-from bidcoord.mechanisms import allocate, payments_gsp, payments_vcg
 from bidcoord.oracles import (
+    allocate,
     best_deterministic_ll,
     brute_force_arbitrary,
     brute_force_ll,
     brute_force_wup,
+    payments_gsp,
+    payments_vcg,
     vcg_externality,
 )
 from bidcoord.wup import WupWeights, unit_weights

@@ -6,11 +6,8 @@ the full split lies on a chain of bisections that ``pruned_grid``
 closes in closed form; ``build_grid`` still builds them one by one.
 """
 
-import importlib.util
 import json
-import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -18,24 +15,9 @@ from bidcoord.cli import main
 from bidcoord.core import validate_and_normalize
 from bidcoord.discretize import build_grid, max_bits
 from bidcoord.oracles import prune_levels
+from conftest import load_workloads
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _load_workloads():
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # perfbench/ stays as it is
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # dataclasses look their module up
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
-
-
-workloads = _load_workloads()
+workloads = load_workloads()
 CENT_SLOTS = [
     (name, slot)
     for name in ("arb-grid", "ll-cg")

@@ -1,0 +1,64 @@
+"""The ``solve`` report of variant 0 of every benchmark pool slot, pinned
+by digest.
+
+Each entry of ``golden/pool-digests.json`` is the exit code and the
+sha256 of the canonical report, ``timings`` removed, of one
+``"<workload>/<slot>"``.  Together they cover both modes, both
+mechanisms, cent and dyadic bids, column generation and infeasible
+instances, so a change meant to leave every reported bit alone fails
+here if it moves one.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+
+from bidcoord.cli import canonical_json, main
+from conftest import load_workloads
+
+workloads = load_workloads()
+DIGESTS = Path(__file__).resolve().parent / "golden" / "pool-digests.json"
+
+
+def digest(directory: Path, name: str, slot: int) -> dict:
+    """Exit code and report digest of ``solve`` on the slot's variant 0."""
+    path = directory / f"{name}-{slot}.json"
+    path.write_bytes(workloads.pool_instance(name, slot, 0))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # cent bids warn about their bit count
+        code = main(["solve", str(path), "--mode", workloads.WORKLOADS[name].mode,
+                     "--epsilon", repr(workloads.EPSILON)])
+    doc = json.loads(out.getvalue())
+    doc.pop("timings", None)
+    return {"code": code, "sha256": hashlib.sha256(canonical_json(doc).encode()).hexdigest()}
+
+
+def workload_digests(directory: Path, name: str) -> dict:
+    return {
+        f"{name}/{slot}": digest(directory, name, slot)
+        for slot in range(len(workloads.WORKLOADS[name].shapes))
+    }
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_pool_report_digests(tmp_path, name):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    recorded = {key: value for key, value in expected.items() if key.startswith(f"{name}/")}
+    assert workload_digests(tmp_path, name) == recorded
+
+
+if __name__ == "__main__":
+    # Re-record golden/pool-digests.json after a deliberate change to a report:
+    #   PYTHONPATH=src python tests/test_pool_reports.py
+    with tempfile.TemporaryDirectory() as scratch:
+        digests = {}
+        for name in workloads.WORKLOADS:
+            digests.update(workload_digests(Path(scratch), name))
+    DIGESTS.write_text(canonical_json(digests), encoding="utf-8")

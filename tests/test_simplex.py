@@ -6,7 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from bidcoord.simplex import _PIVOT_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve
+from bidcoord.simplex import (
+    _PIVOT_TOL,
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    _initial_tableau,
+    _pivot,
+    lp_solve,
+)
 
 
 class TestBasics:
@@ -244,6 +252,83 @@ class TestWarmStart:
         assert res.status == OPTIMAL
         with pytest.raises(AssertionError, match="full rank"):
             res.tableau.add_column(1.0, [1.0, 1.0], index=2)
+
+
+def pivot_by_rows(tableau, basis, row, col):
+    """Reference pivot: one update per row whose ``col`` entry is nonzero."""
+    pivot = tableau[row, col]
+    tableau[row, :] /= pivot
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r, :] -= tableau[r, col] * tableau[row, :]
+    basis[row] = col
+
+
+def initial_tableau_by_rows(a, b, senses):
+    """Reference phase-1 tableau, built one row at a time."""
+    m, n = a.shape
+    sign = np.ones(m)
+    a = a.copy()
+    b = b.copy()
+    flipped = list(senses)
+    for i in range(m):
+        if b[i] < 0.0:
+            a[i, :] *= -1.0
+            b[i] *= -1.0
+            sign[i] = -1.0
+            flipped[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
+    slack_rows = [i for i, s in enumerate(flipped) if s != "="]
+    art0 = n + len(slack_rows)
+    tableau = np.zeros((m, art0 + m + 1))
+    tableau[:, :n] = a
+    for k, i in enumerate(slack_rows):
+        tableau[i, n + k] = 1.0 if flipped[i] == "<=" else -1.0
+    for i in range(m):
+        tableau[i, art0 + i] = 1.0
+    tableau[:, -1] = b
+    return tableau, sign, art0
+
+
+#: Entries with exact zeros of both signs among ordinary values.
+entries = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+class TestKernelBytes:
+    """The array kernels leave exactly the bytes of their row loops."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_pivot_matches_row_loop(self, data):
+        m = data.draw(st.integers(1, 7))
+        width = data.draw(st.integers(2, 10))
+        cells = data.draw(st.lists(entries, min_size=m * width, max_size=m * width))
+        table = np.array(cells).reshape(m, width)
+        row = data.draw(st.integers(0, m - 1))
+        col = data.draw(st.integers(0, width - 2))
+        assume(table[row, col] != 0.0)
+        basis = list(range(m))
+        expected, expected_basis = table.copy(), list(basis)
+        pivot_by_rows(expected, expected_basis, row, col)
+        _pivot(table, basis, row, col)
+        assert table.tobytes() == expected.tobytes()
+        assert basis == expected_basis
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_initial_tableau_matches_row_loop(self, data):
+        m = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(0, 6))
+        a = np.array(data.draw(st.lists(entries, min_size=m * n, max_size=m * n))).reshape(m, n)
+        b = np.array(data.draw(st.lists(entries, min_size=m, max_size=m)))
+        senses = data.draw(st.lists(st.sampled_from(("<=", ">=", "=")), min_size=m, max_size=m))
+        tableau, sign, art0 = _initial_tableau(a, b, senses)
+        ref_tableau, ref_sign, ref_art0 = initial_tableau_by_rows(a, b, senses)
+        assert art0 == ref_art0
+        assert tableau.tobytes() == ref_tableau.tobytes()
+        assert sign.tobytes() == ref_sign.tobytes()
 
 
 class TestValidation:
