@@ -130,7 +130,7 @@ def lp_solve(
     if c.size != n:
         raise ValueError("objective length does not match row width")
     for s in senses:
-        if s not in ("<=", ">=", "="):
+        if s not in _SLACK_SIGN:
             raise ValueError(f"unknown sense {s!r}")
 
     tableau, sign, art0 = _initial_tableau(a, b, senses)

@@ -225,7 +225,7 @@ def kernel_cases(draw):
 
 
 def hexed(values):
-    return [v if v is None or isinstance(v, int) else v.hex() for v in values]
+    return [v.hex() for v in values]
 
 
 class TestOutcomeKernelVsRanking:
