@@ -8,7 +8,7 @@ discretized bids, and approximation solvers for both the unrestricted
 and the no-payout (limited-liability) transfer regimes.
 """
 
-from .arbitrary import Assumption1Report, check_assumption1, solve_arbitrary
+from .arbitrary import solve_arbitrary
 from .core import (
     GSP,
     VCG,
@@ -29,7 +29,7 @@ from .core import (
 from .discretize import BidGrid, Interval, IntervalSet, build_grid, project_to_grid
 from .limited import DualValues, solve_ll
 from .mechanisms import expected_outcome, individual_baseline, single_outcome
-from .wup import WupWeights, solve_wup_expected, solve_wup_fixed
+from .wup import WupWeights, solve_wup_expected
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "GSP",
     "VCG",
     "AgencySolution",
-    "Assumption1Report",
     "AuctionInstance",
     "Bid",
     "BidGrid",
@@ -52,7 +51,6 @@ __all__ = [
     "ToleranceError",
     "WupWeights",
     "build_grid",
-    "check_assumption1",
     "check_delta_ic",
     "expected_outcome",
     "individual_baseline",
@@ -63,6 +61,5 @@ __all__ = [
     "solve_arbitrary",
     "solve_ll",
     "solve_wup_expected",
-    "solve_wup_fixed",
     "validate_and_normalize",
 ]

@@ -32,7 +32,7 @@ from .core import (
 from .discretize import PrunedGrid, pruned_grid
 from .limited import solve_ll
 from .mechanisms import individual_baseline
-from .wup import WupWeights, solve_wup_expected, solve_wup_fixed
+from .wup import WupWeights, expected_tables, solve_wup
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -185,15 +185,10 @@ def cmd_solve(args) -> int:
         try:
             solution = solve_ll(instance, epsilon, levels=pruned.levels)
         except InfeasibleError as err:
-            _emit(
-                {
-                    "mode": args.mode,
-                    "epsilon": epsilon,
-                    "p": p,
-                    "error": {"kind": "infeasible", "message": str(err)},
-                },
-                args.out,
-            )
+            error = {"kind": "infeasible", "message": str(err)}
+            doc = {"mode": args.mode, "epsilon": epsilon, "p": p, "error": error}
+            text = f"infeasible: {err}\n" if args.format == "text" else None
+            _emit(doc, args.out, text=text)
             return EXIT_INFEASIBLE
     solve_seconds = time.perf_counter() - started
 
@@ -269,17 +264,17 @@ def cmd_wup(args) -> int:
         grid = pruned_grid(instance, args.p)
         levels = [iv.lower for iv in grid.intervals().intervals]
         grid_doc = dict(_grid_doc(grid, instance.n_colluders), levels=levels)
+    external = None
+    mode = {"expected": True}
     if args.external_index is not None:
         support = instance.external.support
         if not 0 <= args.external_index < len(support):
             raise InstanceError(
                 "external-index", f"must be in [0, {len(support) - 1}]"
             )
-        result = solve_wup_fixed(levels, weights, instance, support[args.external_index][0])
+        external = support[args.external_index][0]
         mode = {"fixed_external_index": args.external_index}
-    else:
-        result = solve_wup_expected(levels, weights, instance)
-        mode = {"expected": True}
+    result = solve_wup(expected_tables(instance, levels, external), weights, instance)
     _emit(
         {
             "profile": _profile_doc(result.profile),

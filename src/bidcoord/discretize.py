@@ -10,10 +10,13 @@ endpoints, combined with symbolic tie ranks, form the finite bid set the
 solvers optimize over.
 
 The split is defined recursively (``oracles.recursive_split`` keeps that
-form as the test reference) but runs as an iterative depth-first loop
-over the support bids, sorted once, so each interval is decided from one
-slice of them instead of a scan of the whole support.  It yields the
-same intervals in the same order and the same call count.
+form as the test reference, with ``oracles.event_probability``) but runs
+as an iterative depth-first loop over the support bids, sorted once, so
+each interval is decided from one slice of them instead of a scan of the
+whole support.  It yields the same intervals in the same order and the
+same call count.  The package only splits (0, 1] with eta = 2^-M, in
+``pruned_grid``; the tests split other intervals, and with other eta,
+through ``_split`` and ``_leaves``.
 
 An interval that splits while its bids share one value b starts a
 chain: each child holding b has the same bids, so only the width test
@@ -73,9 +76,6 @@ class Interval:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def contains(self, value: float) -> bool:
-        return self.lower < value <= self.upper
-
 
 @dataclass(frozen=True)
 class IntervalSet:
@@ -101,28 +101,17 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class BidGrid:
-    """Interval lower endpoints crossed with colluder tie ranks.
-
-    ``levels`` is ascending and always starts at 0; ranks 1..n_ranks are
-    assigned by the solvers so that intended colluder orderings at equal
-    levels are realized symbolically.
-    """
+    """The full grid: the split's interval lower endpoints, ascending
+    from 0.  Colluders at an equal level are ordered by symbolic tie
+    ranks, which the solvers assign."""
 
     levels: tuple[float, ...]
-    n_ranks: int
 
     def __post_init__(self):
         if not self.levels or self.levels[0] != 0.0:
             raise ValueError("grid levels must start at 0")
         if any(b <= a for a, b in itertools.pairwise(self.levels)):
             raise ValueError("grid levels must be strictly ascending")
-        if self.n_ranks < 1:
-            raise ValueError("need at least one rank")
-
-    @property
-    def flat_size(self) -> int:
-        """Number of distinct (level, rank) bids the grid induces."""
-        return len(self.levels) * self.n_ranks
 
 
 @dataclass(frozen=True)
@@ -148,15 +137,6 @@ class PrunedGrid:
         return IntervalSet(tuple(_leaves(self.pieces)), self.p, self.eta, self.rec_calls)
 
 
-def event_probability(distribution: ExternalDistribution, lower: float, upper: float) -> float:
-    """Probability that any external bid lands in (lower, upper]."""
-    total = 0.0
-    for bids, prob in distribution.support:
-        if any(lower < b <= upper for b in bids):
-            total += prob
-    return total
-
-
 def _split(
     lower: float, upper: float, p: float, eta: float, distribution: ExternalDistribution
 ) -> tuple[list[_Piece], int]:
@@ -176,8 +156,8 @@ def _split(
     carries the parent's probability, which exceeded ``p``, so only the
     width test remains.  Otherwise the distinct entries' probabilities
     are added in support order with a plain loop, exactly as
-    ``event_probability`` adds them, so every decision, and hence every
-    interval and the call count, equals the recursive definition's.
+    ``oracles.event_probability`` adds them, so every decision, and hence
+    every interval and the call count, equals the recursive definition's.
     """
     pairs = sorted(
         (b, k) for k, (bids, _) in enumerate(distribution.support) for b in bids if b > 0.0
@@ -252,14 +232,6 @@ def _leaves(pieces: Sequence[_Piece]) -> list[Interval]:
     return leaves
 
 
-def rec_split(
-    interval: Interval, p: float, eta: float, distribution: ExternalDistribution
-) -> list[Interval]:
-    """Bisect an interval until each piece carries external-bid
-    probability at most p or has width at most eta."""
-    return _leaves(_split(interval.lower, interval.upper, p, eta, distribution)[0])
-
-
 def max_bits(distribution: ExternalDistribution) -> int:
     """Fractional bits needed to represent every support bid exactly.
 
@@ -290,12 +262,6 @@ def _warn_caller(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-def build_intervals(distribution: ExternalDistribution, p: float, eta: float) -> IntervalSet:
-    """Split (0, 1] and record the recursive definition's call count."""
-    pieces, calls = _split(0.0, 1.0, p, eta, distribution)
-    return IntervalSet(tuple(_leaves(pieces)), p, eta, calls)
-
-
 def _grid_eta(instance: AuctionInstance, p: float) -> float:
     """The minimum step for threshold p: one ulp of the external
     support, eta = 2^-M."""
@@ -324,7 +290,7 @@ def build_grid(instance: AuctionInstance, p: float) -> tuple[IntervalSet, BidGri
     endpoints."""
     interval_set = pruned_grid(instance, p).intervals()
     levels = tuple(iv.lower for iv in interval_set.intervals)
-    return interval_set, BidGrid(levels, instance.n_colluders)
+    return interval_set, BidGrid(levels)
 
 
 def project_to_grid(profile: BidProfile, grid_levels: Sequence[float]) -> BidProfile:
@@ -347,10 +313,8 @@ def project_to_grid(profile: BidProfile, grid_levels: Sequence[float]) -> BidPro
     return make_profile(new_levels, priority)
 
 
-def iter_grid_profiles(
-    grid_levels: Sequence[float], n_colluders: int, tie_orders: bool = True
-) -> Iterator[BidProfile]:
-    """Enumerate grid profiles: every level assignment, and optionally every
+def iter_grid_profiles(grid_levels: Sequence[float], n_colluders: int) -> Iterator[BidProfile]:
+    """Enumerate grid profiles: every level assignment crossed with every
     relative ordering of colluders sharing a level.
 
     Deterministic: assignments in ascending-level lexicographic order,
@@ -363,7 +327,7 @@ def iter_grid_profiles(
         for i in indices:
             groups.setdefault(assignment[i], []).append(i)
         tied = [g for g in groups.values() if len(g) > 1]
-        if not tie_orders or not tied:
+        if not tied:
             yield make_profile(assignment)
             continue
         for perm_combo in itertools.product(*(itertools.permutations(g) for g in tied)):

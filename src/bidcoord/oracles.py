@@ -4,19 +4,21 @@ Everything here favors obviousness over speed and stays independent of
 the production solvers: payments are recomputed from first principles
 where payments are the target, profile enumeration is local, and the
 linear-programming gold standard runs on scipy rather than the in-repo
-simplex.  The recursive interval split is the reference for the
-discretizer's iterative one, and pruning a given grid gap by gap is the
-reference for the pruned levels the discretizer reads off that split.
-Ranking every agent with one sort of (level, tie rank) keys and paying
-every rank is the reference for the mechanisms module's merge kernel.
-The scalar per-arc weight, one support entry and one level pair at a
-time, is the reference for the optimizer's numpy tables, and the dense
-master, every grid column at once, is the reference for column
+simplex.  The recursive interval split, with its event probability, is
+the reference for the discretizer's iterative one, and pruning a given
+grid gap by gap is the reference for the pruned levels the discretizer
+reads off that split.  Ranking every agent with one sort of (level, tie
+rank) keys and paying every rank is the reference for the mechanisms
+module's merge kernel.  The scalar per-arc weight, one support entry and
+one level pair at a time, is the reference for the optimizer's numpy
+tables, and a path's weight, its arcs added one by one from the source,
+is what the lemma-map checks compare with the mechanism accounting.  The
+dense master, every grid column at once, is the reference for column
 generation.  Shared surface is limited to the core types, the
-discretizer's interval type and event probability, the mechanisms
-module's outcome types and expected outcome, the optimizer's weight type
-and colluder order, and the limited-liability module's column, master LP
-and solution extraction.
+discretizer's interval type and grid-profile enumerator, the mechanisms
+module's outcome types and expected outcome, the optimizer's weight
+type, graph and colluder order, and the limited-liability module's
+column, master LP and solution extraction.
 """
 
 from __future__ import annotations
@@ -39,14 +41,23 @@ from .core import (
     InfeasibleError,
     make_profile,
 )
-from .discretize import Interval, event_probability
+from .discretize import Interval, iter_grid_profiles
 from .limited import MasterSolution, extract_solution, make_column, solve_master
 from .mechanisms import ExpectedOutcome, Outcome, expected_outcome
-from .wup import WupWeights, wup_colluder_order
+from .wup import WupGraph, WupWeights, wup_colluder_order
 
 _EXTERNALITY_CAP = 20
 _WUP_CAP = 10**6
 _LL_COLUMN_CAP = 10**5
+
+
+def event_probability(distribution: ExternalDistribution, lower: float, upper: float) -> float:
+    """Probability that any external bid lands in (lower, upper]."""
+    total = 0.0
+    for bids, prob in distribution.support:
+        if any(lower < b <= upper for b in bids):
+            total += prob
+    return total
 
 
 def recursive_split(
@@ -305,6 +316,22 @@ def arc_weight(
     )
 
 
+def path_weight(graph: WupGraph, level_indices: Sequence[int]) -> float:
+    """Total weight of the source-to-sink path through these level
+    indices, one per position of ``graph.order``: its arcs added in
+    order from the source, then the sink."""
+    n = len(graph.order)
+    if len(level_indices) != n:
+        raise ValueError("one level index per colluder required")
+    total = 0.0
+    for pos in range(n - 1):
+        j_cur, j_next = level_indices[pos], level_indices[pos + 1]
+        if j_next < j_cur:
+            raise ValueError("bid levels must be non-increasing along a path")
+        total += float(graph.arcs[pos, j_cur, j_next])
+    return total + float(graph.sink[level_indices[-1]])
+
+
 def _iter_assignments(levels: Sequence[float], n: int, priority: Sequence[int]):
     for assignment in itertools.product(sorted(set(levels)), repeat=n):
         yield make_profile(assignment, priority)
@@ -356,28 +383,10 @@ def brute_force_arbitrary(instance: AuctionInstance, grid_levels: Sequence[float
     return value
 
 
-def _iter_columns(levels: Sequence[float], n: int):
-    """Level assignments crossed with every tie ordering of equal levels."""
-    for assignment in itertools.product(sorted(set(levels)), repeat=n):
-        groups: dict[float, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(assignment[i], []).append(i)
-        tied = [g for g in groups.values() if len(g) > 1]
-        if not tied:
-            yield make_profile(assignment)
-            continue
-        for combo in itertools.product(*(itertools.permutations(g) for g in tied)):
-            priority = list(range(n))
-            for perm in combo:
-                for pos, i in enumerate(perm):
-                    priority[i] = pos
-            yield make_profile(assignment, priority)
-
-
 def _ll_profiles(levels: Sequence[float], n: int) -> list[BidProfile]:
     """Every master column's profile; ValueError past the column cap."""
     profiles = []
-    for profile in _iter_columns(levels, n):
+    for profile in iter_grid_profiles(levels, n):
         profiles.append(profile)
         if len(profiles) > _LL_COLUMN_CAP:
             raise ValueError(f"column count exceeds {_LL_COLUMN_CAP}")
@@ -441,7 +450,7 @@ def best_deterministic_ll(
     agency's expected payment.  Returns None when no profile qualifies.
     """
     best = None
-    for profile in _iter_columns(grid_levels, instance.n_colluders):
+    for profile in iter_grid_profiles(grid_levels, instance.n_colluders):
         out = expected_outcome(instance, profile)
         headroom = [
             r - c.outside_option for r, c in zip(out.revenue, instance.colluders)

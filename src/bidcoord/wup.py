@@ -18,10 +18,17 @@ depends on the weights: :func:`expected_tables` builds them once per
 (instance, grid) in numpy, and every query, such as each pricing round
 of limited-liability column generation, only recombines them with its
 weights and runs a vectorized DP.
+
+:func:`solve_wup` over :func:`expected_tables` is the one query, for the
+expected and for a fixed external profile alike.  ``solve_wup_expected``
+is the same query for the arbitrary solver, split into
+``build_wup_graph`` and ``solve_graph`` at the layer boundaries that the
+benchmark's tracer (``perfbench/tracing.py``) times by name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,16 +41,17 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class WupWeights:
-    """Nonnegative revenue weights (one per colluder) and payment weight."""
+    """Finite nonnegative revenue weights (one per colluder) and payment
+    weight."""
 
     revenue_weights: tuple[float, ...]
     payment_weight: float
 
     def __post_init__(self):
-        if any(y < 0.0 for y in self.revenue_weights):
-            raise ValueError("revenue weights must be nonnegative")
-        if self.payment_weight < 0.0:
-            raise ValueError("payment weight must be nonnegative")
+        if not all(math.isfinite(y) and y >= 0.0 for y in self.revenue_weights):
+            raise ValueError("revenue weights must be finite and nonnegative")
+        if not (math.isfinite(self.payment_weight) and self.payment_weight >= 0.0):
+            raise ValueError("payment weight must be finite and nonnegative")
 
 
 def unit_weights(n_colluders: int) -> WupWeights:
@@ -184,21 +192,6 @@ class WupGraph:
     arcs: np.ndarray
     sink: np.ndarray
 
-    def arc_weight(self, pos: int, j_cur: int, j_next: int) -> float:
-        if j_next < j_cur:
-            raise ValueError("bid levels must be non-increasing along a path")
-        return float(self.arcs[pos, j_cur, j_next])
-
-    def path_weight(self, level_indices: Sequence[int]) -> float:
-        """Total weight of the source-to-sink path through these level indices."""
-        n = len(self.order)
-        if len(level_indices) != n:
-            raise ValueError("one level index per colluder required")
-        total = 0.0
-        for pos in range(n - 1):
-            total += self.arc_weight(pos, level_indices[pos], level_indices[pos + 1])
-        return total + float(self.sink[level_indices[-1]])
-
     def profile_for_path(self, level_indices: Sequence[int]) -> BidProfile:
         """Bid profile realizing a path, with ranks decreasing along it."""
         n = len(self.order)
@@ -279,20 +272,10 @@ def solve_wup(tables: WupTables, weights: WupWeights, instance: AuctionInstance)
     return _best_path(combine_tables(tables, weights, instance))
 
 
-def solve_wup_fixed(
-    grid_levels: Sequence[float],
-    weights: WupWeights,
-    instance: AuctionInstance,
-    external_levels: Sequence[float],
-) -> WupResult:
-    """Maximize the weighted utility against one fixed external profile."""
-    return _best_path(build_wup_graph(grid_levels, weights, instance, external_levels))
-
-
 def solve_wup_expected(
     grid_levels: Sequence[float],
     weights: WupWeights,
     instance: AuctionInstance,
 ) -> WupResult:
     """Maximize the expected weighted utility over the external distribution."""
-    return _best_path(build_wup_graph(grid_levels, weights, instance, None))
+    return _best_path(build_wup_graph(grid_levels, weights, instance))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bidcoord as bc
+from bidcoord.discretize import _leaves, _split
 from bidcoord.mechanisms import individual_baseline
 
 
@@ -59,6 +60,13 @@ def random_instance(
         ]
         instance = bc.validate_and_normalize(raw)
     return instance
+
+
+def iterative_split(distribution, p: float, eta: float, lower: float = 0.0, upper: float = 1.0):
+    """The discretizer's iterative split of (lower, upper], for any eta,
+    as (leaves, call count): the form of ``oracles.recursive_split``."""
+    pieces, calls = _split(lower, upper, p, eta, distribution)
+    return _leaves(pieces), calls
 
 
 def random_levels(rng: random.Random, max_levels: int = 6, bits: int = 10) -> list[float]:

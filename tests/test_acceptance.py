@@ -17,7 +17,7 @@ import bidcoord as bc
 from bidcoord.arbitrary import solve_arbitrary
 from bidcoord.cli import canonical_json, main as cli_main
 from bidcoord.core import ExternalDistribution, make_profile
-from bidcoord.discretize import build_grid, build_intervals, event_probability, max_bits, project_to_grid
+from bidcoord.discretize import IntervalSet, build_grid, max_bits, project_to_grid
 from bidcoord.limited import solve_ll, solve_ll_cg
 from bidcoord.mechanisms import expected_outcome, individual_baseline, single_outcome
 from bidcoord.oracles import (
@@ -25,12 +25,14 @@ from bidcoord.oracles import (
     best_deterministic_ll,
     brute_force_arbitrary,
     brute_force_wup,
+    event_probability,
+    path_weight,
     payments_vcg,
     solve_ll_dense,
     vcg_externality,
 )
 from bidcoord.wup import WupWeights, build_wup_graph, solve_wup_expected
-from conftest import dyadic, random_instance
+from conftest import dyadic, iterative_split, random_instance
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -85,7 +87,7 @@ def test_criterion_1_lemma_map_identity(wup_family):
                     y[i] * out.colluder_revenue[i] - x * out.colluder_payment[i]
                     for i in range(n_c)
                 )
-                assert abs(graph.path_weight(path) - reference) <= 1e-9
+                assert abs(path_weight(graph, path) - reference) <= 1e-9
                 paths_checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -167,7 +169,8 @@ def test_criterion_4_rec_guarantees():
         )
         p = rng.choice([0.05, 0.1, 0.2, 0.3, 0.5])
         eta = 2.0 ** -max_bits(dist)
-        interval_set = build_intervals(dist, p, eta)
+        leaves, calls = iterative_split(dist, p, eta)
+        interval_set = IntervalSet(tuple(leaves), p, eta, calls)
         # IntervalSet construction already verifies the disjoint tiling of (0,1]
         assert interval_set.intervals[0].lower == 0.0
         assert interval_set.intervals[-1].upper == 1.0

@@ -208,6 +208,22 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "infeasible"
 
+    def test_infeasible_text_format(self, tmp_path, capsys):
+        raw = {
+            "mechanism": "gsp",
+            "slots": [1.0],
+            "colluders": [{"v": 0.9, "t": 0.95}],
+            "external": {"support": [{"bids": [0.5], "prob": 1.0}]},
+        }
+        path = write_instance(tmp_path, raw)
+        argv = ("solve", path, "--mode", "limited-liability")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        code, out, err = run_cli(capsys, *argv, "--format", "text")
+        assert code == 2
+        assert (out, err) == (f"infeasible: {message}\n", "")
+
     def test_assumption_violated_exit_code(self, tmp_path, capsys):
         raw = {
             "mechanism": "gsp",
@@ -272,7 +288,7 @@ class TestSolve:
         assert set(grid_doc) == GRID_SCALARS | {"pruned_levels"}
         assert grid_doc["k_star"] == len(interval_set)
         assert grid_doc["rec_calls"] == interval_set.rec_calls
-        assert grid_doc["flat_size"] == grid.flat_size
+        assert grid_doc["flat_size"] == len(grid.levels) * inst.n_colluders
         assert grid_doc["pruned_levels"] == list(prune_levels(grid.levels, inst.external))
         assert grid_doc["pruned_size"] == len(grid_doc["pruned_levels"])
 
@@ -352,13 +368,13 @@ class TestWup:
 
     def test_p_grid_reports_levels_solved_over(self, tmp_path, capsys, monkeypatch):
         seen = []
-        original = bidcoord.cli.solve_wup_expected
+        original = bidcoord.cli.expected_tables
 
-        def recording(levels, *args):
+        def recording(instance, levels, *args):
             seen.append(list(levels))
-            return original(levels, *args)
+            return original(instance, levels, *args)
 
-        monkeypatch.setattr(bidcoord.cli, "solve_wup_expected", recording)
+        monkeypatch.setattr(bidcoord.cli, "expected_tables", recording)
         inst = write_instance(tmp_path, example3_raw())
         weights = self._weights(
             tmp_path, {"revenue_weights": [1.0, 1.0], "payment_weight": 1.0}

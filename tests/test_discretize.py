@@ -13,18 +13,16 @@ from bidcoord.arbitrary import solve_arbitrary
 from bidcoord.core import ExternalDistribution, make_profile
 from bidcoord.discretize import (
     Interval,
+    IntervalSet,
     build_grid,
-    build_intervals,
-    event_probability,
     iter_grid_profiles,
     max_bits,
     project_to_grid,
     pruned_grid,
-    rec_split,
 )
 from bidcoord.mechanisms import expected_outcome
-from bidcoord.oracles import prune_levels, recursive_split
-from conftest import cent_bids_raw, dyadic, example3_raw, random_instance
+from bidcoord.oracles import event_probability, prune_levels, recursive_split
+from conftest import cent_bids_raw, dyadic, example3_raw, iterative_split, random_instance
 
 
 def point_mass(*bids):
@@ -51,11 +49,11 @@ _EXAMPLE3 = bc.validate_and_normalize(example3_raw())
 class TestRecSplit:
     def test_threshold_one_returns_root(self):
         dist = point_mass(0.3, 0.7)
-        assert rec_split(Interval(0.0, 1.0), 1.0, 2**-8, dist) == [Interval(0.0, 1.0)]
+        assert iterative_split(dist, 1.0, 2**-8)[0] == [Interval(0.0, 1.0)]
 
     def test_single_split(self):
         dist = ExternalDistribution((((0.25,), 0.5), ((0.75,), 0.5)))
-        got = rec_split(Interval(0.0, 1.0), 0.6, 2**-8, dist)
+        got, _ = iterative_split(dist, 0.6, 2**-8)
         assert got == [Interval(0.0, 0.5), Interval(0.5, 1.0)]
         for iv in got:
             assert event_probability(dist, iv.lower, iv.upper) <= 0.6
@@ -63,11 +61,11 @@ class TestRecSplit:
     def test_point_mass_bottoms_out_at_eta(self):
         dist = point_mass(0.5)
         eta = 0.25
-        got = rec_split(Interval(0.0, 1.0), 0.4, eta, dist)
+        got, _ = iterative_split(dist, 0.4, eta)
         for iv in got:
             pr = event_probability(dist, iv.lower, iv.upper)
             assert pr <= 0.4 or iv.width <= eta
-        hot = [iv for iv in got if iv.contains(0.5)]
+        hot = [iv for iv in got if iv.lower < 0.5 <= iv.upper]
         assert len(hot) == 1 and hot[0].width <= eta
 
 
@@ -140,22 +138,17 @@ class TestSplitVsRecursiveReference:
     @given(split_cases())
     def test_intervals_and_calls_match(self, case):
         dist, p, eta, start = case
-        intervals, calls = recursive_split(0.0, 1.0, p, eta, dist)
-        got = build_intervals(dist, p, eta)
-        assert list(got.intervals) == intervals
-        assert got.rec_calls == calls
+        assert iterative_split(dist, p, eta) == recursive_split(0.0, 1.0, p, eta, dist)
         leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
-        assert rec_split(start, p, eta, dist) == leaves
+        assert iterative_split(dist, p, eta, start.lower, start.upper)[0] == leaves
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(split_cases(_CHAIN_BID, shared=True))
     def test_chains_match(self, case):
         dist, p, eta, start = case
-        intervals, calls = recursive_split(0.0, 1.0, p, eta, dist)
-        got = build_intervals(dist, p, eta)
-        assert (list(got.intervals), got.rec_calls) == (intervals, calls)
+        assert iterative_split(dist, p, eta) == recursive_split(0.0, 1.0, p, eta, dist)
         leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
-        assert rec_split(start, p, eta, dist) == leaves
+        assert iterative_split(dist, p, eta, start.lower, start.upper)[0] == leaves
 
     @pytest.mark.parametrize("p, eta, start", [
         (-1.0, 2.0**-4, Interval(0.0, 1.0)),  # empty intervals split too
@@ -166,11 +159,9 @@ class TestSplitVsRecursiveReference:
         # 2^-52 + 2^-55 ends a chain on the right of its last split, so a
         # leaf rounded to the eta grid rather than to ``start``'s moves it
         dist = point_mass(2.0**-52 + 2.0**-55, 0.9)
-        intervals, calls = recursive_split(0.0, 1.0, p, eta, dist)
-        got = build_intervals(dist, p, eta)
-        assert (list(got.intervals), got.rec_calls) == (intervals, calls)
+        assert iterative_split(dist, p, eta) == recursive_split(0.0, 1.0, p, eta, dist)
         leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
-        assert rec_split(start, p, eta, dist) == leaves
+        assert iterative_split(dist, p, eta, start.lower, start.upper)[0] == leaves
 
     @pytest.mark.parametrize("bids, eta", [
         ((0.3,), 2.0**-60),
@@ -180,20 +171,20 @@ class TestSplitVsRecursiveReference:
     def test_eta_below_double_spacing_raises(self, bids, eta):
         # below the spacing of doubles near a bid, bisection cannot go on
         with pytest.raises(ValueError):
-            build_intervals(point_mass(*bids), 0.01, eta)
+            iterative_split(point_mass(*bids), 0.01, eta)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.one_of(split_cases(), split_cases(_CHAIN_BID, shared=True)))
     def test_pruned_grid_matches_full_split(self, case):
         dist, p, eta, _ = case
-        full = build_intervals(dist, p, eta)
+        leaves, calls = iterative_split(dist, p, eta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = pruned_grid(replace(_EXAMPLE3, external=dist), p)
         assert (got.p, got.eta) == (p, eta)
-        assert (got.k_star, got.rec_calls) == (len(full), full.rec_calls)
-        assert got.levels == prune_levels([iv.lower for iv in full.intervals], dist)
-        assert got.intervals() == full
+        assert (got.k_star, got.rec_calls) == (len(leaves), calls)
+        assert got.levels == prune_levels([iv.lower for iv in leaves], dist)
+        assert got.intervals() == IntervalSet(tuple(leaves), p, eta, calls)
 
 
 class TestMaxBits:
@@ -244,8 +235,6 @@ class TestBuildGrid:
         interval_set, grid = build_grid(inst, 0.5)
         assert [(iv.lower, iv.upper) for iv in interval_set.intervals] == [(0.0, 1.0)]
         assert grid.levels == (0.0,)
-        assert grid.n_ranks == 2
-        assert grid.flat_size == 2
 
     def test_example3_point_mass(self):
         inst = self._instance([(0.75,)])
@@ -264,7 +253,7 @@ class TestBuildGrid:
             warnings.simplefilter("ignore")
             eta = 2.0 ** -max_bits(dist)
             levels = build_grid(inst, p)[1].levels
-        intervals = build_intervals(dist, p, eta).intervals
+        intervals, _ = iterative_split(dist, p, eta)
         assert [(iv.lower, iv.upper) for iv in intervals] == list(
             zip(levels, levels[1:] + (1.0,))
         )
@@ -280,7 +269,7 @@ class TestBuildGrid:
             dist = random_distribution(rng)
             p = rng.choice([0.1, 0.3, 0.5])
             eta = 2.0 ** -max_bits(dist)
-            for iv in build_intervals(dist, p, eta).intervals:
+            for iv in iterative_split(dist, p, eta)[0]:
                 open_pr = sum(
                     prob
                     for bids, prob in dist.support
@@ -297,7 +286,8 @@ class TestIntervalProperties:
             n_e = dist.n_external
             p = rng.choice([0.05, 0.1, 0.25, 0.5])
             eta = 2.0 ** -max_bits(dist)
-            ivs = build_intervals(dist, p, eta)
+            leaves, calls = iterative_split(dist, p, eta)
+            ivs = IntervalSet(tuple(leaves), p, eta, calls)
             # IntervalSet construction already asserts coverage and tiling
             for iv in ivs.intervals:
                 ok = (
@@ -347,10 +337,6 @@ class TestIterGridProfiles:
         # 4 level assignments, the 2 tied ones doubled
         assert len(profiles) == 6
         assert len(set(profiles)) == 6
-
-    def test_without_tie_orders(self):
-        profiles = list(iter_grid_profiles([0.0, 0.5], 2, tie_orders=False))
-        assert len(profiles) == 4
 
     def test_deterministic(self):
         a = list(iter_grid_profiles([0.0, 0.25, 0.5], 3))

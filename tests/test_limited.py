@@ -168,7 +168,7 @@ class TestSimpleCases:
         inst = bc.validate_and_normalize(raw)
         p = 0.005
         _, grid = build_grid(inst, p)
-        assert not bc.check_assumption1(inst, grid.levels, p).satisfied
+        assert not arbitrary.check_assumption1(inst, grid.levels, p).satisfied
         dense_sol, _ = solve_ll_dense(inst, grid.levels, p)
         cg_sol, _, rounds = solve_ll_cg(inst, grid.levels, p)
         assert abs(dense_sol.objective - 1.0) < 1e-9

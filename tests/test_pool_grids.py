@@ -36,7 +36,7 @@ def full_grid_section(raw: dict, p: float) -> dict:
         "max_bits": max_bits(instance.external),
         "k_star": len(interval_set),
         "rec_calls": interval_set.rec_calls,
-        "flat_size": grid.flat_size,
+        "flat_size": len(grid.levels) * instance.n_colluders,
         "pruned_size": len(pruned),
         "pruned_levels": pruned,
     }

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,18 +9,23 @@ from hypothesis import strategies as st
 import bidcoord as bc
 from bidcoord.core import make_profile
 from bidcoord.mechanisms import single_outcome
-from bidcoord.oracles import arc_weight, brute_force_wup
+from bidcoord.oracles import arc_weight, brute_force_wup, path_weight
 from bidcoord.wup import (
     WupWeights,
     build_wup_graph,
     expected_tables,
     solve_graph,
+    solve_wup,
     solve_wup_expected,
-    solve_wup_fixed,
     unit_weights,
     wup_colluder_order,
 )
 from conftest import random_instance, random_levels
+
+
+def solve_fixed(levels, weights, inst, external_levels):
+    """The weighted-utility query against one fixed external profile."""
+    return solve_wup(expected_tables(inst, levels, external_levels), weights, inst)
 
 
 def make_instance(mechanism, slots, valuations, support=((),)):
@@ -38,6 +44,13 @@ class TestWeights:
             WupWeights((-0.1,), 1.0)
         with pytest.raises(ValueError):
             WupWeights((1.0,), -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WupWeights((bad,), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            WupWeights((1.0,), bad)
 
     def test_order_sorts_by_weighted_valuation(self):
         inst = make_instance("gsp", [1.0], [0.6, 0.5], support=((0.0,),))
@@ -96,14 +109,14 @@ class TestArcWeightVcg:
 class TestSolveFixed:
     def test_single_level_grid(self):
         inst = make_instance("gsp", [1.0, 0.5], [0.9, 0.6], support=((0.4,),))
-        res = solve_wup_fixed([0.25], unit_weights(2), inst, (0.4,))
+        res = solve_fixed([0.25], unit_weights(2), inst, (0.4,))
         assert res.profile.levels == (0.25, 0.25)
         out = single_outcome(inst, res.profile, (0.4,))
         assert abs(res.value - (sum(out.colluder_revenue) - sum(out.colluder_payment))) < 1e-9
 
     def test_example1_grid(self):
         inst = make_instance("vcg", [1.0], [0.6, 0.5], support=((0.0,),))
-        res = solve_wup_fixed([0.6, 0.0], unit_weights(2), inst, (0.0,))
+        res = solve_fixed([0.6, 0.0], unit_weights(2), inst, (0.0,))
         assert abs(res.value - 0.6) < 1e-9
         assert res.profile.levels == (0.6, 0.0)
         assert res.profile.bids[0] > res.profile.bids[1]
@@ -123,14 +136,14 @@ class TestSolveFixed:
             y = tuple(rng.random() * 2 for _ in range(inst.n_colluders))
             w = WupWeights(y, rng.random() * 2)
             ext = inst.external.support[0][0]
-            res = solve_wup_fixed(levels, w, inst, ext)
+            res = solve_fixed(levels, w, inst, ext)
             _, best = brute_force_wup(levels, w, inst, ext)
             assert abs(res.value - best) < 1e-9
 
     def test_empty_grid_rejected(self):
         inst = make_instance("gsp", [1.0], [0.5], support=((),))
         with pytest.raises(ValueError):
-            solve_wup_fixed([], unit_weights(1), inst, ())
+            solve_fixed([], unit_weights(1), inst, ())
 
 
 class TestSolveExpected:
@@ -138,7 +151,7 @@ class TestSolveExpected:
         inst = make_instance("gsp", [1.0, 0.5], [0.9, 0.6], support=((0.4,),))
         w = unit_weights(2)
         exp = solve_wup_expected([0.0, 0.25, 0.5], w, inst)
-        fix = solve_wup_fixed([0.0, 0.25, 0.5], w, inst, (0.4,))
+        fix = solve_fixed([0.0, 0.25, 0.5], w, inst, (0.4,))
         assert exp.value == fix.value
         assert exp.profile == fix.profile
 
@@ -187,7 +200,7 @@ class TestGraphProperties:
                         y[i] * out.colluder_revenue[i] - w.payment_weight * out.colluder_payment[i]
                         for i in range(n_c)
                     )
-                    assert abs(g.path_weight(path) - ref) < 1e-9
+                    assert abs(path_weight(g, path) - ref) < 1e-9
 
     def test_canonical_tie_priority_never_beaten(self):
         # among profiles sharing a level assignment, ranking the heavier
@@ -307,7 +320,7 @@ class TestTablesVsScalarReference:
         ):
             arcs, sink = _reference_graph(inst, graph.levels, w, entries)
             for (pos, jc, jn), ref in arcs.items():
-                assert abs(graph.arc_weight(pos, jc, jn) - ref) < 1e-12
+                assert abs(graph.arcs[pos, jc, jn] - ref) < 1e-12
             for jc, ref in enumerate(sink):
                 assert abs(graph.sink[jc] - ref) < 1e-12
 
