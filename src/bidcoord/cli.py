@@ -5,7 +5,9 @@ All reports are JSON (sorted keys, round-tripping doubles) and fully
 deterministic for a fixed input; wall-clock timings are the only
 non-reproducible fields.  A report's solution numbers are the ones
 ``mechanisms.certify`` computed for the solution; the CLI only formats
-them.
+them.  ``canonical_json`` writes them: exactly the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, with less
+work than the standard library's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -51,8 +53,53 @@ def _check_unit_interval(option: str, value: float) -> None:
 
 
 def canonical_json(doc) -> str:
-    """Canonical serialization: sorted keys, indent 2, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, indent 2, trailing newline.
+
+    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True)``
+    plus the newline.  CPython's C encoder takes no indent, so with one
+    ``json.dumps`` runs its pure-Python encoder; this one writes the same
+    bytes with less work per value, a list of floats in one ``join``.
+    Dict keys must be strings.
+    """
+    out: list[str] = []
+    _encode(doc, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _encode(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is a line
+    break and the indent of the line the text starts on."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        prefix = "{"
+        for key in sorted(value):
+            out.append(prefix + inner + json.encoder.encode_basestring_ascii(key) + ": ")
+            _encode(value[key], inner, out)
+            prefix = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        floats = set(map(type, value)) == {float}
+        text = ("," + inner).join(map(float.__repr__, value)) if floats else ""
+        # of the floats, float.__repr__ spells only nan and inf with an "n"
+        if floats and "n" not in text:
+            out.append("[" + inner + text)
+        else:
+            prefix = "["
+            for item in value:
+                out.append(prefix + inner)
+                _encode(item, inner, out)
+                prefix = ","
+        out.append(newline + "]")
+    elif type(value) is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif type(value) is str:
+        out.append(json.encoder.encode_basestring_ascii(value))
+    else:
+        # bools, None, non-finite floats, empty containers, subclasses and
+        # other types: the C encoder writes them as the indenting one does
+        out.append(json.dumps(value))
 
 
 def _load_json(path: str):

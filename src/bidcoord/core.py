@@ -241,7 +241,10 @@ class AgencySolution:
 def _number(raw, path: str, lo: float = 0.0, hi: float = 1.0) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise InstanceError(path, f"expected a number, got {type(raw).__name__}")
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:
+        raise InstanceError(path, "integer too large for a double") from None
     if not lo <= value <= hi:
         raise InstanceError(path, f"value {value} outside [{lo}, {hi}]")
     return value

@@ -11,14 +11,16 @@ reads off that split.  Ranking every agent with one sort of (level, tie
 rank) keys and paying every rank is the reference for the mechanisms
 module's merge kernel.  The scalar per-arc weight, one support entry and
 one level pair at a time, is the reference for the optimizer's numpy
-tables, and a path's weight, its arcs added one by one from the source,
-is what the lemma-map checks compare with the mechanism accounting.  The
-dense master, every grid column at once, is the reference for column
-generation.  Shared surface is limited to the core types, the
-discretizer's interval type and grid-profile enumerator, the mechanisms
-module's outcome types and expected outcome, the optimizer's weight
-type, graph and colluder order, and the limited-liability module's
-column, master LP and solution extraction.
+tables, and the same tables built one support entry at a time are their
+bit-for-bit reference.  A path's weight, its arcs added one by one from
+the source, is what the lemma-map checks compare with the mechanism
+accounting.  The dense master, every grid column at once, is the
+reference for column generation.  Shared surface is limited to the core
+types, the discretizer's interval type and grid-profile enumerator, the
+mechanisms module's outcome types and expected outcome, the optimizer's
+weight type, tables, level normalization, graph and colluder order, and
+the limited-liability module's column, master LP and solution
+extraction.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .core import (
 from .discretize import Interval, iter_grid_profiles
 from .limited import MasterSolution, extract_solution, make_column, solve_master
 from .mechanisms import ExpectedOutcome, Outcome, expected_outcome
-from .wup import WupGraph, WupWeights, wup_colluder_order
+from .wup import WupGraph, WupTables, WupWeights, _normalize_levels, wup_colluder_order
 
 _EXTERNALITY_CAP = 20
 _WUP_CAP = 10**6
@@ -314,6 +316,63 @@ def arc_weight(
         weights.payment_weight,
         instance.slots,
     )
+
+
+def entrywise_expected_tables(
+    instance: AuctionInstance,
+    grid_levels: Sequence[float],
+    external_levels: Optional[Sequence[float]] = None,
+) -> WupTables:
+    """Reference for ``wup.expected_tables``, bit for bit: the same
+    tables built one support entry at a time, each entry's share added
+    to running sums that start at +0.0."""
+    levels = _normalize_levels(grid_levels)
+    if external_levels is None:
+        support = instance.external.support
+    else:
+        support = ((tuple(sorted(external_levels, reverse=True)), 1.0),)
+    lv = np.array(levels)
+    d = len(levels)
+    n = instance.n_colluders
+    n_e = len(support[0][0])
+    pos = np.arange(1, n + 1)
+    lam = np.zeros(n + n_e + 1)
+    lam[1 : instance.n_slots + 1] = instance.slots
+    gsp = instance.mechanism == GSP
+
+    revenue = np.zeros((n, d))
+    if gsp:
+        payment = np.zeros((n - 1, d, d))
+        sink_payment = np.zeros(d)
+    else:
+        g_cur = np.zeros((n, d))
+        h_next = np.zeros((n, d))
+        h_sink = np.zeros(n)
+        h = np.arange(1, n_e + 1)
+        steps = lam[h[None, :] + pos[:, None] - 1] - lam[h[None, :] + pos[:, None]]
+    for ext, prob in support:
+        desc = np.array(ext, dtype=float)
+        above = n_e - np.searchsorted(desc[::-1], lv, side="right")
+        slot = pos[:, None] + above[None, :]
+        lam_slot = lam[slot]
+        revenue += prob * lam_slot
+        if gsp:
+            below = np.append(desc, 0.0)[above]
+            price = np.maximum(lv[None, :], below[:, None])
+            payment += (prob * lam_slot[:-1])[:, :, None] * price
+            sink_payment += prob * lam_slot[-1] * below
+        else:
+            prefix = np.zeros((n, n_e + 1))
+            np.cumsum(desc[None, :] * steps, axis=1, out=prefix[:, 1:])
+            prefix *= pos[:, None]
+            own = (pos - 1)[:, None] * lv[None, :] * (lam[slot - 1] - lam_slot)
+            g_cur += prob * (own - prefix[:, above])
+            h_next += prob * prefix[:, above]
+            h_sink += prob * prefix[:, int(np.count_nonzero(desc > 0.0))]
+    if not gsp:
+        payment = g_cur[:-1, :, None] + h_next[:-1, None, :]
+        sink_payment = g_cur[-1] + h_sink[-1]
+    return WupTables(levels, revenue, payment, sink_payment)
 
 
 def path_weight(graph: WupGraph, level_indices: Sequence[int]) -> float:

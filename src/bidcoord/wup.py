@@ -19,6 +19,16 @@ depends on the weights: :func:`expected_tables` builds them once per
 of limited-liability column generation, only recombines them with its
 weights and runs a vectorized DP.
 
+:func:`expected_tables` covers the whole external support in one pass
+of array operations, one row per support entry, instead of a loop of
+small array operations per entry (``oracles.entrywise_expected_tables``,
+its reference).  It still adds the entries' shares in support order,
+starting from +0.0, the loop's running sums: a pairwise sum, which
+``.sum(axis=0)`` switches to when the support axis is innermost, can
+move a cell's last bit, and every reported number is meant to keep its
+bits.  Only GSP's payment table, d x d per position, is still summed one
+entry at a time, so no temporary grows with K * d * d.
+
 :func:`solve_wup` over :func:`expected_tables` is the one query, for the
 expected and for a fixed external profile alike.  ``solve_wup_expected``
 is the same query for the arbitrary solver, split into
@@ -109,6 +119,18 @@ class WupTables:
     sink_payment: np.ndarray
 
 
+def _support_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of ``terms`` over its first (support) axis, bit for bit the
+    running sum that starts at +0.0 and adds the entries in support order.
+
+    ``np.add.accumulate`` (``np.cumsum``) adds in order along any axis.
+    A running sum from +0.0 is never -0.0 and otherwise equals the one
+    from the first entry, so adding +0.0 to the last partial sum
+    supplies the starting zero.
+    """
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
+
+
 def expected_tables(
     instance: AuctionInstance,
     grid_levels: Sequence[float],
@@ -121,7 +143,8 @@ def expected_tables(
         support = instance.external.support
     else:
         support = ((tuple(sorted(external_levels, reverse=True)), 1.0),)
-    lv = np.array(levels)
+    # lv ends with an extra level 0, the sink's next bid
+    lv = np.array(levels + (0.0,))
     d = len(levels)
     n = instance.n_colluders
     n_e = len(support[0][0])
@@ -130,47 +153,51 @@ def expected_tables(
     # an instance never has more slots than agents
     lam = np.zeros(n + n_e + 1)
     lam[1 : instance.n_slots + 1] = instance.slots
-    gsp = instance.mechanism == GSP
-
-    revenue = np.zeros((n, d))
-    if gsp:
+    # Row k of each array below belongs to support entry k.  bids: the
+    # entry's bids descending, then a 0 that is above no level;
+    # above[k, j]: the index of its first bid not above lv[j], which is
+    # the count of its bids strictly above lv[j]
+    entry = np.arange(len(support))[:, None]
+    prob = np.array([p for _, p in support])[:, None, None]
+    bids = np.array([ext + (0.0,) for ext, _ in support])
+    above = (bids[:, None, :] > lv[:, None]).argmin(axis=2)
+    slot = pos[:, None] + above[:, None, :d]
+    share = prob * lam[slot]
+    revenue = _support_sum(share)
+    if instance.mechanism == GSP:
+        # price: the larger of the next level and the highest external
+        # at or below this level (colluders win ties); it is built and
+        # added one entry at a time, since all at once it would hold
+        # K * d * d cells
+        below = bids[entry, above[:, :d]]
         payment = np.zeros((n - 1, d, d))
-        sink_payment = np.zeros(d)
+        price = np.empty((d, d))
+        term = np.empty((n - 1, d, d))
+        for share_k, below_k in zip(share[:, :-1, :, None], below[:, :, None]):
+            np.maximum(lv[:d], below_k, out=price)
+            np.multiply(share_k, price, out=term)
+            payment += term
+        sink_payment = _support_sum(share[:, -1] * below)
     else:
         # VCG's share separates as G(j) + H(j'), H(j') counting the
-        # externals above the next bid; H0 is H at next level 0
-        g_cur = np.zeros((n, d))
-        h_next = np.zeros((n, d))
-        h_sink = np.zeros(n)
-        # steps[i-1, h-1]: weight of the h-th external's bid in the
-        # telescoping payment when exactly i colluders sit above it
-        h = np.arange(1, n_e + 1)
-        steps = lam[h[None, :] + pos[:, None] - 1] - lam[h[None, :] + pos[:, None]]
-    for ext, prob in support:
-        desc = np.array(ext, dtype=float)
-        above = n_e - np.searchsorted(desc[::-1], lv, side="right")
-        slot = pos[:, None] + above[None, :]
-        lam_slot = lam[slot]
-        revenue += prob * lam_slot
-        if gsp:
-            # price: the larger of the next level and the highest external
-            # at or below this level (colluders win ties)
-            below = np.append(desc, 0.0)[above]
-            price = np.maximum(lv[None, :], below[:, None])
-            payment += (prob * lam_slot[:-1])[:, :, None] * price
-            sink_payment += prob * lam_slot[-1] * below
-        else:
-            # prefix[i-1, a]: i times the payment terms of the top a externals
-            prefix = np.zeros((n, n_e + 1))
-            np.cumsum(desc[None, :] * steps, axis=1, out=prefix[:, 1:])
-            prefix *= pos[:, None]
-            own = (pos - 1)[:, None] * lv[None, :] * (lam[slot - 1] - lam_slot)
-            g_cur += prob * (own - prefix[:, above])
-            h_next += prob * prefix[:, above]
-            h_sink += prob * prefix[:, int(np.count_nonzero(desc > 0.0))]
-    if not gsp:
-        payment = g_cur[:-1, :, None] + h_next[:-1, None, :]
-        sink_payment = g_cur[-1] + h_sink[-1]
+        # externals above the next bid.  drop[s] = lam[s] - lam[s + 1];
+        # steps[i-1, h-1] = drop[i + h - 1]: weight of the h-th external's
+        # bid in the telescoping payment when exactly i colluders sit
+        # above it; prefix[k, i-1, a]: i times the payment terms of entry
+        # k's top a externals, at[k, i-1, j] the ones above lv[j]
+        drop = lam[:-1] - lam[1:]
+        steps = drop[pos[:, None] + np.arange(n_e)]
+        prefix = np.zeros((len(support), n, n_e + 1))
+        np.cumsum(bids[:, None, :n_e] * steps, axis=2, out=prefix[:, :, 1:])
+        prefix *= pos[:, None]
+        at = prefix[entry[:, :, None], pos[:, None] - 1, above[:, None, :]]
+        own = (pos - 1)[:, None] * lv[None, :d] * drop[slot - 1]
+        g_cur = _support_sum(prob * (own - at[:, :, :d]))
+        h_next = _support_sum(prob * at[:, :-1, :d])
+        # column d of at: the last position's sink, next level 0
+        h_sink = _support_sum(prob[:, 0, 0] * at[:, -1, d])
+        payment = g_cur[:-1, :, None] + h_next[:, None, :]
+        sink_payment = g_cur[-1] + h_sink
     return WupTables(
         levels, _read_only(revenue), _read_only(payment), _read_only(sink_payment)
     )

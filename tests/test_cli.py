@@ -8,7 +8,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bidcoord.arbitrary
 import bidcoord.cli
@@ -76,6 +79,19 @@ class TestValidate:
         doc = json.loads(out)
         assert doc["valid"] is False
         assert doc["error"]["path"] == "slots[0]"
+
+    def test_integer_too_large_for_a_double(self, tmp_path, capsys):
+        raw = example1_raw()
+        raw["colluders"][0]["v"] = 10**400
+        path = write_instance(tmp_path, raw)
+        code, out, err = run_cli(capsys, "validate", path)
+        assert code == 1
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["valid"] is False
+        assert doc["error"] == {
+            "path": "colluders[0].v", "message": "integer too large for a double"
+        }
 
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(canonical_json(example1_raw())))
@@ -255,6 +271,17 @@ class TestSolve:
         assert code == 1
         assert "slots" in err
 
+    def test_integer_too_large_for_a_double(self, tmp_path, capsys):
+        raw = example1_raw()
+        raw["colluders"][0]["v"] = 10**400
+        path = write_instance(tmp_path, raw)
+        code, out, err = run_cli(capsys, "solve", path)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "invalid instance: colluders[0].v: integer too large for a double\n"
+        )
+
     @pytest.mark.parametrize("command", [
         pytest.param(("solve", "--mode", "arbitrary"), id="arbitrary"),
         pytest.param(("solve", "--mode", "limited-liability"), id="limited-liability"),
@@ -403,6 +430,8 @@ class TestWup:
     @pytest.mark.parametrize("field, value", [
         pytest.param("payment_weight", float("nan"), id="payment-nan"),
         pytest.param("revenue_weights", [float("inf"), 1.0], id="revenue-inf"),
+        pytest.param("revenue_weights", [10**400, 1.0], id="revenue-huge-int"),
+        pytest.param("payment_weight", -(10**400), id="payment-huge-int"),
         pytest.param("levels", [], id="levels-empty"),
         pytest.param("levels", [0.0, 2.0], id="levels-above-one"),
         pytest.param("levels", [0.0, float("nan")], id="levels-nan"),
@@ -519,6 +548,44 @@ class TestDeterminism:
             doc.pop("timings")
             docs.append(canonical_json(doc))
         assert docs[0] == docs[1]
+
+
+#: Floats at the edges of what JSON and a double can spell.
+EDGE_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1,
+               float("nan"), float("inf"), float("-inf"))
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from((10**400, -(10**400)))
+    | st.floats()
+    | st.sampled_from(EDGE_FLOATS)
+    | st.floats().map(np.float64)  # a float subclass that repr() spells differently
+    | st.text()
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.lists(st.floats() | st.sampled_from(EDGE_FLOATS))
+        | st.lists(st.floats().map(np.float64))
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=40,
+)
+
+
+class TestCanonicalJson:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(JSON_DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [{1, 2}, b"bytes", object()])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError):
+            canonical_json({"key": [value]})
 
 
 def test_cli_import_leaves_out_scipy_and_oracles():

@@ -7,6 +7,11 @@ sha256 of the canonical report, ``timings`` removed, of one
 mechanisms, cent and dyadic bids, column generation and infeasible
 instances, so a change meant to leave every reported bit alone fails
 here if it moves one.
+
+Reports are hashed as ``json.dumps(indent=2, sort_keys=True)`` writes
+them, not by the CLI's own encoder, and the CLI's stdout must be exactly
+that text of its own parse: a change to the encoder cannot move the
+digests and the bytes together.
 """
 
 import contextlib
@@ -19,11 +24,16 @@ from pathlib import Path
 
 import pytest
 
-from bidcoord.cli import canonical_json, main
+from bidcoord.cli import main
 from conftest import load_workloads
 
 workloads = load_workloads()
 DIGESTS = Path(__file__).resolve().parent / "golden" / "pool-digests.json"
+
+
+def reference_json(doc) -> str:
+    """The canonical report text, written by the standard library."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def digest(directory: Path, name: str, slot: int) -> dict:
@@ -35,9 +45,11 @@ def digest(directory: Path, name: str, slot: int) -> dict:
         warnings.simplefilter("ignore")  # cent bids warn about their bit count
         code = main(["solve", str(path), "--mode", workloads.WORKLOADS[name].mode,
                      "--epsilon", repr(workloads.EPSILON)])
-    doc = json.loads(out.getvalue())
+    text = out.getvalue()
+    doc = json.loads(text)
+    assert text == reference_json(doc)
     doc.pop("timings", None)
-    return {"code": code, "sha256": hashlib.sha256(canonical_json(doc).encode()).hexdigest()}
+    return {"code": code, "sha256": hashlib.sha256(reference_json(doc).encode()).hexdigest()}
 
 
 def workload_digests(directory: Path, name: str) -> dict:
@@ -61,4 +73,4 @@ if __name__ == "__main__":
         digests = {}
         for name in workloads.WORKLOADS:
             digests.update(workload_digests(Path(scratch), name))
-    DIGESTS.write_text(canonical_json(digests), encoding="utf-8")
+    DIGESTS.write_text(reference_json(digests), encoding="utf-8")

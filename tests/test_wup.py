@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 import bidcoord as bc
 from bidcoord.core import make_profile
 from bidcoord.mechanisms import single_outcome
-from bidcoord.oracles import arc_weight, brute_force_wup, path_weight
+from bidcoord.oracles import (
+    arc_weight,
+    brute_force_wup,
+    entrywise_expected_tables,
+    path_weight,
+)
 from bidcoord.wup import (
     WupWeights,
     build_wup_graph,
@@ -338,3 +343,73 @@ class TestTablesVsScalarReference:
         for array in (tables.revenue, tables.payment, tables.sink_payment):
             with pytest.raises(ValueError):
                 array[...] = 0.0
+
+
+#: Few values, so bids repeat and sit on grid levels; 0.3 and 0.1 are not
+#: dyadic, so products and sums round; -0.0 is the bottom of the range.
+TABLE_VALUES = (1.0, 0.75, 0.5, 0.3, 0.125, 0.1, 0.0, -0.0)
+
+
+@st.composite
+def table_cases(
+    draw,
+    n_c=st.integers(1, 4),
+    n_e=st.integers(0, 4),
+    bid=st.sampled_from(TABLE_VALUES),
+    n_levels=st.integers(1, 6),
+    k=st.integers(1, 12),
+):
+    """An instance, grid levels and a fixed external profile.  Support
+    weights are drawn from [0, 1], 0 often, so some entries have
+    probability 0 and their shares can be -0.0."""
+    n, size = draw(n_c), draw(n_e)
+    m = draw(st.integers(1, n + size))
+    entries = draw(k)
+    weights = draw(
+        st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=entries, max_size=entries)
+        .filter(any)
+    )
+    total = sum(weights)
+    bids = st.lists(bid, min_size=size, max_size=size)
+    raw = {
+        "mechanism": draw(st.sampled_from(("gsp", "vcg"))),
+        "slots": draw(st.lists(st.sampled_from((1.0, 0.7, 0.5, 0.3, 0.1, 0.0)),
+                               min_size=m, max_size=m)),
+        "colluders": [{"v": 0.5, "t": 0.0}] * n,
+        "external": {"support": [{"bids": draw(bids), "prob": w / total} for w in weights]},
+    }
+    levels = draw(st.lists(st.sampled_from(TABLE_VALUES), min_size=1, max_size=draw(n_levels)))
+    return bc.validate_and_normalize(raw), levels, draw(bids)
+
+
+def hexed_tables(tables):
+    return tables.levels, [
+        (array.shape, [v.hex() for v in array.ravel().tolist()])
+        for array in (tables.revenue, tables.payment, tables.sink_payment)
+    ]
+
+
+class TestTablesVsEntrywiseReference:
+    """``expected_tables`` against the loop over support entries in
+    ``oracles``, bit for bit: every cell is compared by ``float.hex``, so
+    ``-0.0`` differs from ``0.0`` and a sum in another order shows."""
+
+    def check(self, case):
+        instance, levels, fixed = case
+        for external in (None, fixed):
+            got = expected_tables(instance, levels, external)
+            ref = entrywise_expected_tables(instance, levels, external)
+            assert hexed_tables(got) == hexed_tables(ref)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(table_cases())
+    def test_every_cell(self, case):
+        self.check(case)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(table_cases(n_c=st.just(1), n_e=st.sampled_from((0, 2)), bid=st.just(0.0),
+                       n_levels=st.just(1), k=st.integers(9, 20)))
+    def test_one_cell_per_table_and_a_long_support(self, case):
+        # tables of shape (1, 1), where a sum over the support axis that is
+        # not done in order (numpy's pairwise sum) rounds differently
+        self.check(case)
