@@ -158,11 +158,11 @@ def _solution_doc(solution: AgencySolution) -> dict:
 
 def _grid_doc(grid: PrunedGrid, n_colluders: int) -> dict:
     """The scalars of the grid split and ``pruned_levels``, the levels
-    the solvers optimize over.  The full ``levels`` and ``intervals`` are
-    left to ``discretize`` and ``wup --p``: the intervals only restate
-    the levels (lower endpoints are the levels, upper ones the next level
-    or 1).  ``eta`` is exactly 2^-max_bits, so the bit count is read off
-    it rather than recomputed (and rewarned)."""
+    every optimizer works over, ``wup --p`` included.  The full
+    ``levels`` and ``intervals`` are left to ``discretize``: the
+    intervals only restate the levels (lower endpoints are the levels,
+    upper ones the next level or 1).  ``eta`` is exactly 2^-max_bits, so
+    the bit count is read off it rather than recomputed (and rewarned)."""
     return {
         "p": grid.p,
         "eta": grid.eta,
@@ -309,8 +309,8 @@ def cmd_wup(args) -> int:
         grid_doc = {"levels": sorted(set(levels))}
     else:
         grid = pruned_grid(instance, args.p)
-        levels = [iv.lower for iv in grid.intervals().intervals]
-        grid_doc = dict(_grid_doc(grid, instance.n_colluders), levels=levels)
+        levels = grid.levels
+        grid_doc = _grid_doc(grid, instance.n_colluders)
     external = None
     mode = {"expected": True}
     if args.external_index is not None:

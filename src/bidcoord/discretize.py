@@ -38,10 +38,12 @@ move down to the kept level below without changing any allocation or
 raising any payment, and the optimum stays the full grid's with at most
 one level more than there are distinct support bids
 (``oracles.prune_levels`` states this on a given grid and is the test
-reference).  ``pruned_grid`` reads those levels off the loop's chains
-without building an interval, and keeps the pieces, so ``discretize``
-and ``wup --p`` expand the same walk into the full split
-(``PrunedGrid.intervals``, which ``build_grid`` wraps).
+reference).  A fixed external profile's bids are support bids, so the
+same levels keep its optimum too.  ``pruned_grid`` reads those levels
+off the loop's chains without building an interval, and every
+optimizer works over them.  It keeps the pieces, so ``discretize`` can
+expand the same walk into the full split (``PrunedGrid.intervals``,
+which ``build_grid`` wraps).
 """
 
 from __future__ import annotations

@@ -257,8 +257,6 @@ def solve_ll_cg(
     instance: AuctionInstance,
     grid_levels: Sequence[float],
     p: float,
-    max_rounds: int = MAX_ROUNDS,
-    tol: float = PRICING_TOL,
 ) -> tuple[AgencySolution, MasterSolution, int]:
     """Column generation: returns (solution, final master, pricing rounds).
 
@@ -291,11 +289,11 @@ def solve_ll_cg(
         """One pricing round: the master over the priced column, or None
         when no new column prices in, with the round's reduced cost."""
         nonlocal rounds
-        if rounds >= max_rounds:
-            raise ToleranceError(f"column generation exceeded {max_rounds} rounds")
+        if rounds >= MAX_ROUNDS:
+            raise ToleranceError(f"column generation exceeded {MAX_ROUNDS} rounds")
         rounds += 1
         profile, reduced = pricing(master.duals, tables, instance, include_objective=not elastic)
-        if reduced <= tol or profile in seen:
+        if reduced <= PRICING_TOL or profile in seen:
             return None, reduced
         seen.add(profile)
         columns.append(make_column(instance, profile))

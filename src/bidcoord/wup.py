@@ -286,12 +286,11 @@ class WupResult:
     profile: BidProfile
     value: float
     order: tuple[int, ...]
-    level_indices: tuple[int, ...]
 
 
 def _best_path(graph: WupGraph) -> WupResult:
     value, path = solve_graph(graph)
-    return WupResult(graph.profile_for_path(path), value, graph.order, path)
+    return WupResult(graph.profile_for_path(path), value, graph.order)
 
 
 def solve_wup(tables: WupTables, weights: WupWeights, instance: AuctionInstance) -> WupResult:

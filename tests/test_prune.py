@@ -1,17 +1,19 @@
 """Dominance pruning of the bid grid: the pruned grid against the full one."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidcoord as bc
-from bidcoord import arbitrary, limited
+from bidcoord import arbitrary, cli, limited
 from bidcoord.arbitrary import solve_arbitrary
 from bidcoord.core import ExternalDistribution, InfeasibleError
 from bidcoord.discretize import build_grid
 from bidcoord.limited import solve_ll
 from bidcoord.oracles import brute_force_arbitrary, brute_force_ll, prune_levels
-from bidcoord.wup import WupWeights, solve_wup_expected
+from bidcoord.wup import WupWeights, expected_tables, solve_wup, solve_wup_expected
 from conftest import cent_bids_raw
 
 
@@ -107,7 +109,8 @@ def small_grids(draw, max_levels=5):
 
 @st.composite
 def wup_cases(draw):
-    """Small grids, or the grid ``build_grid`` makes (deep for cent bids)."""
+    """Small grids, or the grid ``build_grid`` makes (deep for cent bids),
+    with weights and one support entry's bids as a fixed external profile."""
     if draw(st.booleans()):
         inst, levels = draw(small_grids())
     else:
@@ -115,7 +118,9 @@ def wup_cases(draw):
         p = draw(st.sampled_from([0.02, 0.1, 0.5, 1.0]))
         levels = build_grid(inst, p)[1].levels
     y = tuple(draw(_WEIGHT) for _ in range(inst.n_colluders))
-    return inst, levels, WupWeights(y, draw(_WEIGHT))
+    weights = WupWeights(y, draw(_WEIGHT))
+    external = draw(st.sampled_from(inst.external.support))[0]
+    return inst, levels, weights, external
 
 
 @pytest.mark.filterwarnings("ignore:support bid needs")
@@ -135,9 +140,15 @@ class TestPrunedEqualsFullGrid:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(wup_cases())
     def test_wup_value(self, case):
-        inst, levels, weights = case
+        # in expectation, and for a fixed external profile: its bids are
+        # support bids, so the pruned levels keep its optimum as well
+        inst, levels, weights, external = case
+        kept = prune_levels(levels, inst.external)
         full = solve_wup_expected(levels, weights, inst)
-        pruned = solve_wup_expected(prune_levels(levels, inst.external), weights, inst)
+        pruned = solve_wup_expected(kept, weights, inst)
+        assert abs(pruned.value - full.value) <= 1e-12
+        full = solve_wup(expected_tables(inst, levels, external), weights, inst)
+        pruned = solve_wup(expected_tables(inst, kept, external), weights, inst)
         assert abs(pruned.value - full.value) <= 1e-12
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -161,11 +172,22 @@ class TestPrunedEqualsFullGrid:
         assert abs(sol.objective - value) <= 1e-9
 
 
-def test_cent_bid_solvers_see_only_pruned_levels(monkeypatch):
-    # called without levels, a solver optimizes the pruned grid; called
-    # with levels, exactly those, pruned or not
-    inst = bc.validate_and_normalize(cent_bids_raw())
+def test_cent_bid_solvers_see_only_pruned_levels(monkeypatch, tmp_path):
+    # called without levels, a solver (or ``wup --p``) optimizes the
+    # pruned grid; called with levels, exactly those, pruned or not
+    raw = cent_bids_raw()
+    inst = bc.validate_and_normalize(raw)
     eps = 0.05
+    instance_path = tmp_path / "instance.json"
+    instance_path.write_text(json.dumps(raw), encoding="utf-8")
+    weights_path = tmp_path / "weights.json"
+    weights = {"revenue_weights": [1.0] * inst.n_colluders, "payment_weight": 1.0}
+
+    def wup(**extra):
+        weights_path.write_text(json.dumps(dict(weights, **extra)), encoding="utf-8")
+        argv = ["wup", str(instance_path), "--weights-file", str(weights_path)]
+        assert cli.main(argv + ["--p", str(eps / inst.n_colluders)]) == 0
+
     with pytest.warns(UserWarning, match="fractional bits"):
         _, grid = build_grid(inst, eps / inst.n_colluders)
     assert len(grid.levels) > 1000
@@ -181,11 +203,13 @@ def test_cent_bid_solvers_see_only_pruned_levels(monkeypatch):
 
     monkeypatch.setattr(arbitrary, "solve_wup_expected", counting(arbitrary.solve_wup_expected, 0))
     monkeypatch.setattr(limited, "expected_tables", counting(limited.expected_tables, 1))
+    monkeypatch.setattr(cli, "expected_tables", counting(cli.expected_tables, 1))
     with pytest.warns(UserWarning, match="fractional bits"):
         solve_arbitrary(inst, eps)
     with pytest.warns(UserWarning, match="fractional bits"):
         solve_ll(inst, eps)
-    assert len(seen) == 2
+    wup()
+    assert len(seen) == 3
     assert all(d <= bound for d in seen), (seen, bound)
 
     levels = grid.levels[::20]
@@ -193,4 +217,5 @@ def test_cent_bid_solvers_see_only_pruned_levels(monkeypatch):
     seen.clear()
     solve_arbitrary(inst, eps, levels=levels)
     solve_ll(inst, eps, levels=levels)
-    assert seen == [len(levels)] * 2
+    wup(levels=list(levels))
+    assert seen == [len(levels)] * 3
