@@ -58,12 +58,18 @@ def canonical_json(doc) -> str:
     The text is exactly ``json.dumps(doc, indent=2, sort_keys=True)``
     plus the newline.  CPython's C encoder takes no indent, so with one
     ``json.dumps`` runs its pure-Python encoder; this one writes the same
-    bytes with less work per value, a list of floats in one ``join``.
-    Dict keys must be strings.
+    bytes with less work per value: a list of floats or of ints in one
+    ``join``, and a string, int or finite float dict value on its key's
+    line without a call of its own.  Dict keys must be strings.
     """
     out: list[str] = []
     _encode(doc, "\n", out)
     return "".join(out) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+#: JSON's constants, as every encoder spells them.
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _encode(value, newline: str, out: list[str]) -> None:
@@ -73,15 +79,31 @@ def _encode(value, newline: str, out: list[str]) -> None:
     if isinstance(value, dict) and value:
         prefix = "{"
         for key in sorted(value):
-            out.append(prefix + inner + json.encoder.encode_basestring_ascii(key) + ": ")
-            _encode(value[key], inner, out)
+            item = value[key]
+            kind = type(item)
+            head = prefix + inner + _encode_str(key) + ": "
             prefix = ","
+            if kind is str:
+                out.append(head + _encode_str(item))
+            elif kind is int:
+                out.append(head + int.__repr__(item))
+            elif kind is float and math.isfinite(item):
+                out.append(head + float.__repr__(item))
+            else:
+                out.append(head)
+                _encode(item, inner, out)
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
-        floats = set(map(type, value)) == {float}
-        text = ("," + inner).join(map(float.__repr__, value)) if floats else ""
-        # of the floats, float.__repr__ spells only nan and inf with an "n"
-        if floats and "n" not in text:
+        kinds = set(map(type, value))
+        text = None
+        if kinds == {float}:
+            text = ("," + inner).join(map(float.__repr__, value))
+            # of the floats, float.__repr__ spells only nan and inf with an "n"
+            if "n" in text:
+                text = None
+        elif kinds == {int}:
+            text = ("," + inner).join(map(int.__repr__, value))
+        if text is not None:
             out.append("[" + inner + text)
         else:
             prefix = "["
@@ -95,10 +117,12 @@ def _encode(value, newline: str, out: list[str]) -> None:
     elif type(value) is int:
         out.append(int.__repr__(value))
     elif type(value) is str:
-        out.append(json.encoder.encode_basestring_ascii(value))
+        out.append(_encode_str(value))
+    elif value is None or value is True or value is False:
+        out.append(_CONSTANTS[value])
     else:
-        # bools, None, non-finite floats, empty containers, subclasses and
-        # other types: the C encoder writes them as the indenting one does
+        # non-finite floats, empty containers, subclasses and other
+        # types: the C encoder writes them as the indenting one does
         out.append(json.dumps(value))
 
 
@@ -270,7 +294,7 @@ def cmd_solve(args) -> int:
 
 def _weight(raw, path: str) -> float:
     """A weight: a finite nonnegative number, not a bool."""
-    value = _number(raw, path, 0.0, math.inf)
+    value = _number(raw, "%s", path, hi=math.inf)
     if value == math.inf:
         raise InstanceError(path, "expected a finite number, got inf")
     return value
@@ -297,7 +321,7 @@ def _load_weights(path: str, n_colluders: int) -> tuple[WupWeights, Optional[lis
     if levels is not None:
         if not isinstance(levels, list) or not levels:
             raise InstanceError(f"{path}:levels", "must be a nonempty list of numbers")
-        levels = [_number(x, f"{path}:levels[{j}]") for j, x in enumerate(levels)]
+        levels = [_number(x, "%s:levels[%d]", path, j) for j, x in enumerate(levels)]
     return weights, levels
 
 

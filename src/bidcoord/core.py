@@ -238,15 +238,17 @@ class AgencySolution:
         return self.ir_slack < -EQ_TOL
 
 
-def _number(raw, path: str, lo: float = 0.0, hi: float = 1.0) -> float:
+def _number(raw, path: str, *index, lo: float = 0.0, hi: float = 1.0) -> float:
+    """``raw`` as a float in [lo, hi].  The field is named ``path % index``
+    in the error, formatted only when the value is rejected."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise InstanceError(path, f"expected a number, got {type(raw).__name__}")
+        raise InstanceError(path % index, f"expected a number, got {type(raw).__name__}")
     try:
         value = float(raw)
     except OverflowError:
-        raise InstanceError(path, "integer too large for a double") from None
+        raise InstanceError(path % index, "integer too large for a double") from None
     if not lo <= value <= hi:
-        raise InstanceError(path, f"value {value} outside [{lo}, {hi}]")
+        raise InstanceError(path % index, f"value {value} outside [{lo}, {hi}]")
     return value
 
 
@@ -269,7 +271,7 @@ def validate_and_normalize(raw: dict) -> AuctionInstance:
     if not isinstance(slots_raw, list) or not slots_raw:
         raise InstanceError("slots", "must be a nonempty list of click-through rates")
     slots = sorted(
-        (_number(lam, f"slots[{j}]") for j, lam in enumerate(slots_raw)), reverse=True
+        (_number(lam, "slots[%d]", j) for j, lam in enumerate(slots_raw)), reverse=True
     )
 
     colluders_raw = raw.get("colluders")
@@ -279,8 +281,8 @@ def validate_and_normalize(raw: dict) -> AuctionInstance:
     for i, entry in enumerate(colluders_raw):
         if not isinstance(entry, dict):
             raise InstanceError(f"colluders[{i}]", "must be an object with 'v' and 't'")
-        v = _number(entry.get("v"), f"colluders[{i}].v")
-        t = _number(entry.get("t"), f"colluders[{i}].t")
+        v = _number(entry.get("v"), "colluders[%d].v", i)
+        t = _number(entry.get("t"), "colluders[%d].t", i)
         parsed.append((v, t, i))
     parsed.sort(key=lambda c: (-c[0], c[2]))
     colluders = tuple(Colluder(v, t, i) for v, t, i in parsed)
@@ -300,10 +302,10 @@ def validate_and_normalize(raw: dict) -> AuctionInstance:
         if not isinstance(bids_raw, list):
             raise InstanceError(f"external.support[{k}].bids", "must be a list")
         bids = sorted(
-            (_number(b, f"external.support[{k}].bids[{j}]") for j, b in enumerate(bids_raw)),
+            (_number(b, "external.support[%d].bids[%d]", k, j) for j, b in enumerate(bids_raw)),
             reverse=True,
         )
-        prob = _number(entry.get("prob"), f"external.support[{k}].prob")
+        prob = _number(entry.get("prob"), "external.support[%d].prob", k)
         entries.append((tuple(bids), prob))
         total += prob
     if abs(total - 1.0) > PROB_DRIFT_TOL:

@@ -18,18 +18,32 @@ same call count.  The package only splits (0, 1] with eta = 2^-M, in
 ``pruned_grid``; the tests split other intervals, and with other eta,
 through ``_split`` and ``_leaves``.
 
-An interval that splits while its bids share one value b starts a
-chain: each child holding b has the same bids, so only the width test
-decides it, and each sibling holds none and is a leaf.  The loop closes
-such a chain in closed form.  With width W = 2^-a and eta = 2^-M it
-takes t = M - a halvings, adds 2t calls and t + 1 leaves (t of them
-empty siblings), and the leaf holding b ends at lower + ceil((b -
-lower)/eta)*eta, which is ceil(b/eta)*eta as lower is a multiple of
-eta.  This is exact, not a float approximation: every endpoint is a
-multiple of eta >= 2^-53 in [0, 1], so every midpoint and width the
-recursion would compute is a double without rounding.  The
-cent bids' eta = 2^-53 makes such chains about 50 halvings long, nearly
-all of the paper's grid.
+Each distinct positive support bid is a point, and its total is the sum,
+in support order, of the probabilities of the distinct entries bidding
+it.  A point is heavy when its total exceeds p, as every point is when
+each entry alone carries more than p.  Float sums of nonnegative terms
+only grow as terms are added, so every interval holding a heavy point
+carries more than p and splits until it is eta wide.  The loop therefore
+closes each interval that splits while holding only heavy points in
+closed form: its subtree is the binary trie of the eta-wide cells that
+hold a bid.  With width W = 2^-a and eta = 2^-M the interval has 2^t
+cells, t = M - a, and a bid b lies in cell
+
+    c = ceil(b/eta) - 1 - lower/eta.
+
+Cell c_i leaves the path to the cell c_{i-1} before it at their highest
+differing bit, so the distinct cells c_1 < ... < c_m make
+
+    I = t + sum_i (bit_length(c_{i-1} XOR c_i) - 1)
+
+splits: the subtree adds 2I + 1 calls and I + 1 leaves, and the leaf of
+cell c_i ends at ceil(b/eta)*eta.  This is exact, not a float
+approximation: every endpoint is a multiple of eta >= 2^-53 in [0, 1],
+so every midpoint and width the recursion would compute is a double
+without rounding.  The one-cell case is a chain of t halvings; cent
+bids' eta = 2^-53 makes those about 50 halvings long, nearly all of the
+paper's grid.  An interval holding a light point is summed and bisected
+as above.
 
 The solvers optimize over the dominance-pruned levels: 0 and the upper
 endpoint, below 1, of each leaf holding a support bid.  Every other
@@ -40,7 +54,7 @@ one level more than there are distinct support bids
 (``oracles.prune_levels`` states this on a given grid and is the test
 reference).  A fixed external profile's bids are support bids, so the
 same levels keep its optimum too.  ``pruned_grid`` reads those levels
-off the loop's chains without building an interval, and every
+off the loop's pieces without building an interval, and every
 optimizer works over them.  It keeps the pieces, so ``discretize`` can
 expand the same walk into the full split (``PrunedGrid.intervals``,
 which ``build_grid`` wraps).
@@ -49,6 +63,7 @@ which ``build_grid`` wraps).
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -59,8 +74,8 @@ from .core import AuctionInstance, BidProfile, ExternalDistribution, make_profil
 #: Fractional bits available in a double; bids needing more are capped.
 MAX_BITS_CAP = 53
 
-#: A piece of the split: (lower, upper, hit, t); see ``_split``.
-_Piece = tuple[float, float, float | None, int]
+#: A piece of the split: (lower, upper, t, hits); see ``_split``.
+_Piece = tuple[float, float, int, tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -146,20 +161,23 @@ def _split(
     return its pieces in ascending order with the number of intervals
     decided (the recursive definition's call count).
 
-    A piece (lower, upper, hit, t) is one leaf when t is 0, and ``hit``
-    is its upper endpoint if it holds a support bid, else None.  When
-    t > 0 it is a chain of t halvings (see the module docstring): t + 1
-    leaves tiling (lower, upper], of which the one holding the bid ends
-    at ``hit``; ``_leaves`` expands it.
+    A piece (lower, upper, t, hits) is one leaf when t is 0, and ``hits``
+    holds its upper endpoint if it holds a support bid, else nothing.
+    When t > 0 it is an all-heavy subtree closed in closed form (see the
+    module docstring): bisected t times toward each eta-wide cell in
+    ``hits``, which gives the upper endpoint of each cell holding a
+    support bid, ascending; ``_leaves`` expands it.
 
     The positive support bids are sorted once as (bid, entry) pairs, so
     an interval's bids are one slice of them and a child's slice is one
     bisection of its parent's.  A child whose slice equals its parent's
-    carries the parent's probability, which exceeded ``p``, so only the
-    width test remains.  Otherwise the distinct entries' probabilities
-    are added in support order with a plain loop, exactly as
-    ``oracles.event_probability`` adds them, so every decision, and hence
-    every interval and the call count, equals the recursive definition's.
+    carries the parent's probability, which exceeded ``p``, and an
+    interval holding only heavy points carries more than ``p``, so only
+    the width test remains.  Otherwise the distinct entries'
+    probabilities are added in support order with a plain loop, exactly
+    as ``oracles.event_probability`` adds them, so every decision, and
+    hence every interval and the call count, equals the recursive
+    definition's.
     """
     pairs = sorted(
         (b, k) for k, (bids, _) in enumerate(distribution.support) for b in bids if b > 0.0
@@ -167,7 +185,10 @@ def _split(
     keys = [b for b, _ in pairs]
     owners = [k for _, k in pairs]
     probs = [prob for _, prob in distribution.support]
-    # Chains close in closed form only where bisection is exact: eta is
+    # light[i]: how many of the first i pairs bid a light point; None when
+    # each entry alone carries more than p, so that every point is heavy
+    light = None if min(probs) > p else _light_counts(keys, owners, probs, p)
+    # Subtrees close in closed form only where bisection is exact: eta is
     # 2^-M with M <= MAX_BITS_CAP, the width a power of two and ``lower``
     # a multiple of eta, so every endpoint is a multiple of eta in [0, 1];
     # and an empty interval is a leaf (p >= 0).  The walk of (0, 1] that
@@ -188,7 +209,8 @@ def _split(
     while stack:
         lower, upper, lo, hi, same_as_parent = stack.pop()
         calls += 1
-        if same_as_parent:
+        heavy = hi > lo and (light is None or light[lo] == light[hi])
+        if same_as_parent or heavy:
             split = upper - lower > eta
         else:
             total = 0.0
@@ -196,11 +218,25 @@ def _split(
                 total += probs[k]
             split = not (total <= p or upper - lower <= eta)
         if not split:
-            pieces.append((lower, upper, upper if hi > lo else None, 0))
-        elif closes and keys[lo] == keys[hi - 1]:
+            pieces.append((lower, upper, 0, (upper,) if hi > lo else ()))
+        elif closes and heavy:
             t = eta_bits - (upper - lower).as_integer_ratio()[1].bit_length()
-            calls += 2 * t
-            pieces.append((lower, upper, -(-keys[lo] // eta) * eta, t))
+            # cell c of this interval is (lower + c*eta, lower + (c+1)*eta];
+            # a bid b lies in cell ceil(b/eta) - 1 - lower/eta, all exact,
+            # and the sorted bids give the cells in ascending order
+            base = int(lower / eta) + 1
+            splits = t
+            hits = []
+            last = None
+            for b in keys[lo:hi]:
+                cell = math.ceil(b / eta) - base
+                if cell != last:
+                    if last is not None:
+                        splits += (last ^ cell).bit_length() - 1
+                    hits.append((cell + base) * eta)
+                    last = cell
+            calls += 2 * splits
+            pieces.append((lower, upper, t, tuple(hits)))
         else:
             mid = (lower + upper) / 2.0
             if not lower < mid < upper:
@@ -213,24 +249,41 @@ def _split(
     return pieces, calls
 
 
+def _light_counts(
+    keys: Sequence[float], owners: Sequence[int], probs: Sequence[float], p: float
+) -> list[int]:
+    """Prefix counts of the sorted (bid, entry) pairs whose bid is a light
+    point: one whose entries' probabilities, added in support order as
+    ``_split`` adds them, total at most p."""
+    counts = [0]
+    lo = 0
+    while lo < len(keys):
+        hi = bisect_right(keys, keys[lo], lo)
+        total = 0.0
+        for k in sorted(set(owners[lo:hi])):
+            total += probs[k]
+        counts += [counts[-1] + (total <= p)] * (hi - lo)
+        lo = hi
+    return counts
+
+
 def _leaves(pieces: Sequence[_Piece]) -> list[Interval]:
     """Expand ``_split``'s pieces into its leaf intervals, ascending.  A
-    chain is bisected t times toward the leaf ending at ``hit``; the
-    siblings passed on its left precede that leaf and those on its right
-    follow it, innermost first."""
+    piece of t halvings bisects each interval that holds one of its
+    ``hits`` until t halvings are spent; an interval holding none is a
+    leaf."""
     leaves: list[Interval] = []
-    for lower, upper, hit, t in pieces:
-        above = []
-        for _ in range(t):
-            mid = (lower + upper) / 2.0
-            if hit <= mid:
-                above.append(Interval(mid, upper))
-                upper = mid
+    for lower, upper, t, hits in pieces:
+        stack = [(lower, upper, t, 0, len(hits))]
+        while stack:
+            lower, upper, t, lo, hi = stack.pop()
+            if t == 0 or lo == hi:
+                leaves.append(Interval(lower, upper))
             else:
-                leaves.append(Interval(lower, mid))
-                lower = mid
-        leaves.append(Interval(lower, upper))
-        leaves.extend(reversed(above))
+                mid = (lower + upper) / 2.0
+                cut = bisect_right(hits, mid, lo, hi)
+                stack.append((mid, upper, t - 1, cut, hi))
+                stack.append((lower, mid, t - 1, lo, cut))
     return leaves
 
 
@@ -240,11 +293,12 @@ def max_bits(distribution: ExternalDistribution) -> int:
     Bids that are not dyadic within 53 bits are capped with a warning;
     integral bids (0 or 1) contribute zero bits.
     """
-    worst = 0
-    for bids, _ in distribution.support:
-        for b in bids:
-            _, den = float(b).as_integer_ratio()
-            worst = max(worst, den.bit_length() - 1)
+    # a double's denominator is a power of two, so the largest one has
+    # the most fractional bits
+    worst = max(
+        (float(b).as_integer_ratio()[1] for bids, _ in distribution.support for b in bids),
+        default=1,
+    ).bit_length() - 1
     if worst > MAX_BITS_CAP:
         _warn_caller(f"support bid needs {worst} fractional bits; capping at {MAX_BITS_CAP}")
         worst = MAX_BITS_CAP
@@ -282,8 +336,12 @@ def pruned_grid(instance: AuctionInstance, p: float) -> PrunedGrid:
     eta = _grid_eta(instance, p)
     pieces, calls = _split(0.0, 1.0, p, eta, instance.external)
     levels = [0.0]
-    levels += [hit for _, _, hit, _ in pieces if hit is not None and hit < 1.0]
-    k_star = len(pieces) + sum(t for _, _, _, t in pieces)
+    for *_, hits in pieces:
+        levels += hits
+    if levels[-1] == 1.0:  # the last leaf's upper endpoint is no level
+        levels.pop()
+    # every split has two children, so there is one more leaf than splits
+    k_star = (calls + 1) // 2
     return PrunedGrid(p, eta, k_star, calls, tuple(levels), tuple(pieces))
 
 

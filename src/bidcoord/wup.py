@@ -39,7 +39,9 @@ benchmark's tracer (``perfbench/tracing.py``) times by name.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,7 +85,11 @@ def wup_colluder_order(instance: AuctionInstance, weights: WupWeights) -> tuple[
 
 
 def _normalize_levels(grid_levels: Sequence[float]) -> tuple[float, ...]:
-    levels = sorted(set(float(x) for x in grid_levels), reverse=True)
+    levels = list(map(float, grid_levels))
+    if all(map(operator.lt, levels, levels[1:])):  # already distinct and ascending
+        levels.reverse()
+    else:
+        levels = sorted(set(levels), reverse=True)
     if not levels:
         raise ValueError("empty bid grid")
     for lvl in levels:
@@ -117,6 +123,12 @@ class WupTables:
     revenue: np.ndarray
     payment: np.ndarray
     sink_payment: np.ndarray
+
+    @cached_property
+    def below_diagonal(self) -> np.ndarray:
+        """Mask of the (j, j') cells with j' < j, which belong to no arc;
+        built once per tables and shared by every query over them."""
+        return _read_only(np.tri(len(self.levels), k=-1, dtype=bool))
 
 
 def _support_sum(terms: np.ndarray) -> np.ndarray:
@@ -240,7 +252,7 @@ def combine_tables(tables: WupTables, weights: WupWeights, instance: AuctionInst
     revenue = yv[:, None] * tables.revenue
     arcs = tables.payment * -x
     arcs += revenue[:-1, :, None]
-    arcs[:, np.tri(len(tables.levels), k=-1, dtype=bool)] = NEG_INF
+    np.copyto(arcs, NEG_INF, where=tables.below_diagonal)
     sink = revenue[-1] - x * tables.sink_payment
     return WupGraph(tables.levels, order, arcs, sink)
 

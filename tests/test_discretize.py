@@ -112,8 +112,56 @@ def split_cases(draw, bid=_BID, shared=False):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         eta = 2.0 ** -max_bits(dist)
-    lo, hi = draw(st.sampled_from([(0, 8), (0, 3), (1, 8), (2, 6), (5, 6)]))
+    lo, hi = draw(st.sampled_from(_STARTS))
     return dist, p, eta, Interval(lo / 8, hi / 8)
+
+
+#: Start intervals in eighths: (2, 6) has a power-of-two width but a
+#: lower endpoint off its multiples; the widths of (0, 3) and (1, 8) are
+#: no power of two.
+_STARTS = [(0, 8), (0, 3), (1, 8), (2, 6), (5, 6)]
+# Many distinct bids, on a 2^-10 grid or in cents, so that an interval
+# holding only heavy points spans many eta cells.
+_MANY_BIDS = st.one_of(
+    st.integers(1, 2**10).map(lambda i: i / 2**10),
+    st.integers(1, 100).map(lambda c: c / 100),
+)
+
+
+@st.composite
+def heavy_point_cases(draw, rule):
+    """A distribution with many distinct bids, p, eta = 2^-max_bits and a
+    start interval, with p placed by ``rule`` against the entries'
+    probabilities: below all of them (every point heavy), at one of them
+    but the largest (light and heavy entries), or at or above all of them
+    with one bid in every entry (that point heavy only as a sum)."""
+    k = draw(st.integers(1 if rule == "heavy" else 2, 5))
+    n_e = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.integers(1, 7), min_size=k, max_size=k))
+    entries = [sorted(draw(st.lists(_MANY_BIDS, min_size=n_e, max_size=n_e)), reverse=True)
+               for _ in range(k)]
+    if rule == "summed":
+        common = draw(_MANY_BIDS)
+        entries = [sorted(e + [common], reverse=True) for e in entries]
+    probs = [w / sum(weights) for w in weights]
+    dist = ExternalDistribution(tuple((tuple(b), q) for b, q in zip(entries, probs)))
+    low, high = min(probs), max(probs)
+    if rule == "heavy":
+        p = draw(st.floats(0.0, low, exclude_min=True, exclude_max=True))
+    elif rule == "mixed":
+        p = draw(st.sampled_from(sorted(probs)[:-1]))
+    else:
+        p = draw(st.floats(high, 1.0, exclude_max=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        eta = 2.0 ** -max_bits(dist)
+    lo, hi = draw(st.sampled_from(_STARTS))
+    return dist, p, eta, Interval(lo / 8, hi / 8)
+
+
+_HEAVY_POINT_CASES = st.one_of(
+    heavy_point_cases("heavy"), heavy_point_cases("mixed"), heavy_point_cases("summed")
+)
 
 
 class TestSplitVsRecursiveReference:
@@ -127,11 +175,15 @@ class TestSplitVsRecursiveReference:
     Python 3.12 ``sum`` adds floats left to right exactly as the loop
     does, so that mutant is equivalent there.
 
-    Mutants of the closed-form chains fail too: one halving more or
-    fewer, the bid's leaf rounded down (``floor``) instead of up,
-    ``pruned_grid`` keeping a leaf upper endpoint of 1, and dropping the
-    test for p >= 0, for eta or the width being a power of two, or for
-    the lower endpoint being a multiple of eta.
+    Mutants of the closed-form subtrees fail too: one halving more or
+    fewer, a branch point's depth without its -1, a bid's cell rounded
+    down (``floor``) instead of up, cells XORed from 0 rather than from
+    the interval's lower endpoint, closing an interval that holds one
+    light point, ``pruned_grid`` keeping a leaf upper endpoint of 1, and
+    dropping the test for p >= 0, for eta or the width being a power of
+    two, or for the lower endpoint being a multiple of eta.  A cell taken
+    as ceil((b - lower)/eta) - 1 passes: where subtrees close, b - lower
+    is a double without rounding, so that mutant is equivalent.
     """
 
     @settings(derandomize=True, deadline=None, max_examples=300)
@@ -145,6 +197,14 @@ class TestSplitVsRecursiveReference:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(split_cases(_CHAIN_BID, shared=True))
     def test_chains_match(self, case):
+        dist, p, eta, start = case
+        assert iterative_split(dist, p, eta) == recursive_split(0.0, 1.0, p, eta, dist)
+        leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
+        assert iterative_split(dist, p, eta, start.lower, start.upper)[0] == leaves
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_HEAVY_POINT_CASES)
+    def test_heavy_point_subtrees_match(self, case):
         dist, p, eta, start = case
         assert iterative_split(dist, p, eta) == recursive_split(0.0, 1.0, p, eta, dist)
         leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
@@ -174,7 +234,7 @@ class TestSplitVsRecursiveReference:
             iterative_split(point_mass(*bids), 0.01, eta)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(st.one_of(split_cases(), split_cases(_CHAIN_BID, shared=True)))
+    @given(st.one_of(split_cases(), split_cases(_CHAIN_BID, shared=True), _HEAVY_POINT_CASES))
     def test_pruned_grid_matches_full_split(self, case):
         dist, p, eta, _ = case
         leaves, calls = iterative_split(dist, p, eta)

@@ -17,6 +17,7 @@ from bidcoord.oracles import (
 )
 from bidcoord.wup import (
     WupWeights,
+    _normalize_levels,
     build_wup_graph,
     expected_tables,
     solve_graph,
@@ -149,6 +150,25 @@ class TestSolveFixed:
         inst = make_instance("gsp", [1.0], [0.5], support=((),))
         with pytest.raises(ValueError):
             solve_fixed([], unit_weights(1), inst, ())
+
+
+class TestLevelNormalization:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.sampled_from([0, 1, 0.0, -0.0, 0.3, 0.5, 0.25, 1.0]), min_size=1))
+    def test_distinct_levels_descending_from_any_order(self, levels):
+        # levels already strictly ascending skip the sort: the same tuple
+        expected = tuple(sorted({float(x) for x in levels}, reverse=True))
+        assert _normalize_levels(levels) == expected
+        assert _normalize_levels(sorted(set(levels))) == expected
+
+    @pytest.mark.parametrize("levels, named", [
+        ([0.5, 1.5, 2.0], "2.0"), ([2.0, 0.5, 1.5], "2.0"), ([-0.5, 0.5], "-0.5"),
+        ([0.0, float("nan")], "nan"),
+    ])
+    def test_out_of_range_named(self, levels, named):
+        # the first bad level in descending order is named, ascending or not
+        with pytest.raises(ValueError, match=f"grid level {named} outside"):
+            _normalize_levels(levels)
 
 
 class TestSolveExpected:
@@ -340,7 +360,7 @@ class TestTablesVsScalarReference:
     def test_tables_are_read_only(self):
         inst = make_instance("vcg", [1.0, 0.5], [0.9, 0.6], support=((0.4,),))
         tables = expected_tables(inst, [0.0, 0.5])
-        for array in (tables.revenue, tables.payment, tables.sink_payment):
+        for array in (tables.revenue, tables.payment, tables.sink_payment, tables.below_diagonal):
             with pytest.raises(ValueError):
                 array[...] = 0.0
 
