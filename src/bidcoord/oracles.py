@@ -12,15 +12,17 @@ rank) keys and paying every rank is the reference for the mechanisms
 module's merge kernel.  The scalar per-arc weight, one support entry and
 one level pair at a time, is the reference for the optimizer's numpy
 tables, and the same tables built one support entry at a time are their
-bit-for-bit reference.  A path's weight, its arcs added one by one from
-the source, is what the lemma-map checks compare with the mechanism
-accounting.  The dense master, every grid column at once, is the
-reference for column generation.  Shared surface is limited to the core
-types, the discretizer's interval type and grid-profile enumerator, the
-mechanisms module's outcome types and expected outcome, the optimizer's
-weight type, tables, level normalization, graph and colluder order, and
-the limited-liability module's column, master LP and solution
-extraction.
+bit-for-bit reference.  A query's arc weights, every layer at once in
+one dense tensor, and the masked-max DP over that tensor are the
+bit-for-bit reference for the optimizer's DP, which forms one layer at
+a time.  A path's weight, its arcs added one by one from the source, is
+what the lemma-map checks compare with the mechanism accounting.  The
+dense master, every grid column at once, is the reference for column
+generation.  Shared surface is limited to the core types, the
+discretizer's interval type and grid-profile enumerator, the mechanisms
+module's outcome types and expected outcome, the optimizer's weight
+type, tables, level normalization, graph and colluder order, and the
+limited-liability module's column, master LP and solution extraction.
 """
 
 from __future__ import annotations
@@ -375,20 +377,53 @@ def entrywise_expected_tables(
     return WupTables(levels, revenue, payment, sink_payment)
 
 
+def dense_arcs(graph: WupGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Every arc weight of the query at once: ``arcs[pos, j_cur, j_next]``
+    where position ``pos`` of ``graph.order`` takes level index ``j_cur``
+    and the next position ``j_next`` (-inf below the diagonal, where no
+    arc exists), and ``sink[j_cur]``, the last position's arc to the sink."""
+    tables, x = graph.tables, graph.payment_weight
+    arcs = tables.payment * -x
+    arcs += graph.revenue[:-1, :, None]
+    np.copyto(arcs, -np.inf, where=tables.below_diagonal)
+    sink = graph.revenue[-1] - x * tables.sink_payment
+    return arcs, sink
+
+
+def dense_best_path(graph: WupGraph) -> tuple[float, tuple[int, ...]]:
+    """Best path by forward DP over :func:`dense_arcs`, one masked max per
+    layer; ties prefer the smaller level index, as in ``wup.solve_graph``."""
+    arcs, sink = dense_arcs(graph)
+    columns = np.arange(len(graph.levels))
+    value = np.zeros(len(graph.levels))
+    parents = []
+    for layer in arcs:
+        cand = value[:, None] + layer
+        par = cand.argmax(axis=0)
+        value = cand[par, columns]
+        parents.append(par)
+    total = value + sink
+    path = [int(total.argmax())]
+    for par in reversed(parents):
+        path.append(int(par[path[-1]]))
+    return float(total[path[0]]), tuple(reversed(path))
+
+
 def path_weight(graph: WupGraph, level_indices: Sequence[int]) -> float:
     """Total weight of the source-to-sink path through these level
-    indices, one per position of ``graph.order``: its arcs added in
-    order from the source, then the sink."""
+    indices, one per position of ``graph.order``: its arcs in
+    :func:`dense_arcs` added in order from the source, then the sink."""
     n = len(graph.order)
     if len(level_indices) != n:
         raise ValueError("one level index per colluder required")
+    arcs, sink = dense_arcs(graph)
     total = 0.0
     for pos in range(n - 1):
         j_cur, j_next = level_indices[pos], level_indices[pos + 1]
         if j_next < j_cur:
             raise ValueError("bid levels must be non-increasing along a path")
-        total += float(graph.arcs[pos, j_cur, j_next])
-    return total + float(graph.sink[level_indices[-1]])
+        total += float(arcs[pos, j_cur, j_next])
+    return total + float(sink[level_indices[-1]])
 
 
 def _iter_assignments(levels: Sequence[float], n: int, priority: Sequence[int]):

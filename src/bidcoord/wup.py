@@ -15,9 +15,10 @@ with ``L_i(j)`` the expected click-through rate of position i bidding
 level j and ``P_i(j, j')`` its expected payment share when the next
 position bids level j' (the sink uses next level 0).  Neither table
 depends on the weights: :func:`expected_tables` builds them once per
-(instance, grid) in numpy, and every query, such as each pricing round
-of limited-liability column generation, only recombines them with its
-weights and runs a vectorized DP.
+(instance, grid) in numpy.  A query, such as each pricing round of
+limited-liability column generation, weighs only L (n x d cells), and
+:func:`solve_graph` forms each layer's arcs from P in one d x d buffer
+as its DP reaches the layer, so no query holds all (n - 1) x d x d arcs.
 
 :func:`expected_tables` covers the whole external support in one pass
 of array operations, one row per support entry, instead of a loop of
@@ -217,19 +218,22 @@ def expected_tables(
 
 @dataclass(frozen=True, eq=False)
 class WupGraph:
-    """Layered DAG over descending grid levels.
-
-    ``arcs[pos, j_cur, j_next]`` is the weight of the arc where the
-    colluder at 0-based position ``pos`` of ``order`` takes level index
-    ``j_cur`` and the next colluder takes ``j_next >= j_cur`` (-inf below
-    the diagonal, where no arc exists); ``sink[j_cur]`` closes the path
-    for the last colluder.
+    """One query's layered DAG over the tables' levels, arcs implicit:
+    ``revenue[pos]`` is ``y_c * v_c * L_pos`` for the colluder ``c`` at
+    0-based position ``pos`` of ``order`` and, with x = ``payment_weight``,
+    the arc (pos, j, j' >= j) weighs ``revenue[pos, j] - x *
+    tables.payment[pos, j, j']``, the last position's sink arc
+    ``revenue[-1, j] - x * tables.sink_payment[j]``.
     """
 
-    levels: tuple[float, ...]
+    tables: WupTables
     order: tuple[int, ...]
-    arcs: np.ndarray
-    sink: np.ndarray
+    revenue: np.ndarray
+    payment_weight: float
+
+    @property
+    def levels(self) -> tuple[float, ...]:
+        return self.tables.levels
 
     def profile_for_path(self, level_indices: Sequence[int]) -> BidProfile:
         """Bid profile realizing a path, with ranks decreasing along it."""
@@ -242,19 +246,10 @@ class WupGraph:
         return make_profile(levels, priority)
 
 
-def combine_tables(tables: WupTables, weights: WupWeights, instance: AuctionInstance) -> WupGraph:
-    """Arc weights ``y_c * v_c * L - x * P`` for the weighted colluder order."""
+def _query_graph(tables: WupTables, weights: WupWeights, instance: AuctionInstance) -> WupGraph:
     order = wup_colluder_order(instance, weights)
-    yv = np.array(
-        [weights.revenue_weights[c] * instance.colluders[c].valuation for c in order]
-    )
-    x = weights.payment_weight
-    revenue = yv[:, None] * tables.revenue
-    arcs = tables.payment * -x
-    arcs += revenue[:-1, :, None]
-    np.copyto(arcs, NEG_INF, where=tables.below_diagonal)
-    sink = revenue[-1] - x * tables.sink_payment
-    return WupGraph(tables.levels, order, arcs, sink)
+    yv = np.array([weights.revenue_weights[c] * instance.colluders[c].valuation for c in order])
+    return WupGraph(tables, order, yv[:, None] * tables.revenue, weights.payment_weight)
 
 
 def build_wup_graph(
@@ -266,25 +261,30 @@ def build_wup_graph(
     """Build the layered graph, for one fixed external profile or, when
     ``external_levels`` is None, with arc weights in expectation."""
     tables = expected_tables(instance, grid_levels, external_levels)
-    return combine_tables(tables, weights, instance)
+    return _query_graph(tables, weights, instance)
 
 
 def solve_graph(graph: WupGraph) -> tuple[float, tuple[int, ...]]:
-    """Best path by forward DP over layers, one masked max per layer.
-
-    Ties prefer the smaller level index (higher bid), so the result is
-    deterministic for a fixed graph.
+    """Best path by forward DP over layers, one masked max per layer,
+    each layer's arcs formed in one reused d x d buffer by the float
+    operations of ``oracles.dense_best_path`` in its order, so value and
+    path keep its bits.  Ties prefer the smaller level index (higher bid).
     """
-    d = len(graph.levels)
+    tables, revenue, x = graph.tables, graph.revenue, graph.payment_weight
+    d = len(tables.levels)
     columns = np.arange(d)
     value = np.zeros(d)
+    cand = np.empty((d, d))
     parents = []
-    for layer in graph.arcs:
-        cand = value[:, None] + layer
+    for pos, payment in enumerate(tables.payment):
+        np.multiply(payment, -x, out=cand)
+        cand += revenue[pos, :, None]
+        np.copyto(cand, NEG_INF, where=tables.below_diagonal)
+        cand += value[:, None]
         par = cand.argmax(axis=0)  # first maximum: the smallest level index
         value = cand[par, columns]
         parents.append(par)
-    total = value + graph.sink
+    total = value + (revenue[-1] - x * tables.sink_payment)
     best_j = int(total.argmax())
     path = [best_j]
     for par in reversed(parents):
@@ -307,7 +307,7 @@ def _best_path(graph: WupGraph) -> WupResult:
 
 def solve_wup(tables: WupTables, weights: WupWeights, instance: AuctionInstance) -> WupResult:
     """Maximize the weighted utility over prebuilt tables."""
-    return _best_path(combine_tables(tables, weights, instance))
+    return _best_path(_query_graph(tables, weights, instance))
 
 
 def solve_wup_expected(

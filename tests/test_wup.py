@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from bidcoord.mechanisms import single_outcome
 from bidcoord.oracles import (
     arc_weight,
     brute_force_wup,
+    dense_arcs,
+    dense_best_path,
     entrywise_expected_tables,
     path_weight,
 )
@@ -184,16 +187,16 @@ class TestSolveExpected:
         inst = make_instance("gsp", [1.0, 0.5], [0.9, 0.6], support=((0.2,), (0.8,)))
         w = unit_weights(2)
         levels = [0.0, 0.25, 0.5, 0.75]
-        g = build_wup_graph(levels, w, inst)
-        g_a = build_wup_graph(levels, w, inst, (0.2,))
-        g_b = build_wup_graph(levels, w, inst, (0.8,))
+        arcs, sink = dense_arcs(build_wup_graph(levels, w, inst))
+        arcs_a, sink_a = dense_arcs(build_wup_graph(levels, w, inst, (0.2,)))
+        arcs_b, sink_b = dense_arcs(build_wup_graph(levels, w, inst, (0.8,)))
         for pos in range(1):
             for jc in range(4):
                 for jn in range(jc, 4):
-                    mix = 0.5 * g_a.arcs[pos][jc][jn] + 0.5 * g_b.arcs[pos][jc][jn]
-                    assert abs(g.arcs[pos][jc][jn] - mix) < 1e-12
+                    mix = 0.5 * arcs_a[pos][jc][jn] + 0.5 * arcs_b[pos][jc][jn]
+                    assert abs(arcs[pos][jc][jn] - mix) < 1e-12
         for jc in range(4):
-            assert abs(g.sink[jc] - (0.5 * g_a.sink[jc] + 0.5 * g_b.sink[jc])) < 1e-12
+            assert abs(sink[jc] - (0.5 * sink_a[jc] + 0.5 * sink_b[jc])) < 1e-12
 
     def test_random_matches_brute_force(self):
         rng = random.Random(202)
@@ -292,8 +295,8 @@ _VALUE = st.one_of(
 
 
 @st.composite
-def wup_cases(draw):
-    n_c = draw(st.integers(1, 3))
+def wup_cases(draw, n_c=st.integers(1, 3), d=st.integers(1, 4)):
+    n_c = draw(n_c)
     n_e = draw(st.integers(0, 3))
     m = draw(st.integers(1, min(4, n_c + n_e)))
     k = draw(st.integers(1, 3))
@@ -310,7 +313,7 @@ def wup_cases(draw):
         },
     }
     inst = bc.validate_and_normalize(raw)
-    d = draw(st.integers(1, 4))
+    d = draw(d)
     levels = draw(st.lists(_VALUE, min_size=d, max_size=d, unique=True))
     y = tuple(draw(st.lists(st.floats(0.0, 2.0), min_size=n_c, max_size=n_c)))
     return inst, levels, WupWeights(y, draw(st.floats(0.0, 2.0)))
@@ -344,10 +347,11 @@ class TestTablesVsScalarReference:
             (build_wup_graph(levels, w, inst, support[-1][0]), ((support[-1][0], 1.0),)),
         ):
             arcs, sink = _reference_graph(inst, graph.levels, w, entries)
+            dense, dense_sink = dense_arcs(graph)
             for (pos, jc, jn), ref in arcs.items():
-                assert abs(graph.arcs[pos, jc, jn] - ref) < 1e-12
+                assert abs(dense[pos, jc, jn] - ref) < 1e-12
             for jc, ref in enumerate(sink):
-                assert abs(graph.sink[jc] - ref) < 1e-12
+                assert abs(dense_sink[jc] - ref) < 1e-12
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(wup_cases())
@@ -363,6 +367,62 @@ class TestTablesVsScalarReference:
         for array in (tables.revenue, tables.payment, tables.sink_payment, tables.below_diagonal):
             with pytest.raises(ValueError):
                 array[...] = 0.0
+
+
+def _zeroed(weights, zero):
+    """``weights`` with the revenue weights and, last, the payment weight
+    set to 0 where ``zero`` is true."""
+    y = tuple(0.0 if z else v for v, z in zip(weights.revenue_weights, zero))
+    return WupWeights(y, 0.0 if zero[-1] else weights.payment_weight)
+
+
+class TestSolveGraphVsDenseReference:
+    """``solve_graph``, one layer's arcs at a time, against the DP over
+    every arc at once in ``oracles``: the value's bits and the path."""
+
+    def check(self, case, zero):
+        inst, levels, w = case
+        w = _zeroed(w, zero)
+        for external in (None, inst.external.support[-1][0]):
+            graph = build_wup_graph(levels, w, inst, external)
+            value, path = solve_graph(graph)
+            ref_value, ref_path = dense_best_path(graph)
+            assert (value.hex(), path) == (ref_value.hex(), ref_path)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(wup_cases(), st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_value_bits_and_path(self, case, zero):
+        self.check(case, zero)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(wup_cases(n_c=st.just(1)), st.lists(st.booleans(), min_size=2, max_size=2))
+    def test_one_colluder(self, case, zero):
+        self.check(case, zero)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(wup_cases(d=st.just(1)), st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_one_level(self, case, zero):
+        self.check(case, zero)
+
+
+def test_query_allocates_no_arc_tensor():
+    """A query over prebuilt tables holds one layer's d x d arcs at a
+    time, not all (n - 1) x d x d of them."""
+    n_c, d = 8, 200
+    inst = make_instance(
+        "gsp", [1.0, 0.75, 0.5, 0.25], [1.0 - c / 16 for c in range(n_c)],
+        support=((0.5, 0.25), (0.75, 0.125)),
+    )
+    tables = expected_tables(inst, [j / 256 for j in range(d)])
+    weights = WupWeights(tuple(1.0 - c / 32 for c in range(n_c)), 0.5)
+    solve_wup(tables, weights, inst)  # warm caches, such as the tables' mask
+    tracemalloc.start()
+    try:
+        solve_wup(tables, weights, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * d * d * 8, peak
 
 
 #: Few values, so bids repeat and sit on grid levels; 0.3 and 0.1 are not
