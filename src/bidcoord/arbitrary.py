@@ -82,9 +82,7 @@ def solve_arbitrary(
     when they are not given, it uses the pruned levels of the grid for
     p = eps/n_c, whose optimum is the full grid's.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
-    p = epsilon / instance.n_colluders
+    p = instance.threshold(epsilon)
     if levels is None:
         levels = pruned_grid(instance, p).levels
     result = solve_wup_expected(levels, unit_weights(instance.n_colluders), instance)

@@ -52,6 +52,15 @@ def _check_unit_interval(option: str, value: float) -> None:
         raise OptionError(f"{option} must be in (0, 1], got {value!r}")
 
 
+def _threshold(instance: AuctionInstance, epsilon: float) -> float:
+    """p = eps/n_c for an in-range ``--epsilon``; a p that underflows to 0
+    is an option error (the message, on epsilon, gains the dashes)."""
+    try:
+        return instance.threshold(epsilon)
+    except ValueError as err:
+        raise OptionError(f"--{err}") from err
+
+
 def canonical_json(doc) -> str:
     """Canonical serialization: sorted keys, indent 2, trailing newline.
 
@@ -247,7 +256,7 @@ def cmd_solve(args) -> int:
     epsilon = args.epsilon
     _check_unit_interval("--epsilon", epsilon)
     instance = _load_instance(args.instance, args.mechanism)
-    p = epsilon / instance.n_colluders
+    p = _threshold(instance, epsilon)
     started = time.perf_counter()
     pruned = pruned_grid(instance, p)
     if args.mode == "arbitrary":
@@ -362,6 +371,7 @@ def cmd_wup(args) -> int:
 def cmd_baseline(args) -> int:
     _check_unit_interval("--epsilon", args.epsilon)
     instance = _load_instance(args.instance, None)
+    _threshold(instance, args.epsilon)
     solution = solve_arbitrary(instance, args.epsilon)
     solution_doc = _solution_doc(solution)
     doc = {

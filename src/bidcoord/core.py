@@ -199,6 +199,16 @@ class AuctionInstance:
     def outside_options(self) -> tuple[float, ...]:
         return tuple(c.outside_option for c in self.colluders)
 
+    def threshold(self, epsilon: float) -> float:
+        """The threshold p = eps/n_c of an eps-approximate solve; ValueError
+        for an eps outside (0, 1] or one so small that p underflows to 0."""
+        if not 0.0 < epsilon <= 1.0:
+            raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
+        p = epsilon / self.n_colluders
+        if p == 0.0:
+            raise ValueError(f"epsilon {epsilon!r} over {self.n_colluders} colluders rounds p to 0")
+        return p
+
 
 @dataclass(frozen=True)
 class AgencySolution:

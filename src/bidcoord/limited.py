@@ -7,6 +7,10 @@ p-relaxed participation constraints and the agency's budget constraint.
 Column generation grows the master from its seed columns, repeatedly
 asking the weighted-utility solver for the best positive-reduced-cost
 column, with weights read off the master's duals.
+Each round adds a grid profile the master does not yet hold, so a phase
+ends, with no round cap, once the best profile's reduced cost is at most
+``PRICING_TOL`` or the master already holds it (a pricing error if its
+reduced cost is above 1e-5).
 The objective master on the seed columns is solved first.  Only if it is
 infeasible does a feasibility phase (minimizing an elastic relief mass,
 priced the same way) run before the objective phase, so infeasibility
@@ -45,8 +49,6 @@ from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
 
 #: A column prices in only if its reduced cost exceeds this.
 PRICING_TOL = 1e-7
-#: Column-generation round limit.
-MAX_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -266,7 +268,7 @@ def solve_ll_cg(
     mass (certifying full-master infeasibility, with the residual relief,
     if no column can lower it) and the objective master is solved again
     on all columns.  The objective phase then alternates pricing with
-    master solves until no column's reduced cost exceeds the tolerance.
+    master solves until pricing adds no column.
     Each phase solves its first master cold; every priced-in column is
     appended to the previous optimal tableau and the LP resumed from its
     basis.  The weighted-utility tables are built once for the grid and
@@ -285,26 +287,26 @@ def solve_ll_cg(
 
     rounds = 0
 
-    def price_in(master: MasterSolution, elastic: bool) -> tuple[Optional[MasterSolution], float]:
-        """One pricing round: the master over the priced column, or None
-        when no new column prices in, with the round's reduced cost."""
+    def price_in(master: MasterSolution, elastic: bool) -> Optional[MasterSolution]:
+        """One pricing round: the master over the priced-in column, or
+        None when the phase ends (the end rule of the module docstring)."""
         nonlocal rounds
-        if rounds >= MAX_ROUNDS:
-            raise ToleranceError(f"column generation exceeded {MAX_ROUNDS} rounds")
         rounds += 1
         profile, reduced = pricing(master.duals, tables, instance, include_objective=not elastic)
+        if profile in seen and reduced > 1e-5:
+            raise ToleranceError(f"pricing re-proposed a known column with reduced cost {reduced}")
         if reduced <= PRICING_TOL or profile in seen:
-            return None, reduced
+            return None
         seen.add(profile)
         columns.append(make_column(instance, profile))
-        return add_master_column(master, columns[-1], elastic=elastic), reduced
+        return add_master_column(master, columns[-1], elastic=elastic)
 
     master = solve_master(instance, columns, p)
     if master is None:
         master = solve_master(instance, columns, p, elastic=True)
         assert master is not None  # the relief column keeps this feasible
         while master.relief > 1e-9:
-            grown, _ = price_in(master, elastic=True)
+            grown = price_in(master, elastic=True)
             if grown is None:
                 raise InfeasibleError(
                     "master infeasible even over the full grid; outside options"
@@ -316,15 +318,9 @@ def solve_ll_cg(
             # cannot happen after the feasibility phase succeeded
             raise ToleranceError("master lost feasibility between phases")
 
-    while True:
-        grown, reduced = price_in(master, elastic=False)
-        if grown is None:
-            if reduced > 1e-5:
-                raise ToleranceError(
-                    f"pricing re-proposed a known column with reduced cost {reduced}"
-                )
-            return extract_solution(instance, master, p), master, rounds
+    while (grown := price_in(master, elastic=False)) is not None:
         master = grown
+    return extract_solution(instance, master, p), master, rounds
 
 
 def solve_ll(
@@ -334,9 +330,7 @@ def solve_ll(
     column generation over exactly ``levels``.  When they are not given,
     it uses the pruned levels of the grid for that p, whose master has
     the full grid's optimum."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon!r}")
-    p = epsilon / instance.n_colluders
+    p = instance.threshold(epsilon)
     if levels is None:
         levels = pruned_grid(instance, p).levels
     solution, _, _ = solve_ll_cg(instance, levels, p)

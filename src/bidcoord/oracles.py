@@ -263,34 +263,6 @@ class _ExternalView:
         return self.desc[a] if a < self.n_e else 0.0
 
 
-def _arc_weight(
-    mechanism: str,
-    i: int,
-    level: float,
-    next_level: float,
-    view: _ExternalView,
-    y: float,
-    v: float,
-    x: float,
-    lambdas: Sequence[float],
-) -> float:
-    """Weight for the i-th ordered colluder bidding `level` with the next
-    colluder at `next_level` (0 for the last colluder's sink arc)."""
-    a = view.count_above(level)
-    slot = i + a
-    m = len(lambdas)
-    lam_slot = lambdas[slot - 1] if slot <= m else 0.0
-    if mechanism == GSP:
-        price = max(next_level, view.max_at_or_below(level))
-        return lam_slot * (y * v - x * price)
-    rev = lam_slot * v
-    g = 0.0 if i == 1 else (i - 1) * level * (view.lam(slot - 1) - lam_slot)
-    # Externals in (next_level, level]: below this colluder, above the next.
-    b = view.count_above(next_level)
-    ell = i * (view.prefix[i][b] - view.prefix[i][a])
-    return y * rev - x * (g + ell)
-
-
 def arc_weight(
     i: int,
     level: float,
@@ -301,23 +273,29 @@ def arc_weight(
 ) -> float:
     """Scalar reference weight of the arc where the i-th colluder (1-based,
     in the weighted-valuation order) bids `level` and the next bids
-    `next_level`, against one fixed external profile.  Under GSP it is the
-    colluder's slot revenue net of its next-bid price; under VCG its
-    revenue plus its slice of the agency's total payment."""
+    `next_level` (0 for the last colluder's sink arc), against one fixed
+    external profile.  Under GSP it is the colluder's slot revenue net of
+    its next-bid price; under VCG its revenue plus its slice of the
+    agency's total payment."""
     order = wup_colluder_order(instance, weights)
     c = order[i - 1]
-    view = _ExternalView(external_levels, instance.slots, len(order))
-    return _arc_weight(
-        instance.mechanism,
-        i,
-        level,
-        next_level,
-        view,
-        weights.revenue_weights[c],
-        instance.colluders[c].valuation,
-        weights.payment_weight,
-        instance.slots,
-    )
+    y = weights.revenue_weights[c]
+    v = instance.colluders[c].valuation
+    x = weights.payment_weight
+    lambdas = instance.slots
+    view = _ExternalView(external_levels, lambdas, len(order))
+    a = view.count_above(level)
+    slot = i + a
+    lam_slot = lambdas[slot - 1] if slot <= len(lambdas) else 0.0
+    if instance.mechanism == GSP:
+        price = max(next_level, view.max_at_or_below(level))
+        return lam_slot * (y * v - x * price)
+    rev = lam_slot * v
+    g = 0.0 if i == 1 else (i - 1) * level * (view.lam(slot - 1) - lam_slot)
+    # Externals in (next_level, level]: below this colluder, above the next.
+    b = view.count_above(next_level)
+    ell = i * (view.prefix[i][b] - view.prefix[i][a])
+    return y * rev - x * (g + ell)
 
 
 def entrywise_expected_tables(

@@ -6,10 +6,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import bidcoord as bc
 from bidcoord.discretize import _leaves, _split
 from bidcoord.mechanisms import individual_baseline
+
+# Every property test runs the same examples on every run, with no time
+# limit per example; a test's own @settings only sets its example count.
+settings.register_profile("bidcoord", derandomize=True, deadline=None)
+settings.load_profile("bidcoord")
 
 
 def dyadic(rng: random.Random, bits: int) -> float:

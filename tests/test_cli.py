@@ -526,6 +526,80 @@ class TestOptionRange:
         assert out == ""
         assert err.count("\n") == 1 and "--p" in err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("solve", "--mode", "arbitrary"), id="arbitrary"),
+        pytest.param(("solve", "--mode", "limited-liability"), id="limited-liability"),
+        pytest.param(("baseline",), id="baseline"),
+    ])
+    def test_epsilon_whose_p_underflows(self, capsys, grid_builds, argv):
+        # 5e-324 lies in (0, 1], but p = 5e-324 / 2 rounds to 0.0
+        name, *options = argv
+        code, out, err = run_cli(capsys, name, EXAMPLE3, *options, "--epsilon", "5e-324")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "--epsilon" in err and "2 colluders" in err
+        assert grid_builds == []
+
+
+#: Numbers the fuzz draws bids, rates and valuations from: the ends of
+#: [0, 1], dyadic and non-dyadic values, and few enough of them that bids
+#: repeat within and across support entries.
+FUZZ_NUMBERS = st.sampled_from((0.0, 1.0, 0.5, 0.75, 0.1, 0.3, 1 / 3, 0.99)) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def fuzz_instances(draw) -> dict:
+    """A raw instance document with at most 4 colluders and 4 support
+    entries: zero-probability entries, no externals, more slots than
+    colluders (or than agents), all-zero valuations and t_i = 1 all occur."""
+    n_c = draw(st.integers(1, 4))
+    n_e = draw(st.integers(0, 3))
+    slots = draw(st.lists(FUZZ_NUMBERS, min_size=1, max_size=n_c + n_e + 1))
+    if draw(st.booleans()):
+        values = [0.0] * n_c
+    else:
+        values = draw(st.lists(FUZZ_NUMBERS, min_size=n_c, max_size=n_c))
+    outside = draw(st.lists(st.sampled_from((0.0, 1.0)) | FUZZ_NUMBERS, min_size=n_c, max_size=n_c))
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
+    support = [
+        {"bids": draw(st.lists(FUZZ_NUMBERS, min_size=n_e, max_size=n_e)), "prob": w / sum(weights)}
+        for w in weights
+    ]
+    return {
+        "mechanism": draw(st.sampled_from(("gsp", "vcg"))),
+        "slots": slots,
+        "colluders": [{"v": v, "t": t} for v, t in zip(values, outside)],
+        "external": {"support": support},
+    }
+
+
+class TestFuzz:
+    @settings(max_examples=300)
+    @given(
+        raw=fuzz_instances(),
+        mode=st.sampled_from(("arbitrary", "limited-liability")),
+        epsilon=st.sampled_from(("1", "0.05", "1e-300", "5e-324")),
+    )
+    def test_solve_ends_in_a_documented_exit_code(self, raw, mode, epsilon):
+        # an exception escaping main fails the test by itself
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "instance.json"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["solve", str(path), "--mode", mode, "--epsilon", epsilon])
+        assert code in (0, 1, 2, 3)
+        if code in (1, 3):
+            assert out.getvalue() == ""
+            assert err.getvalue().splitlines()[-1].startswith(
+                "tolerance breach: " if code == 3 else ("invalid instance: ", "invalid option: ")
+            )
+        else:
+            report = json.loads(out.getvalue())
+            if "solution" in report:
+                probs = [e["probability"] for e in report["solution"]["distribution"]]
+                assert abs(sum(probs) - 1.0) < 1e-9
+
 
 class TestBaseline:
     def test_example1(self, tmp_path, capsys):
@@ -592,7 +666,7 @@ JSON_DOCS = st.recursive(
 
 
 class TestCanonicalJson:
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(JSON_DOCS)
     def test_matches_json_dumps(self, doc):
         assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -187,3 +187,28 @@ class TestCheckDeltaIC:
         out = bc.expected_outcome(example1, make_profile([0.0, 0.0]))
         sol = self._solution(example1, list(out.revenue), 0.0)
         assert bc.check_delta_ic(sol, example1, 1.0) == (True, True)
+
+
+class TestThreshold:
+    def test_is_epsilon_over_colluders(self, example1):
+        assert example1.threshold(0.05) == 0.05 / 2
+        assert example1.threshold(1.0) == 0.5
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, 1.5, float("nan")])
+    def test_epsilon_out_of_range(self, example1, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            example1.threshold(epsilon)
+
+    @pytest.mark.parametrize("solve", [bc.solve_arbitrary, bc.solve_ll])
+    def test_underflowing_p_names_epsilon(self, example1, solve):
+        # 5e-324 lies in (0, 1], but 5e-324 / 2 rounds to 0.0
+        with pytest.raises(ValueError, match="epsilon 5e-324 over 2 colluders"):
+            solve(example1, 5e-324)
+        with pytest.raises(ValueError, match="epsilon 5e-324 over 2 colluders"):
+            solve(example1, 5e-324, levels=[0.0, 0.5])
+
+    def test_smallest_epsilon_for_one_colluder(self):
+        inst = bc.validate_and_normalize(minimal_raw(
+            slots=[1.0], colluders=[{"v": 0.9, "t": 0.0}]
+        ))
+        assert inst.threshold(5e-324) == 5e-324

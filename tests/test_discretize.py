@@ -186,7 +186,7 @@ class TestSplitVsRecursiveReference:
     is a double without rounding, so that mutant is equivalent.
     """
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(split_cases())
     def test_intervals_and_calls_match(self, case):
         dist, p, eta, start = case
@@ -194,7 +194,7 @@ class TestSplitVsRecursiveReference:
         leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
         assert iterative_split(dist, p, eta, start.lower, start.upper)[0] == leaves
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(split_cases(_CHAIN_BID, shared=True))
     def test_chains_match(self, case):
         dist, p, eta, start = case
@@ -202,7 +202,7 @@ class TestSplitVsRecursiveReference:
         leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
         assert iterative_split(dist, p, eta, start.lower, start.upper)[0] == leaves
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(_HEAVY_POINT_CASES)
     def test_heavy_point_subtrees_match(self, case):
         dist, p, eta, start = case
@@ -233,7 +233,7 @@ class TestSplitVsRecursiveReference:
         with pytest.raises(ValueError):
             iterative_split(point_mass(*bids), 0.01, eta)
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(st.one_of(split_cases(), split_cases(_CHAIN_BID, shared=True), _HEAVY_POINT_CASES))
     def test_pruned_grid_matches_full_split(self, case):
         dist, p, eta, _ = case
@@ -302,7 +302,7 @@ class TestBuildGrid:
         assert interval_set.eta == 0.25
         assert grid.levels == (0.0, 0.5, 0.75)
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(split_cases(), st.one_of(st.sampled_from([1e-12, 1.0]), st.floats(1e-12, 1.0)))
     def test_intervals_restate_levels(self, case, p):
         # the split's lower endpoints are the levels and each upper one is

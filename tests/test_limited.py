@@ -1,10 +1,13 @@
+import json
 import random
 import re
+import time
 
 import pytest
 
 import bidcoord as bc
 from bidcoord import arbitrary, limited
+from bidcoord.cli import main
 from bidcoord.core import make_profile
 from bidcoord.discretize import build_grid, iter_grid_profiles
 from bidcoord.limited import (
@@ -20,7 +23,7 @@ from bidcoord.mechanisms import expected_outcome, individual_baseline
 from bidcoord.oracles import best_deterministic_ll, brute_force_ll, prune_levels, solve_ll_dense
 from bidcoord.simplex import INFEASIBLE, OPTIMAL
 from bidcoord.wup import expected_tables, solve_wup_expected, unit_weights
-from conftest import random_instance
+from conftest import load_workloads, random_instance
 
 
 def feasible_instance(rng):
@@ -484,3 +487,48 @@ class TestMasterWork:
         assert calls[:2] == [("cold", False, INFEASIBLE), ("cold", True, OPTIMAL)]
         assert len(sol.distribution) == 2
         assert abs(sol.objective - 0.481) < 1e-9
+
+
+class TestEndRule:
+    """Column generation ends when pricing does, with no round cap."""
+
+    @pytest.mark.parametrize("mechanism", ["gsp", "vcg"])
+    def test_cent_bid_binding_case_at_32_colluders(self, tmp_path, capsys, mechanism):
+        # a valid instance that needs 216-262 pricing rounds
+        workloads = load_workloads()
+        shape = workloads.Shape(32, 10, 10, 50, 0, mechanism, workloads.BINDING)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(workloads.make_instance(random.Random(7), shape)))
+        started = time.perf_counter()
+        code = main(["solve", str(path), "--mode", "limited-liability"])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        solution = json.loads(capsys.readouterr().out)["solution"]
+        assert all(s >= -1e-9 for s in solution["slacks"]["ic"])
+        assert solution["slacks"]["ir"] >= -1e-9
+        probs = [entry["probability"] for entry in solution["distribution"]]
+        assert abs(sum(probs) - 1.0) < 1e-9
+        # 0.7-0.9 s on a 2-core machine; twice that absorbs a busy scheduler
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("elastic, reduced, error", [
+        pytest.param(True, 0.5, bc.ToleranceError, id="elastic"),
+        pytest.param(False, 0.5, bc.ToleranceError, id="objective"),
+        pytest.param(True, 1e-6, bc.InfeasibleError, id="elastic-within-tolerance"),
+    ])
+    def test_held_profile_proposed_again(self, example3, monkeypatch, elastic, reduced, error):
+        # at p = 0.005 both phases run; the stub proposes the all-zero seed
+        # column in one of them.  Above 1e-5 that is a pricing error in
+        # either phase, not a certificate that the relief cannot fall
+        real = limited.pricing
+
+        def stub(duals, tables, instance, include_objective=True):
+            if include_objective != elastic:
+                return make_profile([0.0, 0.0]), reduced
+            return real(duals, tables, instance, include_objective)
+
+        monkeypatch.setattr(limited, "pricing", stub)
+        p = 0.005
+        _, grid = build_grid(example3, p)
+        with pytest.raises(error):
+            solve_ll_cg(example3, grid.levels, p)

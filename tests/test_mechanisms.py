@@ -232,7 +232,7 @@ class TestOutcomeKernelVsRanking:
     """The merge kernel against the ranking-sort reference, bit for bit:
     floats are compared by ``float.hex``, so ``-0.0`` differs from ``0.0``."""
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(kernel_cases())
     # a colluder at an external's level, with the externals tied
     @example(kernel_case("gsp", (1.0, 0.5, 0.2), (0.9, 0.6), [((0.5, 0.5), 1)],

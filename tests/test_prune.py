@@ -125,7 +125,7 @@ def wup_cases(draw):
 
 @pytest.mark.filterwarnings("ignore:support bid needs")
 class TestPrunedEqualsFullGrid:
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(small_grids())
     def test_merge_matches_gap_definition(self, case):
         inst, levels = case
@@ -137,7 +137,7 @@ class TestPrunedEqualsFullGrid:
         assert pruned == expected
         assert len(pruned) <= 1 + len(bids)
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(wup_cases())
     def test_wup_value(self, case):
         # in expectation, and for a fixed external profile: its bids are
@@ -151,14 +151,14 @@ class TestPrunedEqualsFullGrid:
         pruned = solve_wup(expected_tables(inst, kept, external), weights, inst)
         assert abs(pruned.value - full.value) <= 1e-12
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(small_grids(), st.sampled_from([0.05, 0.5, 1.0]))
     def test_arbitrary_against_full_grid_oracle(self, case, eps):
         inst, levels = case
         sol = solve_arbitrary(inst, eps, levels=prune_levels(levels, inst.external))
         assert abs(sol.objective - brute_force_arbitrary(inst, levels)) <= 1e-12
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(small_grids(max_levels=4), st.sampled_from([0.05, 0.5, 1.0]))
     def test_ll_against_full_grid_oracle(self, case, eps):
         inst, levels = case

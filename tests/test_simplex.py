@@ -217,7 +217,7 @@ def assert_dual_feasible(res, objective, rows, senses):
 
 
 class TestWarmStart:
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(master_lps())
     def test_appended_columns_match_cold_solves(self, case):
         n_c, elastic, rhs, columns, n_seed = case
@@ -299,7 +299,7 @@ entries = st.one_of(
 class TestKernelBytes:
     """The array kernels leave exactly the bytes of their row loops."""
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(st.data())
     def test_pivot_matches_row_loop(self, data):
         m = data.draw(st.integers(1, 7))
@@ -316,7 +316,7 @@ class TestKernelBytes:
         assert table.tobytes() == expected.tobytes()
         assert basis == expected_basis
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(st.data())
     def test_initial_tableau_matches_row_loop(self, data):
         m = data.draw(st.integers(1, 6))

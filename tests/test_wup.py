@@ -156,7 +156,7 @@ class TestSolveFixed:
 
 
 class TestLevelNormalization:
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(st.lists(st.sampled_from([0, 1, 0.0, -0.0, 0.3, 0.5, 0.25, 1.0]), min_size=1))
     def test_distinct_levels_descending_from_any_order(self, levels):
         # levels already strictly ascending skip the sort: the same tuple
@@ -337,7 +337,7 @@ def _reference_graph(inst, levels, w, support):
 
 
 class TestTablesVsScalarReference:
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(wup_cases())
     def test_every_arc_and_sink_entry(self, case):
         inst, levels, w = case
@@ -353,7 +353,7 @@ class TestTablesVsScalarReference:
             for jc, ref in enumerate(sink):
                 assert abs(dense_sink[jc] - ref) < 1e-12
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(wup_cases())
     def test_dp_value_matches_brute_force(self, case):
         inst, levels, w = case
@@ -389,17 +389,17 @@ class TestSolveGraphVsDenseReference:
             ref_value, ref_path = dense_best_path(graph)
             assert (value.hex(), path) == (ref_value.hex(), ref_path)
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(wup_cases(), st.lists(st.booleans(), min_size=4, max_size=4))
     def test_value_bits_and_path(self, case, zero):
         self.check(case, zero)
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(wup_cases(n_c=st.just(1)), st.lists(st.booleans(), min_size=2, max_size=2))
     def test_one_colluder(self, case, zero):
         self.check(case, zero)
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(wup_cases(d=st.just(1)), st.lists(st.booleans(), min_size=4, max_size=4))
     def test_one_level(self, case, zero):
         self.check(case, zero)
@@ -481,12 +481,12 @@ class TestTablesVsEntrywiseReference:
             ref = entrywise_expected_tables(instance, levels, external)
             assert hexed_tables(got) == hexed_tables(ref)
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(table_cases())
     def test_every_cell(self, case):
         self.check(case)
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(table_cases(n_c=st.just(1), n_e=st.sampled_from((0, 2)), bid=st.just(0.0),
                        n_levels=st.just(1), k=st.integers(9, 20)))
     def test_one_cell_per_table_and_a_long_support(self, case):
