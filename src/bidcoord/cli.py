@@ -158,8 +158,11 @@ def _load_instance(path: str, mechanism: Optional[str]) -> AuctionInstance:
 def _emit(doc, out_path: Optional[str], text: Optional[str] = None) -> None:
     payload = text if text is not None else canonical_json(doc)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as err:
+            raise OptionError(f"--out cannot be written: {err}") from err
     else:
         sys.stdout.write(payload)
 
@@ -311,7 +314,12 @@ def _weight(raw, path: str) -> float:
 
 def _load_weights(path: str, n_colluders: int) -> tuple[WupWeights, Optional[list[float]]]:
     """The weights file's weights and its optional ``levels``, each
-    checked like an instance field and named by its path on failure."""
+    checked like an instance field and named by its path on failure.
+
+    Revenues and payments are at most 1 per colluder, so a query's value
+    and every partial sum of it are at most sum(y) + n_c*x in magnitude;
+    weights whose bound, doubled for rounding, is not finite are
+    rejected rather than reported as an infinite value."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "revenue_weights" not in doc or "payment_weight" not in doc:
         raise InstanceError(
@@ -326,6 +334,9 @@ def _load_weights(path: str, n_colluders: int) -> tuple[WupWeights, Optional[lis
         tuple(_weight(y, f"{path}:revenue_weights[{i}]") for i, y in enumerate(revenue)),
         _weight(doc["payment_weight"], f"{path}:payment_weight"),
     )
+    bound = 2.0 * (sum(weights.revenue_weights) + n_colluders * weights.payment_weight)
+    if not math.isfinite(bound):
+        raise InstanceError(path, "weights too large: 2*(sum(y) + n_c*x) is not finite")
     levels = doc.get("levels")
     if levels is not None:
         if not isinstance(levels, list) or not levels:

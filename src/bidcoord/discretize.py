@@ -14,9 +14,8 @@ form as the test reference, with ``oracles.event_probability``) but runs
 as an iterative depth-first loop over the support bids, sorted once, so
 each interval is decided from one slice of them instead of a scan of the
 whole support.  It yields the same intervals in the same order and the
-same call count.  The package only splits (0, 1] with eta = 2^-M, in
-``pruned_grid``; the tests split other intervals, and with other eta,
-through ``_split`` and ``_leaves``.
+same call count.  It only splits (0, 1], with eta = 2^-M, for
+``pruned_grid``.
 
 Each distinct positive support bid is a point, and its total is the sum,
 in support order, of the probabilities of the distinct entries bidding
@@ -154,12 +153,14 @@ class PrunedGrid:
         return IntervalSet(tuple(_leaves(self.pieces)), self.p, self.eta, self.rec_calls)
 
 
-def _split(
-    lower: float, upper: float, p: float, eta: float, distribution: ExternalDistribution
-) -> tuple[list[_Piece], int]:
-    """Bisect (lower, upper] depth first, left child before right, and
-    return its pieces in ascending order with the number of intervals
-    decided (the recursive definition's call count).
+def _split(p: float, eta: float, distribution: ExternalDistribution) -> tuple[list[_Piece], int]:
+    """Bisect (0, 1] depth first, left child before right, and return its
+    pieces in ascending order with the number of intervals decided (the
+    recursive definition's call count).
+
+    The contract is ``pruned_grid``'s walk: p > 0, and eta = 2^-M with
+    0 <= M <= 53, so every endpoint is a multiple of eta in [0, 1] and
+    every midpoint is exact.
 
     A piece (lower, upper, t, hits) is one leaf when t is 0, and ``hits``
     holds its upper endpoint if it holds a support bid, else nothing.
@@ -188,24 +189,12 @@ def _split(
     # light[i]: how many of the first i pairs bid a light point; None when
     # each entry alone carries more than p, so that every point is heavy
     light = None if min(probs) > p else _light_counts(keys, owners, probs, p)
-    # Subtrees close in closed form only where bisection is exact: eta is
-    # 2^-M with M <= MAX_BITS_CAP, the width a power of two and ``lower``
-    # a multiple of eta, so every endpoint is a multiple of eta in [0, 1];
-    # and an empty interval is a leaf (p >= 0).  The walk of (0, 1] that
-    # ``pruned_grid`` makes is always such a walk.
-    closes = (
-        p >= 0.0
-        and 2.0**-MAX_BITS_CAP <= eta <= 1.0
-        and eta.as_integer_ratio()[0] == 1
-        and (upper - lower).as_integer_ratio()[0] == 1
-        and lower % eta == 0.0
-    )
-    eta_bits = eta.as_integer_ratio()[1].bit_length() if closes else 0
+    eta_bits = eta.as_integer_ratio()[1].bit_length()
     pieces: list[_Piece] = []
     calls = 0
-    lo = bisect_right(keys, lower)
-    # (lower, upper, slice start, slice end, slice equals the parent's)
-    stack = [(lower, upper, lo, bisect_right(keys, upper, lo), False)]
+    # (lower, upper, slice start, slice end, slice equals the parent's);
+    # every positive bid is at most 1, so (0, 1] holds them all
+    stack = [(0.0, 1.0, 0, len(keys), False)]
     while stack:
         lower, upper, lo, hi, same_as_parent = stack.pop()
         calls += 1
@@ -219,7 +208,7 @@ def _split(
             split = not (total <= p or upper - lower <= eta)
         if not split:
             pieces.append((lower, upper, 0, (upper,) if hi > lo else ()))
-        elif closes and heavy:
+        elif heavy:
             t = eta_bits - (upper - lower).as_integer_ratio()[1].bit_length()
             # cell c of this interval is (lower + c*eta, lower + (c+1)*eta];
             # a bid b lies in cell ceil(b/eta) - 1 - lower/eta, all exact,
@@ -239,10 +228,6 @@ def _split(
             pieces.append((lower, upper, t, tuple(hits)))
         else:
             mid = (lower + upper) / 2.0
-            if not lower < mid < upper:
-                # eta is below the doubles' spacing here; a child would
-                # repeat its parent forever
-                raise ValueError(f"cannot bisect ({lower!r}, {upper!r}] down to eta {eta!r}")
             cut = bisect_right(keys, mid, lo, hi)
             stack.append((mid, upper, cut, hi, cut == lo))
             stack.append((lower, mid, lo, cut, cut == hi))
@@ -318,14 +303,6 @@ def _warn_caller(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-def _grid_eta(instance: AuctionInstance, p: float) -> float:
-    """The minimum step for threshold p: one ulp of the external
-    support, eta = 2^-M."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p!r}")
-    return 2.0 ** (-max_bits(instance.external))
-
-
 def pruned_grid(instance: AuctionInstance, p: float) -> PrunedGrid:
     """Walk the split of (0, 1] for threshold p once, without building
     an interval.
@@ -333,8 +310,10 @@ def pruned_grid(instance: AuctionInstance, p: float) -> PrunedGrid:
     The minimum step is one ulp of the external support (eta = 2^-M), so
     every interval's open interior carries probability at most p.
     """
-    eta = _grid_eta(instance, p)
-    pieces, calls = _split(0.0, 1.0, p, eta, instance.external)
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p!r}")
+    eta = 2.0 ** -max_bits(instance.external)
+    pieces, calls = _split(p, eta, instance.external)
     levels = [0.0]
     for *_, hits in pieces:
         levels += hits

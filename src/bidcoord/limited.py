@@ -115,38 +115,27 @@ def solve_master(
     priced-in column can remove certifies full-master infeasibility.
     """
     n_c = instance.n_colluders
-    n_s = len(columns)
+    # the LP's columns: one per profile, one per transfer, then the relief
+    variables = [_master_entries(col) for col in columns]
+    variables += [[-1.0 if j == i else 0.0 for j in range(n_c)] + [1.0, 0.0] for i in range(n_c)]
     if elastic:
         # feasibility phase: ignore column values, minimize relief mass
-        objective = [0.0] * (n_s + n_c) + [-1.0]
+        variables.append([1.0] * n_c + [0.0, 1.0])
+        objective = [0.0] * (len(variables) - 1) + [-1.0]
     else:
         objective = [col.coefficient for col in columns] + [0.0] * n_c
-
-    rows = []
-    senses = []
-    rhs = []
-    for i in range(n_c):
-        row = [col.revenue[i] for col in columns]
-        row += [-1.0 if j == i else 0.0 for j in range(n_c)]
-        if elastic:
-            row.append(1.0)
-        rows.append(row)
-        senses.append(">=")
-        rhs.append(instance.colluders[i].outside_option - p)
-    row = [-col.total_payment for col in columns] + [1.0] * n_c
-    if elastic:
-        row.append(0.0)
-    rows.append(row)
-    senses.append(">=")
-    rhs.append(0.0)
-    row = [1.0] * n_s + [0.0] * n_c
-    if elastic:
-        row.append(1.0)
-    rows.append(row)
-    senses.append("=")
-    rhs.append(1.0)
+    rows = list(zip(*variables))
+    senses = [">="] * (n_c + 1) + ["="]
+    rhs = [c.outside_option - p for c in instance.colluders] + [0.0, 1.0]
 
     return _read_master(columns, lp_solve(objective, rows, senses, rhs), n_c, elastic)
+
+
+def _master_entries(column: Column) -> list[float]:
+    """A column's entries in the master's rows: its revenue in each
+    participation row, minus its total payment in the budget row, and 1
+    in the normalization row."""
+    return [*column.revenue, -column.total_payment, 1.0]
 
 
 def add_master_column(
@@ -156,7 +145,7 @@ def add_master_column(
     optimal basis rather than solved again from scratch."""
     result = master.tableau.add_column(
         0.0 if elastic else column.coefficient,
-        list(column.revenue) + [-column.total_payment, 1.0],
+        _master_entries(column),
         index=len(master.columns),
     )
     return _read_master(master.columns + (column,), result, len(master.transfers), elastic)

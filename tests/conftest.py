@@ -68,10 +68,10 @@ def random_instance(
     return instance
 
 
-def iterative_split(distribution, p: float, eta: float, lower: float = 0.0, upper: float = 1.0):
-    """The discretizer's iterative split of (lower, upper], for any eta,
-    as (leaves, call count): the form of ``oracles.recursive_split``."""
-    pieces, calls = _split(lower, upper, p, eta, distribution)
+def iterative_split(distribution, p: float, eta: float):
+    """The discretizer's iterative split of (0, 1] as (leaves, call
+    count): the form of ``oracles.recursive_split``."""
+    pieces, calls = _split(p, eta, distribution)
     return _leaves(pieces), calls
 
 

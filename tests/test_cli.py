@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -263,6 +264,16 @@ class TestSolve:
         assert code == 0
         assert "objective: 0.6" in out
 
+    @pytest.mark.parametrize("target", ["directory", "missing/report.json"])
+    def test_unwritable_out_is_an_option_error(self, tmp_path, capsys, target):
+        # a directory, or a file in a directory that does not exist
+        (tmp_path / "directory").mkdir()
+        path = write_instance(tmp_path, example1_raw())
+        code, out, err = run_cli(capsys, "solve", path, "--out", str(tmp_path / target))
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid option: --out ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
     def test_invalid_file_exit_one(self, tmp_path, capsys):
         raw = example1_raw()
         del raw["slots"]
@@ -464,6 +475,14 @@ class TestWup:
         assert err.startswith("invalid instance: ") and err.count("\n") == 1
         assert f"weights.json:{field}" in err
 
+    def test_weights_whose_value_overflows_rejected(self, tmp_path, capsys):
+        # the query's value would overflow to inf, which JSON cannot hold
+        doc = {"revenue_weights": [1e308, 1e308], "payment_weight": 0}
+        weights = self._weights(tmp_path, doc)
+        code, out, err = run_cli(capsys, "wup", EXAMPLE3, "--weights-file", weights)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"invalid instance: {weights}: ") and err.count("\n") == 1
+
     def test_ragged_weights_rejected(self, tmp_path, capsys):
         inst = write_instance(tmp_path, example3_raw())
         weights = self._weights(tmp_path, {"revenue_weights": [1.0], "payment_weight": 1.0})
@@ -541,10 +560,25 @@ class TestOptionRange:
         assert grid_builds == []
 
 
+def strict_json(text: str):
+    """The document in ``text``, failing on the NaN and Infinity that
+    ``json.loads`` accepts but JSON does not."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 #: Numbers the fuzz draws bids, rates and valuations from: the ends of
 #: [0, 1], dyadic and non-dyadic values, and few enough of them that bids
 #: repeat within and across support entries.
 FUZZ_NUMBERS = st.sampled_from((0.0, 1.0, 0.5, 0.75, 0.1, 0.3, 1 / 3, 0.99)) | st.floats(0.0, 1.0)
+
+#: Weights from 0 through subnormals and the doubles' upper range.
+WEIGHTS = st.one_of(
+    st.sampled_from((0.0, 5e-324, 2.0**-1022, 1.0, 1e154, 5e307, 1e308)), st.floats(0.0, 1e308)
+)
 
 
 @st.composite
@@ -595,10 +629,32 @@ class TestFuzz:
                 "tolerance breach: " if code == 3 else ("invalid instance: ", "invalid option: ")
             )
         else:
-            report = json.loads(out.getvalue())
+            report = strict_json(out.getvalue())
             if "solution" in report:
                 probs = [e["probability"] for e in report["solution"]["distribution"]]
                 assert abs(sum(probs) - 1.0) < 1e-9
+
+    @settings(max_examples=200)
+    @given(
+        instance=st.sampled_from(("example1.json", "example3.json")),
+        revenue=st.lists(WEIGHTS, min_size=2, max_size=2),
+        payment=WEIGHTS,
+    )
+    def test_wup_weights_end_in_exit_1_or_strict_json(self, instance, revenue, payment):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as scratch:
+            weights = Path(scratch) / "weights.json"
+            doc = {"revenue_weights": revenue, "payment_weight": payment}
+            weights.write_text(json.dumps(doc), encoding="utf-8")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["wup", str(INSTANCES / instance), "--weights-file", str(weights)])
+        assert code in (0, 1)
+        if code == 1:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("invalid instance: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert math.isfinite(strict_json(out.getvalue())["value"])
 
 
 class TestBaseline:

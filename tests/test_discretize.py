@@ -83,8 +83,8 @@ _CHAIN_BID = st.sampled_from(
 
 @st.composite
 def split_cases(draw, bid=_BID, shared=False):
-    """A distribution, p, eta = 2^-max_bits and a start interval; with
-    ``shared``, one bid is repeated across every entry."""
+    """A distribution, p and eta = 2^-max_bits; with ``shared``, one bid
+    is repeated across every entry."""
     n_e = draw(st.integers(0, 4))
     k = draw(st.integers(1, 5))
     # Zero weights give zero-probability entries; sevenths round.
@@ -112,14 +112,9 @@ def split_cases(draw, bid=_BID, shared=False):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         eta = 2.0 ** -max_bits(dist)
-    lo, hi = draw(st.sampled_from(_STARTS))
-    return dist, p, eta, Interval(lo / 8, hi / 8)
+    return dist, p, eta
 
 
-#: Start intervals in eighths: (2, 6) has a power-of-two width but a
-#: lower endpoint off its multiples; the widths of (0, 3) and (1, 8) are
-#: no power of two.
-_STARTS = [(0, 8), (0, 3), (1, 8), (2, 6), (5, 6)]
 # Many distinct bids, on a 2^-10 grid or in cents, so that an interval
 # holding only heavy points spans many eta cells.
 _MANY_BIDS = st.one_of(
@@ -130,11 +125,11 @@ _MANY_BIDS = st.one_of(
 
 @st.composite
 def heavy_point_cases(draw, rule):
-    """A distribution with many distinct bids, p, eta = 2^-max_bits and a
-    start interval, with p placed by ``rule`` against the entries'
-    probabilities: below all of them (every point heavy), at one of them
-    but the largest (light and heavy entries), or at or above all of them
-    with one bid in every entry (that point heavy only as a sum)."""
+    """A distribution with many distinct bids, p and eta = 2^-max_bits,
+    with p placed by ``rule`` against the entries' probabilities: below
+    all of them (every point heavy), at one of them but the largest
+    (light and heavy entries), or at or above all of them with one bid
+    in every entry (that point heavy only as a sum)."""
     k = draw(st.integers(1 if rule == "heavy" else 2, 5))
     n_e = draw(st.integers(1, 8))
     weights = draw(st.lists(st.integers(1, 7), min_size=k, max_size=k))
@@ -155,8 +150,7 @@ def heavy_point_cases(draw, rule):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         eta = 2.0 ** -max_bits(dist)
-    lo, hi = draw(st.sampled_from(_STARTS))
-    return dist, p, eta, Interval(lo / 8, hi / 8)
+    return dist, p, eta
 
 
 _HEAVY_POINT_CASES = st.one_of(
@@ -177,51 +171,38 @@ class TestSplitVsRecursiveReference:
 
     Mutants of the closed-form subtrees fail too: one halving more or
     fewer, a branch point's depth without its -1, a bid's cell rounded
-    down (``floor``) instead of up, cells XORed from 0 rather than from
-    the interval's lower endpoint, closing an interval that holds one
-    light point, ``pruned_grid`` keeping a leaf upper endpoint of 1, and
-    dropping the test for p >= 0, for eta or the width being a power of
-    two, or for the lower endpoint being a multiple of eta.  A cell taken
-    as ceil((b - lower)/eta) - 1 passes: where subtrees close, b - lower
-    is a double without rounding, so that mutant is equivalent.
+    down (``floor``) instead of up, closing an interval that holds one
+    light point, and ``pruned_grid`` keeping a leaf upper endpoint of 1.
+    Two mutants pass, being equivalent: a cell taken as
+    ceil((b - lower)/eta) - 1, as b - lower is a double without rounding,
+    and cells XORed from 0 rather than from the interval's lower
+    endpoint, as every interval of the walk starts at a multiple of its
+    width.
     """
 
     @settings(max_examples=300)
     @given(split_cases())
     def test_intervals_and_calls_match(self, case):
-        dist, p, eta, start = case
+        dist, p, eta = case
         assert iterative_split(dist, p, eta) == recursive_split(0.0, 1.0, p, eta, dist)
-        leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
-        assert iterative_split(dist, p, eta, start.lower, start.upper)[0] == leaves
 
     @settings(max_examples=300)
     @given(split_cases(_CHAIN_BID, shared=True))
     def test_chains_match(self, case):
-        dist, p, eta, start = case
+        dist, p, eta = case
         assert iterative_split(dist, p, eta) == recursive_split(0.0, 1.0, p, eta, dist)
-        leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
-        assert iterative_split(dist, p, eta, start.lower, start.upper)[0] == leaves
 
     @settings(max_examples=300)
     @given(_HEAVY_POINT_CASES)
     def test_heavy_point_subtrees_match(self, case):
-        dist, p, eta, start = case
+        dist, p, eta = case
         assert iterative_split(dist, p, eta) == recursive_split(0.0, 1.0, p, eta, dist)
-        leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
-        assert iterative_split(dist, p, eta, start.lower, start.upper)[0] == leaves
 
-    @pytest.mark.parametrize("p, eta, start", [
-        (-1.0, 2.0**-4, Interval(0.0, 1.0)),  # empty intervals split too
-        (0.01, 0.375, Interval(0.0, 1.0)),  # eta not a power of two
-        (0.01, 2.0**-53, Interval(2.0**-55, 2.0**-55 + 0.125)),  # lower off the eta grid
-    ])
-    def test_walks_without_closed_form_chains_match(self, p, eta, start):
-        # 2^-52 + 2^-55 ends a chain on the right of its last split, so a
-        # leaf rounded to the eta grid rather than to ``start``'s moves it
+    def test_chain_ending_right_of_its_last_split_matches(self):
+        # 2^-52 + 2^-55 ends a chain on the right of its last split
         dist = point_mass(2.0**-52 + 2.0**-55, 0.9)
+        p, eta = 0.01, 2.0**-53
         assert iterative_split(dist, p, eta) == recursive_split(0.0, 1.0, p, eta, dist)
-        leaves, _ = recursive_split(start.lower, start.upper, p, eta, dist)
-        assert iterative_split(dist, p, eta, start.lower, start.upper)[0] == leaves
 
     @pytest.mark.parametrize("bids, eta", [
         ((0.3,), 2.0**-60),
@@ -236,7 +217,7 @@ class TestSplitVsRecursiveReference:
     @settings(max_examples=300)
     @given(st.one_of(split_cases(), split_cases(_CHAIN_BID, shared=True), _HEAVY_POINT_CASES))
     def test_pruned_grid_matches_full_split(self, case):
-        dist, p, eta, _ = case
+        dist, p, eta = case
         leaves, calls = iterative_split(dist, p, eta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
