@@ -21,7 +21,6 @@ from .core import (
     InfeasibleError,
     InstanceError,
     ToleranceError,
-    check_delta_ic,
     instance_to_raw,
     make_profile,
     validate_and_normalize,
@@ -51,7 +50,6 @@ __all__ = [
     "ToleranceError",
     "WupWeights",
     "build_grid",
-    "check_delta_ic",
     "expected_outcome",
     "individual_baseline",
     "instance_to_raw",

@@ -18,12 +18,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .arbitrary import solve_arbitrary
 from .core import (
     AgencySolution,
     AuctionInstance,
+    ExternalDistribution,
     InfeasibleError,
     InstanceError,
     ToleranceError,
@@ -355,7 +357,6 @@ def cmd_wup(args) -> int:
         grid = pruned_grid(instance, args.p)
         levels = grid.levels
         grid_doc = _grid_doc(grid, instance.n_colluders)
-    external = None
     mode = {"expected": True}
     if args.external_index is not None:
         support = instance.external.support
@@ -363,9 +364,12 @@ def cmd_wup(args) -> int:
             raise InstanceError(
                 "external-index", f"must be in [0, {len(support) - 1}]"
             )
-        external = support[args.external_index][0]
+        # the one-entry distribution of that profile, for the query only:
+        # the --p grid above comes from the whole distribution
+        point_mass = ExternalDistribution(((support[args.external_index][0], 1.0),))
+        instance = replace(instance, external=point_mass)
         mode = {"fixed_external_index": args.external_index}
-    result = solve_wup(expected_tables(instance, levels, external), weights, instance)
+    result = solve_wup(expected_tables(instance, levels), weights, instance)
     _emit(
         {
             "profile": _profile_doc(result.profile),

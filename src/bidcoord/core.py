@@ -351,17 +351,3 @@ def instance_to_raw(instance: AuctionInstance) -> dict:
             ]
         },
     }
-
-
-def check_delta_ic(
-    solution: AgencySolution, instance: AuctionInstance, delta: float
-) -> tuple[bool, ...]:
-    """Check the delta-relaxed participation constraint per colluder.
-
-    Colluder i passes iff its expected revenue under the solution's
-    distribution minus its transfer is at least t_i - delta - 1e-9.
-    """
-    return tuple(
-        r - q >= c.outside_option - delta - EQ_TOL
-        for r, q, c in zip(solution.expected_revenue, solution.transfers, instance.colluders)
-    )

@@ -20,7 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import GSP, AgencySolution, AuctionInstance, BidProfile, make_profile
+from .core import (
+    GSP,
+    AgencySolution,
+    AuctionInstance,
+    BidProfile,
+    ExternalDistribution,
+    make_profile,
+)
 
 
 @dataclass(frozen=True)
@@ -114,9 +121,14 @@ def _winners(
 def single_outcome(
     instance: AuctionInstance, profile: BidProfile, external_levels: Sequence[float]
 ) -> Outcome:
-    """Outcome of one fixed external bid profile."""
+    """Outcome of one fixed external bid profile.
+
+    The profile is read as a one-entry ``ExternalDistribution``, whose
+    checks reject a bid outside [0, 1] with ``ValueError``.
+    """
     order, c_levels = _ranked_colluders(profile)
-    external = sorted(external_levels, reverse=True)
+    point_mass = ExternalDistribution(((tuple(sorted(external_levels, reverse=True)), 1.0),))
+    external = point_mass.support[0][0]
     n_c = instance.n_colluders
     c_slot: list[Optional[int]] = [None] * n_c
     c_rev = [0.0] * n_c

@@ -12,10 +12,12 @@ rank) keys and paying every rank is the reference for the mechanisms
 module's merge kernel.  The scalar per-arc weight, one support entry and
 one level pair at a time, is the reference for the optimizer's numpy
 tables, and the same tables built one support entry at a time are their
-bit-for-bit reference.  A query's arc weights, every layer at once in
-one dense tensor, and the masked-max DP over that tensor are the
-bit-for-bit reference for the optimizer's DP, which forms one layer at
-a time.  A path's weight, its arcs added one by one from the source, is
+bit-for-bit reference.  Those tables and the exhaustive weighted-utility
+maximum read only the instance's external distribution: a fixed external
+profile is its one-entry case.  A query's arc weights, every layer at
+once in one dense tensor, and the masked-max DP over that tensor are
+the bit-for-bit reference for the optimizer's DP, which forms one layer
+at a time.  A path's weight, its arcs added one by one from the source, is
 what the lemma-map checks compare with the mechanism accounting.  The
 dense master, every grid column at once, is the reference for column
 generation.  Shared surface is limited to the core types, the
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -299,18 +300,13 @@ def arc_weight(
 
 
 def entrywise_expected_tables(
-    instance: AuctionInstance,
-    grid_levels: Sequence[float],
-    external_levels: Optional[Sequence[float]] = None,
+    instance: AuctionInstance, grid_levels: Sequence[float]
 ) -> WupTables:
     """Reference for ``wup.expected_tables``, bit for bit: the same
     tables built one support entry at a time, each entry's share added
     to running sums that start at +0.0."""
     levels = _normalize_levels(grid_levels)
-    if external_levels is None:
-        support = instance.external.support
-    else:
-        support = ((tuple(sorted(external_levels, reverse=True)), 1.0),)
+    support = instance.external.support
     lv = np.array(levels)
     d = len(levels)
     n = instance.n_colluders
@@ -409,16 +405,8 @@ def _iter_assignments(levels: Sequence[float], n: int, priority: Sequence[int]):
         yield make_profile(assignment, priority)
 
 
-def _fixed_external(instance: AuctionInstance, external_levels: Sequence[float]) -> AuctionInstance:
-    point_mass = ExternalDistribution(((tuple(sorted(external_levels, reverse=True)), 1.0),))
-    return replace(instance, external=point_mass)
-
-
 def brute_force_wup(
-    grid_levels: Sequence[float],
-    weights: WupWeights,
-    instance: AuctionInstance,
-    external_levels: Optional[Sequence[float]] = None,
+    grid_levels: Sequence[float], weights: WupWeights, instance: AuctionInstance
 ) -> tuple[BidProfile, float]:
     """Exhaustive weighted-utility maximum over every level assignment,
     ordered or not; ties at equal levels rank the heavier-weighted
@@ -427,8 +415,6 @@ def brute_force_wup(
     n = instance.n_colluders
     if len(levels) ** n > _WUP_CAP:
         raise ValueError(f"assignment count exceeds {_WUP_CAP}")
-    if external_levels is not None:
-        instance = _fixed_external(instance, external_levels)
     order = wup_colluder_order(instance, weights)
     priority = [0] * n
     for pos, i in enumerate(order):

@@ -30,11 +30,13 @@ move a cell's last bit, and every reported number is meant to keep its
 bits.  Only GSP's payment table, d x d per position, is still summed one
 entry at a time, so no temporary grows with K * d * d.
 
-:func:`solve_wup` over :func:`expected_tables` is the one query, for the
-expected and for a fixed external profile alike.  ``solve_wup_expected``
-is the same query for the arbitrary solver, split into
-``build_wup_graph`` and ``solve_graph`` at the layer boundaries that the
-benchmark's tracer (``perfbench/tracing.py``) times by name.
+:func:`solve_wup` over :func:`expected_tables` is the one query.  A
+fixed external profile is the one-entry case of the distribution: an
+instance whose support is that profile at probability 1.
+``solve_wup_expected`` is the same query for the arbitrary solver,
+split into ``build_wup_graph`` and ``solve_graph`` at the layer
+boundaries that the benchmark's tracer (``perfbench/tracing.py``) times
+by name.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -144,18 +146,10 @@ def _support_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=0)[-1] + 0.0
 
 
-def expected_tables(
-    instance: AuctionInstance,
-    grid_levels: Sequence[float],
-    external_levels: Optional[Sequence[float]] = None,
-) -> WupTables:
-    """Tables in expectation over the external distribution, or for one
-    fixed external profile (a point mass) when ``external_levels`` is given."""
+def expected_tables(instance: AuctionInstance, grid_levels: Sequence[float]) -> WupTables:
+    """Tables in expectation over the instance's external distribution."""
     levels = _normalize_levels(grid_levels)
-    if external_levels is None:
-        support = instance.external.support
-    else:
-        support = ((tuple(sorted(external_levels, reverse=True)), 1.0),)
+    support = instance.external.support
     # lv ends with an extra level 0, the sink's next bid
     lv = np.array(levels + (0.0,))
     d = len(levels)
@@ -253,15 +247,10 @@ def _query_graph(tables: WupTables, weights: WupWeights, instance: AuctionInstan
 
 
 def build_wup_graph(
-    grid_levels: Sequence[float],
-    weights: WupWeights,
-    instance: AuctionInstance,
-    external_levels: Optional[Sequence[float]] = None,
+    grid_levels: Sequence[float], weights: WupWeights, instance: AuctionInstance
 ) -> WupGraph:
-    """Build the layered graph, for one fixed external profile or, when
-    ``external_levels`` is None, with arc weights in expectation."""
-    tables = expected_tables(instance, grid_levels, external_levels)
-    return _query_graph(tables, weights, instance)
+    """Build the layered graph with arc weights in expectation."""
+    return _query_graph(expected_tables(instance, grid_levels), weights, instance)
 
 
 def solve_graph(graph: WupGraph) -> tuple[float, tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Shared builders for randomized desk-scale test instances."""
 
+import dataclasses
 import importlib.util
 import random
 import sys
@@ -66,6 +67,13 @@ def random_instance(
         ]
         instance = bc.validate_and_normalize(raw)
     return instance
+
+
+def fixed_external(instance: bc.AuctionInstance, bids) -> bc.AuctionInstance:
+    """The instance against one fixed external profile: its distribution
+    replaced by the one-entry distribution of ``bids`` at probability 1."""
+    point_mass = bc.ExternalDistribution(((tuple(sorted(bids, reverse=True)), 1.0),))
+    return dataclasses.replace(instance, external=point_mass)
 
 
 def iterative_split(distribution, p: float, eta: float):

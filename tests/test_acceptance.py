@@ -32,7 +32,7 @@ from bidcoord.oracles import (
     vcg_externality,
 )
 from bidcoord.wup import WupWeights, build_wup_graph, solve_wup_expected
-from conftest import dyadic, iterative_split, random_instance
+from conftest import dyadic, fixed_external, iterative_split, random_instance
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -77,7 +77,7 @@ def test_criterion_1_lemma_map_identity(wup_family):
         y = weights.revenue_weights
         x = weights.payment_weight
         for ext, _ in inst.external.support:
-            graph = build_wup_graph(levels, weights, inst, ext)
+            graph = build_wup_graph(levels, weights, fixed_external(inst, ext))
             for path in itertools.combinations_with_replacement(
                 range(len(graph.levels)), n_c
             ):

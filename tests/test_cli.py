@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -20,10 +21,17 @@ import bidcoord.discretize
 import bidcoord.limited
 import bidcoord.mechanisms
 from bidcoord.cli import canonical_json, main
-from bidcoord.core import validate_and_normalize
+from bidcoord.core import instance_to_raw, validate_and_normalize
 from bidcoord.discretize import build_grid, max_bits, pruned_grid
 from bidcoord.oracles import prune_levels
-from conftest import cent_bids_raw, example1_raw, example3_raw
+from conftest import (
+    cent_bids_raw,
+    example1_raw,
+    example3_raw,
+    fixed_external,
+    random_instance,
+    random_levels,
+)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 EXAMPLE3 = str(INSTANCES / "example3.json")
@@ -452,6 +460,31 @@ class TestWup:
         doc = json.loads(out)
         assert doc["fixed_external_index"] == 0
         assert doc["grid"]["levels"] == [0.0, 0.75]
+
+    def test_external_index_is_the_one_entry_distribution(self, tmp_path, capsys):
+        # --external-index k answers the query of the same instance file
+        # with its support replaced by entry k at probability 1
+        rng = random.Random(2101)
+        for _ in range(40):
+            inst = random_instance(rng)
+            k = rng.randrange(len(inst.external.support))
+            weights = self._weights(tmp_path, {
+                "revenue_weights": [rng.random() * 2 for _ in range(inst.n_colluders)],
+                "payment_weight": rng.random() * 2,
+                "levels": random_levels(rng),
+            })
+            whole = write_instance(tmp_path, instance_to_raw(inst))
+            entry = fixed_external(inst, inst.external.support[k][0])
+            one = write_instance(tmp_path, instance_to_raw(entry), "entry.json")
+            docs = []
+            for argv in ((whole, "--external-index", str(k)), (one,)):
+                code, out, _ = run_cli(capsys, "wup", argv[0], "--weights-file", weights,
+                                       *argv[1:])
+                assert code == 0
+                doc = json.loads(out)
+                docs.append((doc["profile"], doc["value"].hex(), doc["colluder_order"],
+                             doc["grid"]))
+            assert docs[0] == docs[1]
 
     @pytest.mark.parametrize("field, value", [
         pytest.param("payment_weight", float("nan"), id="payment-nan"),

@@ -4,7 +4,6 @@ import pytest
 
 import bidcoord as bc
 from bidcoord.core import Bid, BidProfile, make_profile
-from bidcoord.mechanisms import certify
 from conftest import example1_raw, random_instance
 
 
@@ -162,31 +161,6 @@ class TestAgencySolution:
         prof = make_profile([0.0])
         with pytest.raises(ValueError):
             bc.AgencySolution(((prof, 0.5),), (0.0,), 0.0, (0.0,), 0.0, 0.0, (0.0,), (0.0,))
-
-
-class TestCheckDeltaIC:
-    def _solution(self, instance, transfers, relaxation):
-        profile = make_profile([0.0] * instance.n_colluders)
-        return certify(instance, ((profile, 1.0),), lambda rbar: transfers, relaxation)
-
-    def test_equality_by_construction(self, example1):
-        p = 0.05
-        out = bc.expected_outcome(example1, make_profile([0.0, 0.0]))
-        q = [r - c.outside_option + p for r, c in zip(out.revenue, example1.colluders)]
-        sol = self._solution(example1, q, p)
-        assert bc.check_delta_ic(sol, example1, p) == (True, True)
-
-    def test_half_delta_fails(self, example1):
-        p = 0.05
-        out = bc.expected_outcome(example1, make_profile([0.0, 0.0]))
-        q = [r - c.outside_option + p for r, c in zip(out.revenue, example1.colluders)]
-        sol = self._solution(example1, q, p)
-        assert bc.check_delta_ic(sol, example1, p / 2) == (False, False)
-
-    def test_delta_one_always_passes(self, example1):
-        out = bc.expected_outcome(example1, make_profile([0.0, 0.0]))
-        sol = self._solution(example1, list(out.revenue), 0.0)
-        assert bc.check_delta_ic(sol, example1, 1.0) == (True, True)
 
 
 class TestThreshold:

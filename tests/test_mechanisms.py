@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +88,15 @@ class TestPaymentsVcg:
             closed = payments_vcg(ranking, lam)
             oracle = vcg_externality(ranking, lam)
             assert all(abs(a - b) < 1e-12 for a, b in zip(closed, oracle))
+
+
+class TestSingleOutcome:
+    @pytest.mark.parametrize("bid", [-0.2, 1.5, float("nan")])
+    def test_external_bid_outside_unit_interval_rejected(self, bid):
+        # unchecked, -0.2 would give colluder 2 a negative GSP payment
+        inst = simple_instance(external=((0.5,),))
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            single_outcome(inst, make_profile([0.8, 0.2]), (bid,))
 
 
 class TestExpectedOutcome:

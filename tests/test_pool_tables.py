@@ -17,7 +17,7 @@ from bidcoord.core import validate_and_normalize
 from bidcoord.discretize import pruned_grid
 from bidcoord.oracles import entrywise_expected_tables
 from bidcoord.wup import expected_tables
-from conftest import load_workloads
+from conftest import fixed_external, load_workloads
 
 workloads = load_workloads()
 
@@ -38,7 +38,8 @@ def test_pool_tables_match_entrywise_reference(name):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # cent bids warn about their bit count
                 levels = pruned_grid(instance, workloads.EPSILON / instance.n_colluders).levels
-            for external in (None, instance.external.support[-1][0]):
-                got = expected_tables(instance, levels, external)
-                ref = entrywise_expected_tables(instance, levels, external)
-                assert table_bytes(got) == table_bytes(ref), (slot, variant, external)
+            fixed = fixed_external(instance, instance.external.support[-1][0])
+            for query in (instance, fixed):
+                got = expected_tables(query, levels)
+                ref = entrywise_expected_tables(query, levels)
+                assert table_bytes(got) == table_bytes(ref), (slot, variant, query is fixed)

@@ -14,7 +14,7 @@ from bidcoord.discretize import build_grid
 from bidcoord.limited import solve_ll
 from bidcoord.oracles import brute_force_arbitrary, brute_force_ll, prune_levels
 from bidcoord.wup import WupWeights, expected_tables, solve_wup, solve_wup_expected
-from conftest import cent_bids_raw
+from conftest import cent_bids_raw, fixed_external
 
 
 def point_mass(*bids):
@@ -147,8 +147,9 @@ class TestPrunedEqualsFullGrid:
         full = solve_wup_expected(levels, weights, inst)
         pruned = solve_wup_expected(kept, weights, inst)
         assert abs(pruned.value - full.value) <= 1e-12
-        full = solve_wup(expected_tables(inst, levels, external), weights, inst)
-        pruned = solve_wup(expected_tables(inst, kept, external), weights, inst)
+        fixed = fixed_external(inst, external)
+        full = solve_wup(expected_tables(fixed, levels), weights, fixed)
+        pruned = solve_wup(expected_tables(fixed, kept), weights, fixed)
         assert abs(pruned.value - full.value) <= 1e-12
 
     @settings(max_examples=150)

@@ -1,6 +1,8 @@
 """The package's top-level names, pinned: adding or dropping one is a
 decision made here, not a side effect of a refactor."""
 
+import inspect
+
 import bidcoord
 import bidcoord.arbitrary
 import bidcoord.wup
@@ -23,7 +25,6 @@ PUBLIC = [
     "ToleranceError",
     "WupWeights",
     "build_grid",
-    "check_delta_ic",
     "expected_outcome",
     "individual_baseline",
     "instance_to_raw",
@@ -44,5 +45,18 @@ def test_all_is_pinned():
     # dropped from the top level; the witness search stays in its module
     for name in ("solve_wup_fixed", "check_assumption1", "Assumption1Report"):
         assert not hasattr(bidcoord, name), name
+    # deleted: ``mechanisms.certify`` computes the participation slacks
+    assert not hasattr(bidcoord, "check_delta_ic")
+    assert not hasattr(bidcoord.core, "check_delta_ic")
     assert callable(bidcoord.arbitrary.check_assumption1)
     assert not hasattr(bidcoord.wup, "solve_wup_fixed")
+
+
+def test_one_query_form():
+    # a fixed external profile is a one-entry distribution on the
+    # instance, not an extra argument of the table builders
+    def params(func):
+        return list(inspect.signature(func).parameters)
+
+    assert params(bidcoord.wup.expected_tables) == ["instance", "grid_levels"]
+    assert params(bidcoord.wup.build_wup_graph) == ["grid_levels", "weights", "instance"]

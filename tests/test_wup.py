@@ -29,12 +29,13 @@ from bidcoord.wup import (
     unit_weights,
     wup_colluder_order,
 )
-from conftest import random_instance, random_levels
+from conftest import fixed_external, random_instance, random_levels
 
 
-def solve_fixed(levels, weights, inst, external_levels):
+def solve_fixed(levels, weights, inst, external):
     """The weighted-utility query against one fixed external profile."""
-    return solve_wup(expected_tables(inst, levels, external_levels), weights, inst)
+    fixed = fixed_external(inst, external)
+    return solve_wup(expected_tables(fixed, levels), weights, fixed)
 
 
 def make_instance(mechanism, slots, valuations, support=((),)):
@@ -146,7 +147,7 @@ class TestSolveFixed:
             w = WupWeights(y, rng.random() * 2)
             ext = inst.external.support[0][0]
             res = solve_fixed(levels, w, inst, ext)
-            _, best = brute_force_wup(levels, w, inst, ext)
+            _, best = brute_force_wup(levels, w, fixed_external(inst, ext))
             assert abs(res.value - best) < 1e-9
 
     def test_empty_grid_rejected(self):
@@ -188,8 +189,8 @@ class TestSolveExpected:
         w = unit_weights(2)
         levels = [0.0, 0.25, 0.5, 0.75]
         arcs, sink = dense_arcs(build_wup_graph(levels, w, inst))
-        arcs_a, sink_a = dense_arcs(build_wup_graph(levels, w, inst, (0.2,)))
-        arcs_b, sink_b = dense_arcs(build_wup_graph(levels, w, inst, (0.8,)))
+        arcs_a, sink_a = dense_arcs(build_wup_graph(levels, w, fixed_external(inst, (0.2,))))
+        arcs_b, sink_b = dense_arcs(build_wup_graph(levels, w, fixed_external(inst, (0.8,))))
         for pos in range(1):
             for jc in range(4):
                 for jn in range(jc, 4):
@@ -220,7 +221,7 @@ class TestGraphProperties:
             y = tuple(rng.random() * 2 for _ in range(n_c))
             w = WupWeights(y, rng.random() * 2)
             for ext, _ in inst.external.support:
-                g = build_wup_graph(levels, w, inst, ext)
+                g = build_wup_graph(levels, w, fixed_external(inst, ext))
                 for path in itertools.combinations_with_replacement(range(len(g.levels)), n_c):
                     prof = g.profile_for_path(path)
                     out = single_outcome(inst, prof, ext)
@@ -344,7 +345,8 @@ class TestTablesVsScalarReference:
         support = inst.external.support
         for graph, entries in (
             (build_wup_graph(levels, w, inst), support),
-            (build_wup_graph(levels, w, inst, support[-1][0]), ((support[-1][0], 1.0),)),
+            (build_wup_graph(levels, w, fixed_external(inst, support[-1][0])),
+             ((support[-1][0], 1.0),)),
         ):
             arcs, sink = _reference_graph(inst, graph.levels, w, entries)
             dense, dense_sink = dense_arcs(graph)
@@ -383,8 +385,8 @@ class TestSolveGraphVsDenseReference:
     def check(self, case, zero):
         inst, levels, w = case
         w = _zeroed(w, zero)
-        for external in (None, inst.external.support[-1][0]):
-            graph = build_wup_graph(levels, w, inst, external)
+        for query in (inst, fixed_external(inst, inst.external.support[-1][0])):
+            graph = build_wup_graph(levels, w, query)
             value, path = solve_graph(graph)
             ref_value, ref_path = dense_best_path(graph)
             assert (value.hex(), path) == (ref_value.hex(), ref_path)
@@ -476,9 +478,9 @@ class TestTablesVsEntrywiseReference:
 
     def check(self, case):
         instance, levels, fixed = case
-        for external in (None, fixed):
-            got = expected_tables(instance, levels, external)
-            ref = entrywise_expected_tables(instance, levels, external)
+        for query in (instance, fixed_external(instance, fixed)):
+            got = expected_tables(query, levels)
+            ref = entrywise_expected_tables(query, levels)
             assert hexed_tables(got) == hexed_tables(ref)
 
     @settings(max_examples=300)
