@@ -27,7 +27,7 @@ from .core import (
 )
 from .discretize import BidGrid, Interval, IntervalSet, build_grid, project_to_grid
 from .limited import DualValues, solve_ll
-from .mechanisms import expected_outcome, individual_baseline, single_outcome
+from .mechanisms import expected_outcome, individual_baseline
 from .wup import WupWeights, solve_wup_expected
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "instance_to_raw",
     "make_profile",
     "project_to_grid",
-    "single_outcome",
     "solve_arbitrary",
     "solve_ll",
     "solve_wup_expected",

@@ -435,9 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wup.add_argument("instance")
     p_wup.add_argument("--weights-file", required=True)
     p_wup.add_argument("--p", type=float, default=0.05)
-    group = p_wup.add_mutually_exclusive_group()
-    group.add_argument("--external-index", type=int, default=None)
-    group.add_argument("--expected", action="store_true")
+    p_wup.add_argument("--external-index", type=int, default=None)
     p_wup.add_argument("--out", default=None)
 
     p_base = sub.add_parser("baseline", help="individual-bidding utilities")

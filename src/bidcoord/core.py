@@ -123,15 +123,15 @@ class ExternalDistribution:
         for bids, prob in self.support:
             if len(bids) != n_e:
                 raise ValueError("all support profiles must have equal length")
-            if prob < 0.0:
-                raise ValueError(f"negative probability {prob!r}")
+            if not prob >= 0.0:
+                raise ValueError(f"probability {prob!r} is not >= 0")
             total += prob
             for j, b in enumerate(bids):
                 if not 0.0 <= b <= 1.0:
                     raise ValueError(f"external bid {b!r} outside [0, 1]")
                 if j > 0 and bids[j - 1] < b:
                     raise ValueError("support bids must be sorted descending")
-        if abs(total - 1.0) > PROB_EXACT_TOL:
+        if not abs(total - 1.0) <= PROB_EXACT_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     @property
@@ -236,10 +236,10 @@ class AgencySolution:
             raise ValueError("distribution must be nonempty")
         total = 0.0
         for _, prob in self.distribution:
-            if prob < -PROB_EXACT_TOL:
-                raise ValueError(f"negative probability {prob!r}")
+            if not prob >= -PROB_EXACT_TOL:
+                raise ValueError(f"probability {prob!r} is not >= 0")
             total += prob
-        if abs(total - 1.0) > PROB_DRIFT_TOL:
+        if not abs(total - 1.0) <= PROB_DRIFT_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     @property

@@ -3,43 +3,31 @@ every reported solution number.
 
 Everything here is a pure function; expectations enumerate the external
 distribution's finite support in a fixed order, so results are
-deterministic.  One merge kernel serves ``single_outcome`` and
-``expected_outcome``: the profile's colluders are ranked once per call,
-then merged with each support entry's external bids, which are already
-descending.  Its float operations and their order are those of ranking
-every agent with one sort and paying every rank, the reference kept in
-``oracles``, so both give the same bits.  ``certify`` is the only code
-that turns a distribution over bid profiles into expected revenues and
-payments, the objective and the participation/budget slacks; the
-solvers contribute only the distribution and the rule that maps
-expected revenues to transfers.
+deterministic.  A fixed external profile is the one-entry distribution
+of its bids at probability 1; its outcome is that instance's expected
+outcome.  ``expected_outcome`` ranks the profile's colluders once per
+call, then merges them with each support entry's external bids, which
+are already descending.  Its float operations and their order are those
+of ranking every agent with one sort and paying every rank, the
+reference kept in ``oracles``, so both give the same bits.  ``certify``
+is the only code that turns a distribution over bid profiles into
+expected revenues and payments, the objective and the
+participation/budget slacks; the solvers contribute only the
+distribution and the rule that maps expected revenues to transfers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     GSP,
     AgencySolution,
     AuctionInstance,
     BidProfile,
-    ExternalDistribution,
     make_profile,
 )
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Per-colluder result of one auction realization.
-
-    Slots are 1-based; ``None`` marks an unallocated colluder.
-    """
-
-    colluder_slot: tuple[Optional[int], ...]
-    colluder_revenue: tuple[float, ...]
-    colluder_payment: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -116,28 +104,6 @@ def _winners(
         acc += (levels[k] if k < top else 0.0) * gaps[k - 1]
         pays[k - 1] = acc
     return [(i, k, pays[k]) for k, i in holders]
-
-
-def single_outcome(
-    instance: AuctionInstance, profile: BidProfile, external_levels: Sequence[float]
-) -> Outcome:
-    """Outcome of one fixed external bid profile.
-
-    The profile is read as a one-entry ``ExternalDistribution``, whose
-    checks reject a bid outside [0, 1] with ``ValueError``.
-    """
-    order, c_levels = _ranked_colluders(profile)
-    point_mass = ExternalDistribution(((tuple(sorted(external_levels, reverse=True)), 1.0),))
-    external = point_mass.support[0][0]
-    n_c = instance.n_colluders
-    c_slot: list[Optional[int]] = [None] * n_c
-    c_rev = [0.0] * n_c
-    c_pay = [0.0] * n_c
-    for i, k, price in _winners(instance, order, c_levels, _rate_gaps(instance.slots), external):
-        c_slot[i] = k + 1
-        c_rev[i] = instance.slots[k] * instance.colluders[i].valuation
-        c_pay[i] = price
-    return Outcome(tuple(c_slot), tuple(c_rev), tuple(c_pay))
 
 
 def expected_outcome(instance: AuctionInstance, profile: BidProfile) -> ExpectedOutcome:

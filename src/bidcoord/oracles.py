@@ -8,21 +8,22 @@ simplex.  The recursive interval split, with its event probability, is
 the reference for the discretizer's iterative one, and pruning a given
 grid gap by gap is the reference for the pruned levels the discretizer
 reads off that split.  Ranking every agent with one sort of (level, tie
-rank) keys and paying every rank is the reference for the mechanisms
-module's merge kernel.  The scalar per-arc weight, one support entry and
-one level pair at a time, is the reference for the optimizer's numpy
-tables, and the same tables built one support entry at a time are their
-bit-for-bit reference.  Those tables and the exhaustive weighted-utility
-maximum read only the instance's external distribution: a fixed external
-profile is its one-entry case.  A query's arc weights, every layer at
-once in one dense tensor, and the masked-max DP over that tensor are
-the bit-for-bit reference for the optimizer's DP, which forms one layer
-at a time.  A path's weight, its arcs added one by one from the source, is
-what the lemma-map checks compare with the mechanism accounting.  The
-dense master, every grid column at once, is the reference for column
+rank) keys and paying every rank, once per support entry, is the
+reference for the mechanisms module's expected outcome.  The scalar
+per-arc weight, one support entry and one level pair at a time, is the
+reference for the optimizer's numpy tables, and the same tables built
+one support entry at a time are their bit-for-bit reference.  Those
+tables and the exhaustive weighted-utility maximum read only the
+instance's external distribution: a fixed external profile is its
+one-entry case.  A query's arc weights, every layer at once in one dense
+tensor, and the masked-max DP over that tensor are the bit-for-bit
+reference for the optimizer's DP, which forms one layer at a time.  A
+path's weight, its arcs added one by one from the source, is what the
+lemma-map checks compare with the mechanism accounting.  The dense
+master, every grid column at once, is the reference for column
 generation.  Shared surface is limited to the core types, the
 discretizer's interval type and grid-profile enumerator, the mechanisms
-module's outcome types and expected outcome, the optimizer's weight
+module's expected-outcome type and function, the optimizer's weight
 type, tables, level normalization, graph and colluder order, and the
 limited-liability module's column, master LP and solution extraction.
 """
@@ -48,7 +49,7 @@ from .core import (
 )
 from .discretize import Interval, iter_grid_profiles
 from .limited import MasterSolution, extract_solution, make_column, solve_master
-from .mechanisms import ExpectedOutcome, Outcome, expected_outcome
+from .mechanisms import ExpectedOutcome, expected_outcome
 from .wup import WupGraph, WupTables, WupWeights, _normalize_levels, wup_colluder_order
 
 _EXTERNALITY_CAP = 20
@@ -163,39 +164,22 @@ def payments_vcg(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> li
     return pays
 
 
-def ranking_outcome(
-    instance: AuctionInstance, profile: BidProfile, external_levels: Sequence[float]
-) -> Outcome:
-    """Reference for ``mechanisms.single_outcome``: every agent ranked by
-    one sort of (level, tie rank) keys, every rank paid."""
-    ranking = allocate(profile, external_levels)
-    if instance.mechanism == GSP:
-        pays = payments_gsp(ranking, instance.slots)
-    else:
-        pays = payments_vcg(ranking, instance.slots)
-    n_c = instance.n_colluders
-    c_slot: list[Optional[int]] = [None] * n_c
-    c_rev = [0.0] * n_c
-    c_pay = [0.0] * n_c
-    for k, agent in enumerate(ranking[: instance.n_slots]):
-        if agent.kind == "c":
-            c_slot[agent.index] = k + 1
-            c_rev[agent.index] = instance.slots[k] * instance.colluders[agent.index].valuation
-            c_pay[agent.index] = pays[k]
-    return Outcome(tuple(c_slot), tuple(c_rev), tuple(c_pay))
-
-
 def ranking_expected_outcome(instance: AuctionInstance, profile: BidProfile) -> ExpectedOutcome:
-    """Reference for ``mechanisms.expected_outcome``: ``ranking_outcome``
-    per support entry, every colluder's share added in support order."""
+    """Reference for ``mechanisms.expected_outcome``: per support entry,
+    every agent ranked by one sort of (level, tie rank) keys and every
+    rank paid; each slot holder's share added in support order."""
+    pay_rule = payments_gsp if instance.mechanism == GSP else payments_vcg
     n_c = instance.n_colluders
     rev = [0.0] * n_c
     pay = [0.0] * n_c
     for levels, prob in instance.external.support:
-        out = ranking_outcome(instance, profile, levels)
-        for i in range(n_c):
-            rev[i] += prob * out.colluder_revenue[i]
-            pay[i] += prob * out.colluder_payment[i]
+        ranking = allocate(profile, levels)
+        pays = pay_rule(ranking, instance.slots)
+        for k, agent in enumerate(ranking[: instance.n_slots]):
+            if agent.kind == "c":
+                i = agent.index
+                rev[i] += prob * (instance.slots[k] * instance.colluders[i].valuation)
+                pay[i] += prob * pays[k]
     return ExpectedOutcome(tuple(rev), tuple(pay))
 
 

@@ -19,7 +19,7 @@ from bidcoord.cli import canonical_json, main as cli_main
 from bidcoord.core import ExternalDistribution, make_profile
 from bidcoord.discretize import IntervalSet, build_grid, max_bits, project_to_grid
 from bidcoord.limited import solve_ll, solve_ll_cg
-from bidcoord.mechanisms import expected_outcome, individual_baseline, single_outcome
+from bidcoord.mechanisms import expected_outcome, individual_baseline
 from bidcoord.oracles import (
     allocate,
     best_deterministic_ll,
@@ -77,14 +77,15 @@ def test_criterion_1_lemma_map_identity(wup_family):
         y = weights.revenue_weights
         x = weights.payment_weight
         for ext, _ in inst.external.support:
-            graph = build_wup_graph(levels, weights, fixed_external(inst, ext))
+            fixed = fixed_external(inst, ext)
+            graph = build_wup_graph(levels, weights, fixed)
             for path in itertools.combinations_with_replacement(
                 range(len(graph.levels)), n_c
             ):
                 profile = graph.profile_for_path(path)
-                out = single_outcome(inst, profile, ext)
+                out = expected_outcome(fixed, profile)
                 reference = sum(
-                    y[i] * out.colluder_revenue[i] - x * out.colluder_payment[i]
+                    y[i] * out.revenue[i] - x * out.payment[i]
                     for i in range(n_c)
                 )
                 assert abs(path_weight(graph, path) - reference) <= 1e-9

@@ -433,21 +433,6 @@ class TestWup:
         assert set(grid_doc) == GRID_SCALARS | {"pruned_levels"}
         assert seen == [grid_doc["pruned_levels"]] == [list(grid.levels)]
 
-    def test_expected_flag_is_the_default(self, tmp_path, capsys):
-        inst = write_instance(tmp_path, example3_raw())
-        weights = self._weights(
-            tmp_path, {"revenue_weights": [1.0, 1.0], "payment_weight": 1.0}
-        )
-        argv = ("wup", inst, "--weights-file", weights, "--p", "0.05")
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert run_cli(capsys, *argv, "--expected") == (0, out, "")
-        # argparse rejects the two modes together
-        with pytest.raises(SystemExit) as exited:
-            main([*argv, "--expected", "--external-index", "0"])
-        assert exited.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
-
     def test_fixed_external_index(self, tmp_path, capsys):
         inst = write_instance(tmp_path, example3_raw())
         weights = self._weights(

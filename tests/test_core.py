@@ -6,6 +6,8 @@ import bidcoord as bc
 from bidcoord.core import Bid, BidProfile, make_profile
 from conftest import example1_raw, random_instance
 
+NAN = float("nan")
+
 
 def minimal_raw(**overrides):
     raw = {
@@ -161,6 +163,39 @@ class TestAgencySolution:
         prof = make_profile([0.0])
         with pytest.raises(ValueError):
             bc.AgencySolution(((prof, 0.5),), (0.0,), 0.0, (0.0,), 0.0, 0.0, (0.0,), (0.0,))
+
+    def test_nan_probability_rejected(self):
+        # nan < 0 and abs(nan - 1) > tol are both False
+        prof = make_profile([0.0])
+        with pytest.raises(ValueError, match="probability nan"):
+            bc.AgencySolution(
+                ((prof, NAN), (prof, 1.0)), (0.0,), 0.0, (0.0,), 0.0, 0.0, (0.0,), (0.0,)
+            )
+
+
+class TestExternalDistribution:
+    @pytest.mark.parametrize(
+        "support, message",
+        [
+            ((), "support must be nonempty"),
+            ((((0.5,), 0.5), ((0.5, 0.25), 0.5)), "equal length"),
+            ((((0.5,), -0.5), ((0.25,), 1.5)), "probability -0.5 is not >= 0"),
+            ((((0.5,), NAN), ((0.25,), 1.0)), "probability nan is not >= 0"),
+            ((((0.5,), 0.5), ((0.25,), 0.25)), "sum to 0.75, not 1"),
+            ((((0.25, 0.5), 1.0),), "sorted descending"),
+            # unchecked, -0.2 would give a colluder a negative GSP payment
+            ((((-0.2,), 1.0),), "outside \\[0, 1\\]"),
+            ((((1.5,), 1.0),), "outside \\[0, 1\\]"),
+            ((((NAN,), 1.0),), "outside \\[0, 1\\]"),
+        ],
+        ids=[
+            "empty", "unequal-lengths", "negative-prob", "nan-prob", "sum-not-one",
+            "unsorted", "bid-negative", "bid-above-one", "bid-nan",
+        ],
+    )
+    def test_rejected(self, support, message):
+        with pytest.raises(ValueError, match=message):
+            bc.ExternalDistribution(support)
 
 
 class TestThreshold:

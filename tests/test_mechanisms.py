@@ -5,18 +5,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bidcoord as bc
-from bidcoord.core import ExternalDistribution, make_profile
-from bidcoord.mechanisms import expected_outcome, individual_baseline, single_outcome
+from bidcoord.core import make_profile
+from bidcoord.mechanisms import expected_outcome, individual_baseline
 from bidcoord.oracles import (
     allocate,
     payments_gsp,
     payments_vcg,
     ranking_expected_outcome,
-    ranking_outcome,
     vcg_externality,
 )
-from conftest import random_instance
-from dataclasses import replace
+from conftest import fixed_external, random_instance
 
 
 def simple_instance(mechanism="gsp", slots=(1.0, 0.5), colluders=((0.9, 0.0), (0.3, 0.0)),
@@ -58,9 +56,9 @@ class TestPaymentsGsp:
     def test_example1_agency_profile_pays_zero(self):
         inst = simple_instance("gsp", slots=(1.0,), colluders=((0.6, 0.1), (0.5, 0.0)),
                                external=((0.0,),))
-        out = single_outcome(inst, make_profile([0.6, 0.0]), [0.0])
-        assert out.colluder_slot[0] == 1
-        assert out.colluder_payment[0] == 0.0
+        out = expected_outcome(inst, make_profile([0.6, 0.0]))
+        assert out.revenue == (0.6, 0.0)
+        assert out.payment == (0.0, 0.0)
 
 
 class TestPaymentsVcg:
@@ -90,33 +88,25 @@ class TestPaymentsVcg:
             assert all(abs(a - b) < 1e-12 for a, b in zip(closed, oracle))
 
 
-class TestSingleOutcome:
-    @pytest.mark.parametrize("bid", [-0.2, 1.5, float("nan")])
-    def test_external_bid_outside_unit_interval_rejected(self, bid):
-        # unchecked, -0.2 would give colluder 2 a negative GSP payment
-        inst = simple_instance(external=((0.5,),))
-        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
-            single_outcome(inst, make_profile([0.8, 0.2]), (bid,))
-
-
 class TestExpectedOutcome:
     def test_point_mass_equals_single(self):
-        inst = simple_instance()
-        prof = make_profile([0.9, 0.3])
-        exp = expected_outcome(inst, prof)
-        one = single_outcome(inst, prof, inst.external.support[0][0])
-        assert exp.revenue == one.colluder_revenue
-        assert exp.payment == one.colluder_payment
+        # the one-entry distribution gives the single profile's outcome,
+        # evaluated by hand: colluder 1 at 0.9, the external at 0.5,
+        # colluder 2 at 0.3 without a slot; slot 1 pays rate 1.0 times 0.5
+        inst = fixed_external(simple_instance(external=((0.2,), (0.8,))), (0.5,))
+        exp = expected_outcome(inst, make_profile([0.9, 0.3]))
+        assert exp.revenue == (0.9, 0.0)
+        assert exp.payment == (0.5, 0.0)
 
     def test_two_support_mean(self):
         inst = simple_instance(external=((0.2,), (0.8,)))
         prof = make_profile([0.9, 0.3])
         exp = expected_outcome(inst, prof)
-        a = single_outcome(inst, prof, (0.2,))
-        b = single_outcome(inst, prof, (0.8,))
+        a = expected_outcome(fixed_external(inst, (0.2,)), prof)
+        b = expected_outcome(fixed_external(inst, (0.8,)), prof)
         for i in range(2):
-            assert abs(exp.revenue[i] - (a.colluder_revenue[i] + b.colluder_revenue[i]) / 2) < 1e-12
-            assert abs(exp.payment[i] - (a.colluder_payment[i] + b.colluder_payment[i]) / 2) < 1e-12
+            assert abs(exp.revenue[i] - (a.revenue[i] + b.revenue[i]) / 2) < 1e-12
+            assert abs(exp.payment[i] - (a.payment[i] + b.payment[i]) / 2) < 1e-12
 
     def test_example3_profile(self, example3):
         prof = make_profile([0.0, 0.0])  # ranks (2, 1)
@@ -134,12 +124,7 @@ class TestExpectedOutcome:
             if len(support) < 2:
                 continue
             exp = expected_outcome(inst, prof)
-            parts = [
-                expected_outcome(
-                    replace(inst, external=ExternalDistribution(((bids, 1.0),))), prof
-                )
-                for bids, _ in support
-            ]
+            parts = [expected_outcome(fixed_external(inst, bids), prof) for bids, _ in support]
             for i in range(inst.n_colluders):
                 mixed_r = sum(pr * part.revenue[i] for (_, pr), part in zip(support, parts))
                 mixed_p = sum(pr * part.payment[i] for (_, pr), part in zip(support, parts))
@@ -190,10 +175,9 @@ class TestMechanismInvariants:
 
     def test_unallocated_pay_nothing(self):
         inst = simple_instance(slots=(1.0,))
-        out = single_outcome(inst, make_profile([0.9, 0.3]), [0.5])
-        assert out.colluder_slot[1] is None
-        assert out.colluder_payment[1] == 0.0
-        assert out.colluder_revenue[1] == 0.0
+        out = expected_outcome(inst, make_profile([0.9, 0.3]))
+        assert out.payment[1] == 0.0
+        assert out.revenue[1] == 0.0
 
 
 def kernel_case(mechanism, slots, values, support, levels, priority):
@@ -263,10 +247,10 @@ class TestOutcomeKernelVsRanking:
         ref = ranking_expected_outcome(instance, profile)
         assert hexed(exp.revenue) == hexed(ref.revenue)
         assert hexed(exp.payment) == hexed(ref.payment)
+        # each support entry alone: a fixed profile's one-entry instance
         for bids, _ in instance.external.support:
-            for external in (bids, bids[::-1]):
-                out = single_outcome(instance, profile, external)
-                ref = ranking_outcome(instance, profile, external)
-                assert out.colluder_slot == ref.colluder_slot
-                assert hexed(out.colluder_revenue) == hexed(ref.colluder_revenue)
-                assert hexed(out.colluder_payment) == hexed(ref.colluder_payment)
+            one = fixed_external(instance, bids)
+            out = expected_outcome(one, profile)
+            ref = ranking_expected_outcome(one, profile)
+            assert hexed(out.revenue) == hexed(ref.revenue)
+            assert hexed(out.payment) == hexed(ref.payment)

@@ -5,6 +5,8 @@ import inspect
 
 import bidcoord
 import bidcoord.arbitrary
+import bidcoord.mechanisms
+import bidcoord.oracles
 import bidcoord.wup
 
 PUBLIC = [
@@ -30,7 +32,6 @@ PUBLIC = [
     "instance_to_raw",
     "make_profile",
     "project_to_grid",
-    "single_outcome",
     "solve_arbitrary",
     "solve_ll",
     "solve_wup_expected",
@@ -49,6 +50,11 @@ def test_all_is_pinned():
     assert not hasattr(bidcoord, "check_delta_ic")
     assert not hasattr(bidcoord.core, "check_delta_ic")
     assert callable(bidcoord.arbitrary.check_assumption1)
+    # deleted: a fixed external profile's outcome is ``expected_outcome``
+    # on its one-entry distribution
+    assert not hasattr(bidcoord, "single_outcome")
+    assert not hasattr(bidcoord.mechanisms, "Outcome")
+    assert not hasattr(bidcoord.oracles, "ranking_outcome")
     assert not hasattr(bidcoord.wup, "solve_wup_fixed")
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import bidcoord as bc
 from bidcoord.core import make_profile
-from bidcoord.mechanisms import single_outcome
+from bidcoord.mechanisms import expected_outcome
 from bidcoord.oracles import (
     arc_weight,
     brute_force_wup,
@@ -111,8 +111,8 @@ class TestArcWeightVcg:
             2, 0.2, 0.0, (0.4,), w, inst
         )
         prof = make_profile([0.8, 0.2])
-        out = single_outcome(inst, prof, (0.4,))
-        ref = sum(out.colluder_revenue) - sum(out.colluder_payment)
+        out = expected_outcome(fixed_external(inst, (0.4,)), prof)
+        ref = sum(out.revenue) - sum(out.payment)
         assert abs(total - ref) < 1e-9
 
 
@@ -121,8 +121,8 @@ class TestSolveFixed:
         inst = make_instance("gsp", [1.0, 0.5], [0.9, 0.6], support=((0.4,),))
         res = solve_fixed([0.25], unit_weights(2), inst, (0.4,))
         assert res.profile.levels == (0.25, 0.25)
-        out = single_outcome(inst, res.profile, (0.4,))
-        assert abs(res.value - (sum(out.colluder_revenue) - sum(out.colluder_payment))) < 1e-9
+        out = expected_outcome(fixed_external(inst, (0.4,)), res.profile)
+        assert abs(res.value - (sum(out.revenue) - sum(out.payment))) < 1e-9
 
     def test_example1_grid(self):
         inst = make_instance("vcg", [1.0], [0.6, 0.5], support=((0.0,),))
@@ -131,11 +131,12 @@ class TestSolveFixed:
         assert res.profile.levels == (0.6, 0.0)
         assert res.profile.bids[0] > res.profile.bids[1]
         # exhaustive check over the three ordered profiles
-        best = max(
-            sum(single_outcome(inst, make_profile(list(levels)), (0.0,)).colluder_revenue)
-            - sum(single_outcome(inst, make_profile(list(levels)), (0.0,)).colluder_payment)
+        fixed = fixed_external(inst, (0.0,))
+        outs = [
+            expected_outcome(fixed, make_profile(list(levels)))
             for levels in [(0.6, 0.6), (0.6, 0.0), (0.0, 0.0)]
-        )
+        ]
+        best = max(sum(out.revenue) - sum(out.payment) for out in outs)
         assert abs(res.value - best) < 1e-9
 
     def test_random_matches_brute_force(self):
@@ -221,12 +222,13 @@ class TestGraphProperties:
             y = tuple(rng.random() * 2 for _ in range(n_c))
             w = WupWeights(y, rng.random() * 2)
             for ext, _ in inst.external.support:
-                g = build_wup_graph(levels, w, fixed_external(inst, ext))
+                fixed = fixed_external(inst, ext)
+                g = build_wup_graph(levels, w, fixed)
                 for path in itertools.combinations_with_replacement(range(len(g.levels)), n_c):
                     prof = g.profile_for_path(path)
-                    out = single_outcome(inst, prof, ext)
+                    out = expected_outcome(fixed, prof)
                     ref = sum(
-                        y[i] * out.colluder_revenue[i] - w.payment_weight * out.colluder_payment[i]
+                        y[i] * out.revenue[i] - w.payment_weight * out.payment[i]
                         for i in range(n_c)
                     )
                     assert abs(path_weight(g, path) - ref) < 1e-9
