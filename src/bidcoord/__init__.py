@@ -25,7 +25,7 @@ from .core import (
     make_profile,
     validate_and_normalize,
 )
-from .discretize import BidGrid, Interval, IntervalSet, build_grid, project_to_grid
+from .discretize import BidGrid, build_grid, project_to_grid
 from .limited import DualValues, solve_ll
 from .mechanisms import expected_outcome, individual_baseline
 from .wup import WupWeights, solve_wup_expected
@@ -45,8 +45,6 @@ __all__ = [
     "ExternalDistribution",
     "InfeasibleError",
     "InstanceError",
-    "Interval",
-    "IntervalSet",
     "ToleranceError",
     "WupWeights",
     "build_grid",

@@ -249,10 +249,12 @@ def cmd_discretize(args) -> int:
     _check_unit_interval("--p", args.p)
     instance = _load_instance(args.instance, None)
     grid = pruned_grid(instance, args.p)
-    intervals = grid.intervals().intervals
+    levels = list(grid.full_levels())
     doc = _grid_doc(grid, instance.n_colluders)
-    doc["levels"] = [iv.lower for iv in intervals]
-    doc["intervals"] = [{"lower": iv.lower, "upper": iv.upper} for iv in intervals]
+    doc["levels"] = levels
+    doc["intervals"] = [
+        {"lower": lower, "upper": upper} for lower, upper in zip(levels, levels[1:] + [1.0])
+    ]
     _emit(doc, args.out)
     return EXIT_OK
 

@@ -55,8 +55,9 @@ reference).  A fixed external profile's bids are support bids, so the
 same levels keep its optimum too.  ``pruned_grid`` reads those levels
 off the loop's pieces without building an interval, and every
 optimizer works over them.  It keeps the pieces, so ``discretize`` can
-expand the same walk into the full split (``PrunedGrid.intervals``,
-which ``build_grid`` wraps).
+expand the same walk into the full grid (``PrunedGrid.full_levels``,
+which ``build_grid`` wraps): the split is its lower endpoints, each
+interval running from its level to the next one, or to 1.
 """
 
 from __future__ import annotations
@@ -75,44 +76,6 @@ MAX_BITS_CAP = 53
 
 #: A piece of the split: (lower, upper, t, hits); see ``_split``.
 _Piece = tuple[float, float, int, tuple[float, ...]]
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Half-open interval (lower, upper]."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lower < self.upper <= 1.0:
-            raise ValueError(f"invalid interval ({self.lower}, {self.upper}]")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Disjoint intervals covering (0, 1], sorted by lower endpoint."""
-
-    intervals: tuple[Interval, ...]
-    p: float
-    eta: float
-    rec_calls: int
-
-    def __post_init__(self):
-        if not self.intervals:
-            raise ValueError("empty interval set")
-        if self.intervals[0].lower != 0.0 or self.intervals[-1].upper != 1.0:
-            raise ValueError("intervals must cover (0, 1]")
-        for a, b in itertools.pairwise(self.intervals):
-            if a.upper != b.lower:
-                raise ValueError("intervals must tile (0, 1] without gaps")
-
-    def __len__(self) -> int:
-        return len(self.intervals)
 
 
 @dataclass(frozen=True)
@@ -148,9 +111,11 @@ class PrunedGrid:
     levels: tuple[float, ...]
     pieces: tuple[_Piece, ...] = field(compare=False, repr=False)
 
-    def intervals(self) -> IntervalSet:
-        """The split's intervals, expanded from the walk's pieces."""
-        return IntervalSet(tuple(_leaves(self.pieces)), self.p, self.eta, self.rec_calls)
+    def full_levels(self) -> tuple[float, ...]:
+        """The full grid, expanded from the walk's pieces: each interval's
+        lower endpoint, ascending from 0.  An interval runs from its level
+        to the next one, or to 1."""
+        return tuple(_leaves(self.pieces))
 
 
 def _split(p: float, eta: float, distribution: ExternalDistribution) -> tuple[list[_Piece], int]:
@@ -252,24 +217,30 @@ def _light_counts(
     return counts
 
 
-def _leaves(pieces: Sequence[_Piece]) -> list[Interval]:
-    """Expand ``_split``'s pieces into its leaf intervals, ascending.  A
-    piece of t halvings bisects each interval that holds one of its
-    ``hits`` until t halvings are spent; an interval holding none is a
-    leaf."""
-    leaves: list[Interval] = []
+def _leaves(pieces: Sequence[_Piece]) -> list[float]:
+    """Expand ``_split``'s pieces into its leaves' lower endpoints,
+    ascending.  A piece of t halvings bisects each interval that holds
+    one of its ``hits`` until t halvings are spent; an interval holding
+    none is a leaf.
+
+    A leaf must be nonempty: with eta below the spacing of doubles near
+    a bid, a midpoint rounds onto an endpoint, and that is a ValueError.
+    """
+    levels: list[float] = []
     for lower, upper, t, hits in pieces:
         stack = [(lower, upper, t, 0, len(hits))]
         while stack:
             lower, upper, t, lo, hi = stack.pop()
             if t == 0 or lo == hi:
-                leaves.append(Interval(lower, upper))
+                if not lower < upper:
+                    raise ValueError(f"empty interval ({lower}, {upper}]")
+                levels.append(lower)
             else:
                 mid = (lower + upper) / 2.0
                 cut = bisect_right(hits, mid, lo, hi)
                 stack.append((mid, upper, t - 1, cut, hi))
                 stack.append((lower, mid, t - 1, lo, cut))
-    return leaves
+    return levels
 
 
 def max_bits(distribution: ExternalDistribution) -> int:
@@ -324,12 +295,11 @@ def pruned_grid(instance: AuctionInstance, p: float) -> PrunedGrid:
     return PrunedGrid(p, eta, k_star, calls, tuple(levels), tuple(pieces))
 
 
-def build_grid(instance: AuctionInstance, p: float) -> tuple[IntervalSet, BidGrid]:
-    """The full split for threshold p and its grid of interval lower
-    endpoints."""
-    interval_set = pruned_grid(instance, p).intervals()
-    levels = tuple(iv.lower for iv in interval_set.intervals)
-    return interval_set, BidGrid(levels)
+def build_grid(instance: AuctionInstance, p: float) -> tuple[PrunedGrid, BidGrid]:
+    """The walk of the split for threshold p and its full grid of
+    interval lower endpoints."""
+    grid = pruned_grid(instance, p)
+    return grid, BidGrid(grid.full_levels())
 
 
 def project_to_grid(profile: BidProfile, grid_levels: Sequence[float]) -> BidProfile:

@@ -22,9 +22,9 @@ path's weight, its arcs added one by one from the source, is what the
 lemma-map checks compare with the mechanism accounting.  The dense
 master, every grid column at once, is the reference for column
 generation.  Shared surface is limited to the core types, the
-discretizer's interval type and grid-profile enumerator, the mechanisms
-module's expected-outcome type and function, the optimizer's weight
-type, tables, level normalization, graph and colluder order, and the
+discretizer's grid-profile enumerator, the mechanisms module's
+expected-outcome type and function, the optimizer's weight type,
+tables, level normalization, graph and colluder order, and the
 limited-liability module's column, master LP and solution extraction.
 """
 
@@ -47,7 +47,7 @@ from .core import (
     InfeasibleError,
     make_profile,
 )
-from .discretize import Interval, iter_grid_profiles
+from .discretize import iter_grid_profiles
 from .limited import MasterSolution, extract_solution, make_column, solve_master
 from .mechanisms import ExpectedOutcome, expected_outcome
 from .wup import WupGraph, WupTables, WupWeights, _normalize_levels, wup_colluder_order
@@ -68,12 +68,13 @@ def event_probability(distribution: ExternalDistribution, lower: float, upper: f
 
 def recursive_split(
     lower: float, upper: float, p: float, eta: float, distribution: ExternalDistribution
-) -> tuple[list[Interval], int]:
+) -> tuple[list[tuple[float, float]], int]:
     """The interval split as the paper defines it: bisect (lower, upper]
     recursively while the external-bid probability exceeds p and the
-    width exceeds eta; returns the leaves in order and the call count."""
+    width exceeds eta; returns the leaves in order, as (lower, upper)
+    pairs, and the call count."""
     if event_probability(distribution, lower, upper) <= p or upper - lower <= eta:
-        return [Interval(lower, upper)], 1
+        return [(lower, upper)], 1
     mid = (lower + upper) / 2.0
     left, cl = recursive_split(lower, mid, p, eta, distribution)
     right, cr = recursive_split(mid, upper, p, eta, distribution)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -77,10 +78,23 @@ def fixed_external(instance: bc.AuctionInstance, bids) -> bc.AuctionInstance:
 
 
 def iterative_split(distribution, p: float, eta: float):
-    """The discretizer's iterative split of (0, 1] as (leaves, call
-    count): the form of ``oracles.recursive_split``."""
+    """The discretizer's iterative split of (0, 1] as ((lower, upper)
+    leaves, call count): the form of ``oracles.recursive_split``.  Each
+    leaf runs from its lower endpoint to the next one, or to 1."""
     pieces, calls = _split(p, eta, distribution)
-    return _leaves(pieces), calls
+    levels = _leaves(pieces)
+    return list(zip(levels, levels[1:] + [1.0])), calls
+
+
+def assert_tiles(leaves) -> None:
+    """Assert that (lower, upper) leaves tile (0, 1] in order: the first
+    lower endpoint is 0, each upper endpoint is the next lower one, the
+    last upper endpoint is 1, and no leaf is empty."""
+    assert leaves and leaves[0][0] == 0.0 and leaves[-1][1] == 1.0
+    for (_, upper), (lower, _) in itertools.pairwise(leaves):
+        assert upper == lower
+    for lower, upper in leaves:
+        assert lower < upper
 
 
 def random_levels(rng: random.Random, max_levels: int = 6, bits: int = 10) -> list[float]:

@@ -17,7 +17,7 @@ import bidcoord as bc
 from bidcoord.arbitrary import solve_arbitrary
 from bidcoord.cli import canonical_json, main as cli_main
 from bidcoord.core import ExternalDistribution, make_profile
-from bidcoord.discretize import IntervalSet, build_grid, max_bits, project_to_grid
+from bidcoord.discretize import build_grid, max_bits, project_to_grid
 from bidcoord.limited import solve_ll, solve_ll_cg
 from bidcoord.mechanisms import expected_outcome, individual_baseline
 from bidcoord.oracles import (
@@ -32,7 +32,7 @@ from bidcoord.oracles import (
     vcg_externality,
 )
 from bidcoord.wup import WupWeights, build_wup_graph, solve_wup_expected
-from conftest import dyadic, fixed_external, iterative_split, random_instance
+from conftest import assert_tiles, dyadic, fixed_external, iterative_split, random_instance
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -171,18 +171,17 @@ def test_criterion_4_rec_guarantees():
         p = rng.choice([0.05, 0.1, 0.2, 0.3, 0.5])
         eta = 2.0 ** -max_bits(dist)
         leaves, calls = iterative_split(dist, p, eta)
-        interval_set = IntervalSet(tuple(leaves), p, eta, calls)
-        # IntervalSet construction already verifies the disjoint tiling of (0,1]
-        assert interval_set.intervals[0].lower == 0.0
-        assert interval_set.intervals[-1].upper == 1.0
-        for iv in interval_set.intervals:
+        assert_tiles(leaves)
+        assert leaves[0][0] == 0.0
+        assert leaves[-1][1] == 1.0
+        for lower, upper in leaves:
             assert (
-                event_probability(dist, iv.lower, iv.upper) <= p + 1e-15
-                or iv.width <= eta + 1e-15
+                event_probability(dist, lower, upper) <= p + 1e-15
+                or upper - lower <= eta + 1e-15
             )
         if max_bits(dist) > 0:
-            assert len(interval_set) <= (2 * n_e / p) * math.log2(1.0 / eta)
-        assert interval_set.rec_calls <= 2 * len(interval_set)
+            assert len(leaves) <= (2 * n_e / p) * math.log2(1.0 / eta)
+        assert calls <= 2 * len(leaves)
     _report(4, "100 distributions: cover, disjunction, interval bound, call count")
 
 

@@ -23,7 +23,7 @@ import bidcoord.mechanisms
 from bidcoord.cli import canonical_json, main
 from bidcoord.core import instance_to_raw, validate_and_normalize
 from bidcoord.discretize import build_grid, max_bits, pruned_grid
-from bidcoord.oracles import prune_levels
+from bidcoord.oracles import prune_levels, recursive_split
 from conftest import (
     cent_bids_raw,
     example1_raw,
@@ -49,6 +49,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_raw(raw, command, *options):
+    """Run ``command`` on the raw instance document ``raw``, written to a
+    temporary file, and return (exit code, stdout, stderr).  Unlike
+    ``run_cli`` it needs no fixture, so hypothesis tests can call it."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "instance.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), *options])
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -116,6 +129,25 @@ class TestValidate:
         assert canonical_json(doc["normalized"]) == original
 
 
+#: Dyadic bids on a 2^-10 grid and cent bids (eta = 2^-53), 0 and 1 included.
+DYADIC_BIDS = st.integers(0, 2**10).map(lambda i: i / 2**10)
+CENT_BIDS = st.integers(0, 100).map(lambda c: c / 100)
+
+
+@st.composite
+def split_instances(draw) -> dict:
+    """A raw instance whose at most 4 support entries of at most 3 bids
+    are all dyadic, all cents or mixed; zero-probability entries occur."""
+    bid = draw(st.sampled_from((DYADIC_BIDS, CENT_BIDS, DYADIC_BIDS | CENT_BIDS)))
+    n_e = draw(st.integers(0, 3))
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
+    support = [
+        {"bids": draw(st.lists(bid, min_size=n_e, max_size=n_e)), "prob": w / sum(weights)}
+        for w in weights
+    ]
+    return dict(example3_raw(), external={"support": support})
+
+
 class TestDiscretize:
     def test_example3_grid(self, tmp_path, capsys):
         path = write_instance(tmp_path, example3_raw())
@@ -134,12 +166,12 @@ class TestDiscretize:
         code, out, _ = run_cli(capsys, "discretize", path, "--p", "0.05")
         assert code == 0
         doc = json.loads(out)
-        interval_set, grid = build_grid(validate_and_normalize(raw), 0.05)
+        instance = validate_and_normalize(raw)
+        _, grid = build_grid(instance, 0.05)
+        leaves, _ = recursive_split(0.0, 1.0, 0.05, doc["eta"], instance.external)
         assert set(doc) == GRID_SCALARS | {"pruned_levels", "levels", "intervals"}
         assert doc["levels"] == list(grid.levels)
-        assert doc["intervals"] == [
-            {"lower": iv.lower, "upper": iv.upper} for iv in interval_set.intervals
-        ]
+        assert doc["intervals"] == [{"lower": lower, "upper": upper} for lower, upper in leaves]
 
     def test_pruned_size(self, tmp_path, capsys):
         # only 0.75 keeps its level: no external bid lies in (0, 0.5]
@@ -190,6 +222,27 @@ class TestDiscretize:
             code, _, err = run_cli(capsys, "discretize", path)
         assert code == 0
         assert err == "warning: support bid needs 55 fractional bits; capping at 53\n"
+
+    @settings(max_examples=200)
+    @given(raw=split_instances(), p=st.sampled_from(("1", "0.05", "1e-300")))
+    def test_report_matches_recursive_definition(self, raw, p):
+        # the reported levels and intervals are the leaves of the split as
+        # the paper defines it, bit for bit
+        code, out, _ = run_raw(raw, "discretize", "--p", p)
+        assert code == 0
+        doc = json.loads(out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            external = validate_and_normalize(raw).external
+            eta = 2.0 ** -max_bits(external)
+        leaves, calls = recursive_split(0.0, 1.0, float(p), eta, external)
+        assert [float.hex(x) for x in doc["levels"]] == [
+            float.hex(lower) for lower, _ in leaves
+        ]
+        assert [(float.hex(iv["lower"]), float.hex(iv["upper"])) for iv in doc["intervals"]] == [
+            (float.hex(lower), float.hex(upper)) for lower, upper in leaves
+        ]
+        assert (doc["k_star"], doc["rec_calls"]) == (len(leaves), calls)
 
 
 class TestSolve:
@@ -328,12 +381,12 @@ class TestSolve:
             warnings.simplefilter("ignore")
             code, out, _ = run_cli(capsys, "solve", path, "--mode", mode, "--epsilon", "0.1")
             inst = validate_and_normalize(raw)
-            interval_set, grid = build_grid(inst, 0.1 / inst.n_colluders)
+            pruned, grid = build_grid(inst, 0.1 / inst.n_colluders)
         assert code == 0
         grid_doc = json.loads(out)["grid"]
         assert set(grid_doc) == GRID_SCALARS | {"pruned_levels"}
-        assert grid_doc["k_star"] == len(interval_set)
-        assert grid_doc["rec_calls"] == interval_set.rec_calls
+        assert grid_doc["k_star"] == pruned.k_star == len(grid.levels)
+        assert grid_doc["rec_calls"] == pruned.rec_calls
         assert grid_doc["flat_size"] == len(grid.levels) * inst.n_colluders
         assert grid_doc["pruned_levels"] == list(prune_levels(grid.levels, inst.external))
         assert grid_doc["pruned_size"] == len(grid_doc["pruned_levels"])
@@ -634,20 +687,15 @@ class TestFuzz:
     )
     def test_solve_ends_in_a_documented_exit_code(self, raw, mode, epsilon):
         # an exception escaping main fails the test by itself
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as scratch:
-            path = Path(scratch) / "instance.json"
-            path.write_text(json.dumps(raw), encoding="utf-8")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["solve", str(path), "--mode", mode, "--epsilon", epsilon])
+        code, out, err = run_raw(raw, "solve", "--mode", mode, "--epsilon", epsilon)
         assert code in (0, 1, 2, 3)
         if code in (1, 3):
-            assert out.getvalue() == ""
-            assert err.getvalue().splitlines()[-1].startswith(
+            assert out == ""
+            assert err.splitlines()[-1].startswith(
                 "tolerance breach: " if code == 3 else ("invalid instance: ", "invalid option: ")
             )
         else:
-            report = strict_json(out.getvalue())
+            report = strict_json(out)
             if "solution" in report:
                 probs = [e["probability"] for e in report["solution"]["distribution"]]
                 assert abs(sum(probs) - 1.0) < 1e-9
@@ -673,6 +721,23 @@ class TestFuzz:
             assert err.getvalue().count("\n") == 1
         else:
             assert math.isfinite(strict_json(out.getvalue())["value"])
+
+    @settings(max_examples=200)
+    @given(
+        raw=fuzz_instances(),
+        command=st.sampled_from(("discretize", "baseline")),
+        value=st.sampled_from(("1", "0.05", "1e-300", "5e-324")),
+    )
+    def test_discretize_and_baseline_end_in_exit_0_or_1(self, raw, command, value):
+        # an exception escaping main fails the test by itself
+        option = "--p" if command == "discretize" else "--epsilon"
+        code, out, err = run_raw(raw, command, option, value)
+        assert code in (0, 1)
+        if code == 1:
+            assert out == ""
+            assert err.splitlines()[-1].startswith(("invalid instance: ", "invalid option: "))
+        else:
+            strict_json(out)
 
 
 class TestBaseline:

@@ -12,8 +12,6 @@ import bidcoord as bc
 from bidcoord.arbitrary import solve_arbitrary
 from bidcoord.core import ExternalDistribution, make_profile
 from bidcoord.discretize import (
-    Interval,
-    IntervalSet,
     build_grid,
     iter_grid_profiles,
     max_bits,
@@ -22,7 +20,14 @@ from bidcoord.discretize import (
 )
 from bidcoord.mechanisms import expected_outcome
 from bidcoord.oracles import event_probability, prune_levels, recursive_split
-from conftest import cent_bids_raw, dyadic, example3_raw, iterative_split, random_instance
+from conftest import (
+    assert_tiles,
+    cent_bids_raw,
+    dyadic,
+    example3_raw,
+    iterative_split,
+    random_instance,
+)
 
 
 def point_mass(*bids):
@@ -49,24 +54,24 @@ _EXAMPLE3 = bc.validate_and_normalize(example3_raw())
 class TestRecSplit:
     def test_threshold_one_returns_root(self):
         dist = point_mass(0.3, 0.7)
-        assert iterative_split(dist, 1.0, 2**-8)[0] == [Interval(0.0, 1.0)]
+        assert iterative_split(dist, 1.0, 2**-8)[0] == [(0.0, 1.0)]
 
     def test_single_split(self):
         dist = ExternalDistribution((((0.25,), 0.5), ((0.75,), 0.5)))
         got, _ = iterative_split(dist, 0.6, 2**-8)
-        assert got == [Interval(0.0, 0.5), Interval(0.5, 1.0)]
-        for iv in got:
-            assert event_probability(dist, iv.lower, iv.upper) <= 0.6
+        assert got == [(0.0, 0.5), (0.5, 1.0)]
+        for lower, upper in got:
+            assert event_probability(dist, lower, upper) <= 0.6
 
     def test_point_mass_bottoms_out_at_eta(self):
         dist = point_mass(0.5)
         eta = 0.25
         got, _ = iterative_split(dist, 0.4, eta)
-        for iv in got:
-            pr = event_probability(dist, iv.lower, iv.upper)
-            assert pr <= 0.4 or iv.width <= eta
-        hot = [iv for iv in got if iv.lower < 0.5 <= iv.upper]
-        assert len(hot) == 1 and hot[0].width <= eta
+        for lower, upper in got:
+            pr = event_probability(dist, lower, upper)
+            assert pr <= 0.4 or upper - lower <= eta
+        hot = [(lower, upper) for lower, upper in got if lower < 0.5 <= upper]
+        assert len(hot) == 1 and hot[0][1] - hot[0][0] <= eta
 
 
 # Cents are non-dyadic (eta = 2^-53); a short pool makes duplicate bids
@@ -224,8 +229,9 @@ class TestSplitVsRecursiveReference:
             got = pruned_grid(replace(_EXAMPLE3, external=dist), p)
         assert (got.p, got.eta) == (p, eta)
         assert (got.k_star, got.rec_calls) == (len(leaves), calls)
-        assert got.levels == prune_levels([iv.lower for iv in leaves], dist)
-        assert got.intervals() == IntervalSet(tuple(leaves), p, eta, calls)
+        assert got.levels == prune_levels([lower for lower, _ in leaves], dist)
+        assert_tiles(leaves)
+        assert got.full_levels() == tuple(lower for lower, _ in leaves)
 
 
 class TestMaxBits:
@@ -273,14 +279,14 @@ class TestBuildGrid:
 
     def test_no_externals(self):
         inst = self._instance([()])
-        interval_set, grid = build_grid(inst, 0.5)
-        assert [(iv.lower, iv.upper) for iv in interval_set.intervals] == [(0.0, 1.0)]
+        pruned, grid = build_grid(inst, 0.5)
+        assert pruned.k_star == 1
         assert grid.levels == (0.0,)
 
     def test_example3_point_mass(self):
         inst = self._instance([(0.75,)])
-        interval_set, grid = build_grid(inst, 0.5)
-        assert interval_set.eta == 0.25
+        pruned, grid = build_grid(inst, 0.5)
+        assert pruned.eta == 0.25
         assert grid.levels == (0.0, 0.5, 0.75)
 
     @settings(max_examples=200)
@@ -295,9 +301,7 @@ class TestBuildGrid:
             eta = 2.0 ** -max_bits(dist)
             levels = build_grid(inst, p)[1].levels
         intervals, _ = iterative_split(dist, p, eta)
-        assert [(iv.lower, iv.upper) for iv in intervals] == list(
-            zip(levels, levels[1:] + (1.0,))
-        )
+        assert intervals == list(zip(levels, levels[1:] + (1.0,)))
 
     def test_p_zero_rejected(self):
         inst = self._instance([(0.75,)])
@@ -310,11 +314,11 @@ class TestBuildGrid:
             dist = random_distribution(rng)
             p = rng.choice([0.1, 0.3, 0.5])
             eta = 2.0 ** -max_bits(dist)
-            for iv in iterative_split(dist, p, eta)[0]:
+            for lower, upper in iterative_split(dist, p, eta)[0]:
                 open_pr = sum(
                     prob
                     for bids, prob in dist.support
-                    if any(iv.lower < b < iv.upper for b in bids)
+                    if any(lower < b < upper for b in bids)
                 )
                 assert open_pr <= p + 1e-15
 
@@ -328,17 +332,16 @@ class TestIntervalProperties:
             p = rng.choice([0.05, 0.1, 0.25, 0.5])
             eta = 2.0 ** -max_bits(dist)
             leaves, calls = iterative_split(dist, p, eta)
-            ivs = IntervalSet(tuple(leaves), p, eta, calls)
-            # IntervalSet construction already asserts coverage and tiling
-            for iv in ivs.intervals:
+            assert_tiles(leaves)
+            for lower, upper in leaves:
                 ok = (
-                    event_probability(dist, iv.lower, iv.upper) <= p + 1e-15
-                    or iv.width <= eta + 1e-15
+                    event_probability(dist, lower, upper) <= p + 1e-15
+                    or upper - lower <= eta + 1e-15
                 )
                 assert ok
             if max_bits(dist) > 0:
-                assert len(ivs) <= (2 * n_e / p) * math.log2(1.0 / eta)
-            assert ivs.rec_calls <= 2 * len(ivs)
+                assert len(leaves) <= (2 * n_e / p) * math.log2(1.0 / eta)
+            assert calls <= 2 * len(leaves)
 
     def test_refining_p_only_adds_levels(self):
         rng = random.Random(99)

@@ -28,14 +28,14 @@ CENT_SLOTS = [
 
 def full_grid_section(raw: dict, p: float) -> dict:
     instance = validate_and_normalize(raw)
-    interval_set, grid = build_grid(instance, p)
+    walk, grid = build_grid(instance, p)
     pruned = list(prune_levels(grid.levels, instance.external))
     return {
         "p": p,
-        "eta": interval_set.eta,
+        "eta": walk.eta,
         "max_bits": max_bits(instance.external),
-        "k_star": len(interval_set),
-        "rec_calls": interval_set.rec_calls,
+        "k_star": len(grid.levels),
+        "rec_calls": walk.rec_calls,
         "flat_size": len(grid.levels) * instance.n_colluders,
         "pruned_size": len(pruned),
         "pruned_levels": pruned,

@@ -5,6 +5,7 @@ import inspect
 
 import bidcoord
 import bidcoord.arbitrary
+import bidcoord.discretize
 import bidcoord.mechanisms
 import bidcoord.oracles
 import bidcoord.wup
@@ -22,8 +23,6 @@ PUBLIC = [
     "ExternalDistribution",
     "InfeasibleError",
     "InstanceError",
-    "Interval",
-    "IntervalSet",
     "ToleranceError",
     "WupWeights",
     "build_grid",
@@ -56,6 +55,12 @@ def test_all_is_pinned():
     assert not hasattr(bidcoord.mechanisms, "Outcome")
     assert not hasattr(bidcoord.oracles, "ranking_outcome")
     assert not hasattr(bidcoord.wup, "solve_wup_fixed")
+    # deleted: the full split is its levels, each interval running to the
+    # next level or to 1 (``PrunedGrid.full_levels``)
+    for name in ("Interval", "IntervalSet"):
+        assert not hasattr(bidcoord, name), name
+        assert not hasattr(bidcoord.discretize, name), name
+    assert not hasattr(bidcoord.discretize.PrunedGrid, "intervals")
 
 
 def test_one_query_form():
