@@ -14,7 +14,6 @@ from .core import (
     VCG,
     AgencySolution,
     AuctionInstance,
-    Bid,
     BidProfile,
     Colluder,
     ExternalDistribution,
@@ -37,7 +36,6 @@ __all__ = [
     "VCG",
     "AgencySolution",
     "AuctionInstance",
-    "Bid",
     "BidGrid",
     "BidProfile",
     "Colluder",

@@ -2,7 +2,9 @@
 
 All types are immutable after construction and safe to share across
 threads.  Monetary quantities are plain doubles in [0, 1]; equality
-assertions throughout the package use a 1e-9 tolerance.
+assertions throughout the package use a 1e-9 tolerance.  A bid profile
+is each colluder's level and symbolic tie rank, two tuples, and
+``BidProfile.ranking`` is the one statement of how colluders rank.
 """
 
 from __future__ import annotations
@@ -39,59 +41,45 @@ class ToleranceError(RuntimeError):
     """An internal numerical consistency check failed beyond tolerance."""
 
 
-@dataclass(frozen=True, order=True)
-class Bid:
-    """A bid as a (level, tie_rank) pair.
-
-    Comparison is lexicographic: first the monetary level, then the tie
-    rank.  Rank 0 is reserved for external agents, so a colluder bidding
-    at the same level as an external agent ranks strictly above it; ranks
-    encode symbolically what an infinitesimal bid increment would do,
-    without ever perturbing the monetary level.
-    """
-
-    level: float
-    tie_rank: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.level <= 1.0:
-            raise ValueError(f"bid level {self.level!r} outside [0, 1]")
-        if self.tie_rank < 0:
-            raise ValueError(f"tie_rank {self.tie_rank!r} must be >= 0")
-
-
 @dataclass(frozen=True)
 class BidProfile:
-    """One bid per colluder, indexed like the instance's colluder list."""
+    """One bid per colluder, indexed like the instance's colluder list:
+    ``levels[i]`` is colluder i's monetary level and ``tie_ranks[i]`` its
+    symbolic tie rank (>= 1), with no (level, tie rank) pair repeated."""
 
-    bids: tuple[Bid, ...]
+    levels: tuple[float, ...]
+    tie_ranks: tuple[int, ...]
 
     def __post_init__(self):
-        seen = set()
-        for b in self.bids:
-            if b.tie_rank < 1:
-                raise ValueError("colluder bids need tie_rank >= 1 (0 is external)")
-            key = (b.level, b.tie_rank)
-            if key in seen:
-                raise ValueError(f"duplicate (level, tie_rank) pair {key}")
-            seen.add(key)
+        if len(self.levels) != len(self.tie_ranks):
+            raise ValueError("levels and tie_ranks differ in length")
+        for level, rank in zip(self.levels, self.tie_ranks):
+            if not 0.0 <= level <= 1.0:
+                raise ValueError(f"bid level {level!r} outside [0, 1]")
+            if rank < 1:
+                raise ValueError(f"colluder tie_rank {rank!r} must be >= 1 (0 is external)")
+        if len(set(zip(self.levels, self.tie_ranks))) != len(self.levels):
+            raise ValueError("duplicate (level, tie_rank) pair")
 
     def __len__(self) -> int:
-        return len(self.bids)
+        return len(self.levels)
 
-    @property
-    def levels(self) -> tuple[float, ...]:
-        return tuple(b.level for b in self.bids)
+    def ranking(self) -> list[int]:
+        """The colluder indices ordered by (level, tie rank), highest first.
 
-    @property
-    def tie_ranks(self) -> tuple[int, ...]:
-        return tuple(b.tie_rank for b in self.bids)
+        Rank 0 is reserved for external agents, so a colluder bidding at
+        the same level as an external agent ranks strictly above it; ranks
+        encode symbolically what an infinitesimal bid increment would do,
+        without ever perturbing the monetary level.
+        """
+        levels, ranks = self.levels, self.tie_ranks
+        return sorted(range(len(levels)), key=lambda i: (-levels[i], -ranks[i]))
 
 
 def make_profile(levels: Sequence[float], priority: Optional[Sequence[int]] = None) -> BidProfile:
     """Build a profile from per-colluder levels, assigning tie ranks.
 
-    Ranks are chosen so that sorting by Bid order reproduces sorting by
+    Ranks are chosen so that ``ranking()`` reproduces sorting by
     (level descending, priority ascending).  ``priority[i]`` defaults to
     ``i``: at equal levels the lower-indexed colluder outranks the higher.
     """
@@ -102,7 +90,7 @@ def make_profile(levels: Sequence[float], priority: Optional[Sequence[int]] = No
     ranks = [0] * n
     for pos, i in enumerate(order):
         ranks[i] = n - pos
-    return BidProfile(tuple(Bid(levels[i], ranks[i]) for i in range(n)))
+    return BidProfile(tuple(levels), tuple(ranks))
 
 
 @dataclass(frozen=True)

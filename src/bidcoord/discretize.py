@@ -311,13 +311,9 @@ def project_to_grid(profile: BidProfile, grid_levels: Sequence[float]) -> BidPro
     levels = sorted(grid_levels)
     if not levels or levels[0] != 0.0:
         raise ValueError("grid levels must include 0")
-    new_levels = []
-    for b in profile.bids:
-        k = bisect_right(levels, b.level) - 1
-        new_levels.append(levels[k])
-    by_original = sorted(range(len(profile)), key=lambda i: profile.bids[i], reverse=True)
+    new_levels = [levels[bisect_right(levels, level) - 1] for level in profile.levels]
     priority = [0] * len(profile)
-    for pos, i in enumerate(by_original):
+    for pos, i in enumerate(profile.ranking()):
         priority[i] = pos
     return make_profile(new_levels, priority)
 

@@ -43,11 +43,10 @@ class ExpectedOutcome:
 
 
 def _ranked_colluders(profile: BidProfile) -> tuple[list[int], list[float]]:
-    """The profile's colluders in ranking order, (level desc, tie rank
-    desc), and their levels in that order."""
-    bids = profile.bids
-    order = sorted(range(len(bids)), key=lambda i: (-bids[i].level, -bids[i].tie_rank))
-    return order, [bids[i].level for i in order]
+    """The profile's colluders in ranking order, ``profile.ranking()``,
+    and their levels in that order."""
+    order = profile.ranking()
+    return order, [profile.levels[i] for i in order]
 
 
 def _rate_gaps(lambdas: Sequence[float]) -> list[float]:

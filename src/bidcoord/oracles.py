@@ -7,9 +7,10 @@ linear-programming gold standard runs on scipy rather than the in-repo
 simplex.  The recursive interval split, with its event probability, is
 the reference for the discretizer's iterative one, and pruning a given
 grid gap by gap is the reference for the pruned levels the discretizer
-reads off that split.  Ranking every agent with one sort of (level, tie
-rank) keys and paying every rank, once per support entry, is the
-reference for the mechanisms module's expected outcome.  The scalar
+reads off that split.  Ranking every agent with one sort of its own
+(level, tie rank) keys, externals at rank 0, and paying every rank,
+once per support entry, is the reference for the mechanisms module's
+expected outcome and for ``BidProfile.ranking``.  The scalar
 per-arc weight, one support entry and one level pair at a time, is the
 reference for the optimizer's numpy tables, and the same tables built
 one support entry at a time are their bit-for-bit reference.  Those
@@ -41,7 +42,6 @@ from .core import (
     GSP,
     AgencySolution,
     AuctionInstance,
-    Bid,
     BidProfile,
     ExternalDistribution,
     InfeasibleError,
@@ -72,10 +72,13 @@ def recursive_split(
     """The interval split as the paper defines it: bisect (lower, upper]
     recursively while the external-bid probability exceeds p and the
     width exceeds eta; returns the leaves in order, as (lower, upper)
-    pairs, and the call count."""
+    pairs, and the call count.  With eta below the spacing of doubles
+    near a bid, a midpoint rounds onto an endpoint: a ValueError."""
     if event_probability(distribution, lower, upper) <= p or upper - lower <= eta:
         return [(lower, upper)], 1
     mid = (lower + upper) / 2.0
+    if not lower < mid < upper:
+        raise ValueError(f"midpoint {mid} of ({lower}, {upper}] is not inside it")
     left, cl = recursive_split(lower, mid, p, eta, distribution)
     right, cr = recursive_split(mid, upper, p, eta, distribution)
     return left + right, cl + cr + 1
@@ -116,8 +119,8 @@ def prune_levels(
 
 
 #: One entry of a merged ranking: kind is "c" (colluder) or "e" (external),
-#: index points into the respective group.
-RankedAgent = namedtuple("RankedAgent", ["kind", "index", "bid"])
+#: index points into the respective group; externals carry tie rank 0.
+RankedAgent = namedtuple("RankedAgent", ["kind", "index", "level", "tie_rank"])
 
 
 def allocate(profile: BidProfile, external_levels: Sequence[float]) -> list[RankedAgent]:
@@ -127,9 +130,10 @@ def allocate(profile: BidProfile, external_levels: Sequence[float]) -> list[Rank
     External agents carry tie rank 0, so colluders win level ties; equal
     external bids keep their profile order.
     """
-    entries = [RankedAgent("c", i, b) for i, b in enumerate(profile.bids)]
-    entries += [RankedAgent("e", j, Bid(lvl, 0)) for j, lvl in enumerate(external_levels)]
-    entries.sort(key=lambda a: (-a.bid.level, -a.bid.tie_rank))
+    bids = zip(profile.levels, profile.tie_ranks)
+    entries = [RankedAgent("c", i, level, rank) for i, (level, rank) in enumerate(bids)]
+    entries += [RankedAgent("e", j, level, 0) for j, level in enumerate(external_levels)]
+    entries.sort(key=lambda a: (-a.level, -a.tie_rank))
     return entries
 
 
@@ -138,7 +142,7 @@ def payments_gsp(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> li
     n = len(ranking)
     pays = [0.0] * n
     for k in range(min(n, len(lambdas))):
-        nxt = ranking[k + 1].bid.level if k + 1 < n else 0.0
+        nxt = ranking[k + 1].level if k + 1 < n else 0.0
         pays[k] = lambdas[k] * nxt
     return pays
 
@@ -159,7 +163,7 @@ def payments_vcg(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> li
 
     acc = 0.0
     for k in range(min(n, m), 0, -1):
-        nxt = ranking[k].bid.level if k < n else 0.0
+        nxt = ranking[k].level if k < n else 0.0
         acc += nxt * (lam(k) - lam(k + 1))
         pays[k - 1] = acc
     return pays
@@ -192,7 +196,7 @@ def vcg_externality(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) ->
     if n > _EXTERNALITY_CAP:
         raise ValueError(f"externality oracle capped at {_EXTERNALITY_CAP} agents")
     m = len(lambdas)
-    levels = [a.bid.level for a in ranking]
+    levels = [a.level for a in ranking]
 
     def welfare_of_others(excluded: int) -> float:
         total = 0.0

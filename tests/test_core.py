@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bidcoord as bc
-from bidcoord.core import Bid, BidProfile, make_profile
+from bidcoord.core import BidProfile, make_profile
+from bidcoord.oracles import allocate
 from conftest import example1_raw, random_instance
 
 NAN = float("nan")
@@ -98,47 +101,73 @@ class TestValidateAndNormalize:
         assert inst.outside_options == (0.1, 0.0)
 
 
+# a 2-bit grid, so colluders tie with each other and with externals often
+_LEVELS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def profiles(draw):
+    n = draw(st.integers(1, 6))
+    levels = draw(st.lists(_LEVELS, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        priority = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        return make_profile(levels, priority)
+    ranks = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n, unique=True))
+    return BidProfile(tuple(levels), tuple(ranks))
+
+
 class TestBidOrder:
     def test_level_dominates(self):
-        assert Bid(0.5, 1) > Bid(0.4, 9)
+        assert BidProfile((0.4, 0.5), (9, 1)).ranking() == [1, 0]
 
     def test_colluder_beats_external_at_same_level(self):
-        assert Bid(0.5, 1) > Bid(0.5, 0)
+        ranked = allocate(BidProfile((0.5,), (1,)), [0.5])
+        assert [a.kind for a in ranked] == ["c", "e"]
 
-    def test_strict_total_order_on_distinct_pairs(self):
-        rng = random.Random(7)
-        bids = [Bid(rng.choice([0.0, 0.25, 0.5]), rng.randint(0, 4)) for _ in range(30)]
-        distinct = list({(b.level, b.tie_rank): b for b in bids}.values())
-        ordered = sorted(distinct)
-        for a, b in zip(ordered, ordered[1:]):
-            assert a < b
-            assert not b < a
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            Bid(1.5, 0)
-        with pytest.raises(ValueError):
-            Bid(0.5, -1)
+    @settings(max_examples=300)
+    @given(profiles(), st.lists(_LEVELS, max_size=4))
+    def test_ranking_matches_allocate(self, profile, externals):
+        ranked = allocate(profile, externals)
+        assert profile.ranking() == [a.index for a in ranked if a.kind == "c"]
+        position = {(a.kind, a.index): k for k, a in enumerate(ranked)}
+        for i, level in enumerate(profile.levels):
+            for j, external in enumerate(externals):
+                if external == level:
+                    assert position["c", i] < position["e", j]
 
 
 class TestBidProfile:
-    def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValueError):
-            BidProfile((Bid(0.5, 1), Bid(0.5, 1)))
-
-    def test_external_rank_rejected(self):
-        with pytest.raises(ValueError):
-            BidProfile((Bid(0.5, 0),))
+    @pytest.mark.parametrize(
+        "levels, tie_ranks, message",
+        [
+            ((-0.1,), (1,), "outside \\[0, 1\\]"),
+            ((1.5,), (1,), "outside \\[0, 1\\]"),
+            ((NAN,), (1,), "outside \\[0, 1\\]"),
+            ((0.5,), (0,), "must be >= 1"),
+            ((0.5,), (-1,), "must be >= 1"),
+            ((0.5, 0.5), (1, 1), "duplicate"),
+            ((0.5, 0.25), (1,), "differ in length"),
+        ],
+        ids=[
+            "level-negative", "level-above-one", "level-nan", "rank-zero",
+            "rank-negative", "duplicate-pair", "unequal-lengths",
+        ],
+    )
+    def test_rejected(self, levels, tie_ranks, message):
+        with pytest.raises(ValueError, match=message):
+            BidProfile(levels, tie_ranks)
 
     def test_make_profile_default_priority(self):
         prof = make_profile([0.5, 0.5, 0.2])
         # equal levels: earlier colluder gets the higher rank
-        assert prof.bids[0].tie_rank > prof.bids[1].tie_rank
+        assert prof.tie_ranks == (3, 2, 1)
+        assert prof.ranking() == [0, 1, 2]
         assert prof.levels == (0.5, 0.5, 0.2)
 
     def test_make_profile_explicit_priority(self):
         prof = make_profile([0.5, 0.5], priority=[1, 0])
-        assert prof.bids[1].tie_rank > prof.bids[0].tie_rank
+        assert prof.tie_ranks == (1, 2)
+        assert prof.ranking() == [1, 0]
 
     def test_make_profile_matches_sort(self):
         rng = random.Random(3)
@@ -146,9 +175,8 @@ class TestBidProfile:
             n = rng.randint(1, 5)
             levels = [rng.choice([0.0, 0.25, 0.5]) for _ in range(n)]
             prof = make_profile(levels)
-            by_bid = sorted(range(n), key=lambda i: prof.bids[i], reverse=True)
             by_rule = sorted(range(n), key=lambda i: (-levels[i], i))
-            assert by_bid == by_rule
+            assert prof.ranking() == by_rule
 
 
 class TestAgencySolution:

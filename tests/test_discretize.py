@@ -218,6 +218,8 @@ class TestSplitVsRecursiveReference:
         # below the spacing of doubles near a bid, bisection cannot go on
         with pytest.raises(ValueError):
             iterative_split(point_mass(*bids), 0.01, eta)
+        with pytest.raises(ValueError):
+            recursive_split(0.0, 1.0, 0.01, eta, point_mass(*bids))
 
     @settings(max_examples=300)
     @given(st.one_of(split_cases(), split_cases(_CHAIN_BID, shared=True), _HEAVY_POINT_CASES))
@@ -358,7 +360,7 @@ class TestProjection:
         proj = project_to_grid(prof, [0.0, 0.25, 0.75])
         assert proj.levels == (0.75, 0.25, 0.25)
         # original order: colluder 1 above colluder 2 (equal levels)
-        assert proj.bids[1] > proj.bids[2]
+        assert proj.ranking() == [0, 1, 2]
 
     def test_projection_lemma(self):
         rng = random.Random(111)

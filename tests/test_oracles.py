@@ -68,7 +68,7 @@ class TestBruteForceWup:
         # normalized order: v = (0.9, 0.5); weights favor the second listed
         weights = WupWeights((1.0, 0.2), 0.0)
         prof, _ = brute_force_wup([0.0, 0.5, 1.0], weights, inst)
-        top = max(range(2), key=lambda i: prof.bids[i])
+        top = prof.ranking()[0]
         assert top == 0  # heaviest weighted valuation takes the top bid
 
     def test_size_cap(self):

@@ -1,6 +1,7 @@
 """The package's top-level names, pinned: adding or dropping one is a
 decision made here, not a side effect of a refactor."""
 
+import dataclasses
 import inspect
 
 import bidcoord
@@ -15,7 +16,6 @@ PUBLIC = [
     "VCG",
     "AgencySolution",
     "AuctionInstance",
-    "Bid",
     "BidGrid",
     "BidProfile",
     "Colluder",
@@ -61,6 +61,13 @@ def test_all_is_pinned():
         assert not hasattr(bidcoord, name), name
         assert not hasattr(bidcoord.discretize, name), name
     assert not hasattr(bidcoord.discretize.PrunedGrid, "intervals")
+    # deleted: a bid profile is its levels and tie ranks, and
+    # ``BidProfile.ranking`` states the ranking rule
+    assert not hasattr(bidcoord, "Bid")
+    assert not hasattr(bidcoord.core, "Bid")
+    profile = bidcoord.make_profile([0.5])
+    assert not hasattr(profile, "bids")
+    assert [f.name for f in dataclasses.fields(profile)] == ["levels", "tie_ranks"]
 
 
 def test_one_query_form():

@@ -129,7 +129,7 @@ class TestSolveFixed:
         res = solve_fixed([0.6, 0.0], unit_weights(2), inst, (0.0,))
         assert abs(res.value - 0.6) < 1e-9
         assert res.profile.levels == (0.6, 0.0)
-        assert res.profile.bids[0] > res.profile.bids[1]
+        assert res.profile.ranking() == [0, 1]
         # exhaustive check over the three ordered profiles
         fixed = fixed_external(inst, (0.0,))
         outs = [
