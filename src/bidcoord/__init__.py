@@ -15,7 +15,6 @@ from .core import (
     AgencySolution,
     AuctionInstance,
     BidProfile,
-    Colluder,
     ExternalDistribution,
     InfeasibleError,
     InstanceError,
@@ -38,7 +37,6 @@ __all__ = [
     "AuctionInstance",
     "BidGrid",
     "BidProfile",
-    "Colluder",
     "DualValues",
     "ExternalDistribution",
     "InfeasibleError",

@@ -42,8 +42,8 @@ class Assumption1Report:
 def _is_witness(instance: AuctionInstance, profile: BidProfile, p: float) -> bool:
     out = expected_outcome(instance, profile)
     return all(
-        r - pay >= c.outside_option - p - EQ_TOL
-        for r, pay, c in zip(out.revenue, out.payment, instance.colluders)
+        r - pay >= t - p - EQ_TOL
+        for r, pay, t in zip(out.revenue, out.payment, instance.outside_options)
     )
 
 
@@ -89,6 +89,6 @@ def solve_arbitrary(
     return certify(
         instance,
         ((result.profile, 1.0),),
-        lambda rbar: [r - c.outside_option + p for r, c in zip(rbar, instance.colluders)],
+        lambda rbar: [r - t + p for r, t in zip(rbar, instance.outside_options)],
         p,
     )

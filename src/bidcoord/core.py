@@ -2,9 +2,11 @@
 
 All types are immutable after construction and safe to share across
 threads.  Monetary quantities are plain doubles in [0, 1]; equality
-assertions throughout the package use a 1e-9 tolerance.  A bid profile
-is each colluder's level and symbolic tie rank, two tuples, and
-``BidProfile.ranking`` is the one statement of how colluders rank.
+assertions throughout the package use a 1e-9 tolerance.  An instance
+holds each colluder's valuation and outside option, two tuples indexed
+in the normalized colluder order.  A bid profile is each colluder's
+level and symbolic tie rank, two tuples, and ``BidProfile.ranking`` is
+the one statement of how colluders rank.
 """
 
 from __future__ import annotations
@@ -128,24 +130,17 @@ class ExternalDistribution:
 
 
 @dataclass(frozen=True)
-class Colluder:
-    """An advertiser managed by the agency."""
-
-    valuation: float
-    outside_option: float
-    original_index: int
-
-
-@dataclass(frozen=True)
 class AuctionInstance:
     """A normalized coordinated-bidding instance.
 
-    Slots are sorted by click-through rate descending and colluders by
-    valuation descending; construct through :func:`validate_and_normalize`.
+    Colluder i is ``valuations[i]`` and ``outside_options[i]``.  Slots are
+    sorted by click-through rate descending and colluders by valuation
+    descending; construct through :func:`validate_and_normalize`.
     """
 
     slots: tuple[float, ...]
-    colluders: tuple[Colluder, ...]
+    valuations: tuple[float, ...]
+    outside_options: tuple[float, ...]
     external: ExternalDistribution
     mechanism: str
 
@@ -154,38 +149,32 @@ class AuctionInstance:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if not self.slots:
             raise ValueError("need at least one slot")
-        if not self.colluders:
+        if not self.valuations:
             raise ValueError("need at least one colluder")
+        if len(self.valuations) != len(self.outside_options):
+            raise ValueError("valuations and outside_options differ in length")
         for j, lam in enumerate(self.slots):
             if not 0.0 <= lam <= 1.0:
                 raise ValueError(f"click-through rate {lam!r} outside [0, 1]")
             if j > 0 and self.slots[j - 1] < lam:
                 raise ValueError("slots must be sorted by rate descending")
-        for i, c in enumerate(self.colluders):
-            if not 0.0 <= c.valuation <= 1.0:
-                raise ValueError(f"valuation {c.valuation!r} outside [0, 1]")
-            if not 0.0 <= c.outside_option <= 1.0:
-                raise ValueError(f"outside option {c.outside_option!r} outside [0, 1]")
-            if i > 0 and self.colluders[i - 1].valuation < c.valuation:
+        for i, (v, t) in enumerate(zip(self.valuations, self.outside_options)):
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"valuation {v!r} outside [0, 1]")
+            if not 0.0 <= t <= 1.0:
+                raise ValueError(f"outside option {t!r} outside [0, 1]")
+            if i > 0 and self.valuations[i - 1] < v:
                 raise ValueError("colluders must be sorted by valuation descending")
-        if len(self.slots) > len(self.colluders) + self.external.n_external:
+        if len(self.slots) > len(self.valuations) + self.external.n_external:
             raise ValueError("more slots than participating agents")
 
     @property
     def n_colluders(self) -> int:
-        return len(self.colluders)
+        return len(self.valuations)
 
     @property
     def n_slots(self) -> int:
         return len(self.slots)
-
-    @property
-    def valuations(self) -> tuple[float, ...]:
-        return tuple(c.valuation for c in self.colluders)
-
-    @property
-    def outside_options(self) -> tuple[float, ...]:
-        return tuple(c.outside_option for c in self.colluders)
 
     def threshold(self, epsilon: float) -> float:
         """The threshold p = eps/n_c of an eps-approximate solve; ValueError
@@ -254,9 +243,10 @@ def validate_and_normalize(raw: dict) -> AuctionInstance:
     """Parse and normalize a raw instance dictionary.
 
     Slots are sorted by rate descending and colluders by valuation
-    descending (original indices retained); support probabilities are
-    renormalized when their drift from 1 is below 1e-9 and rejected
-    beyond that.  Applying this twice gives the same instance as once.
+    descending, equal valuations kept in input order; support
+    probabilities are renormalized when their drift from 1 is below 1e-9
+    and rejected beyond that.  Applying this twice gives the same
+    instance as once.
     """
     if not isinstance(raw, dict):
         raise InstanceError("$", "instance must be a JSON object")
@@ -283,7 +273,8 @@ def validate_and_normalize(raw: dict) -> AuctionInstance:
         t = _number(entry.get("t"), "colluders[%d].t", i)
         parsed.append((v, t, i))
     parsed.sort(key=lambda c: (-c[0], c[2]))
-    colluders = tuple(Colluder(v, t, i) for v, t, i in parsed)
+    valuations = tuple(v for v, _, _ in parsed)
+    outside_options = tuple(t for _, t, _ in parsed)
 
     external_raw = raw.get("external")
     if not isinstance(external_raw, dict) or "support" not in external_raw:
@@ -318,10 +309,10 @@ def validate_and_normalize(raw: dict) -> AuctionInstance:
             )
     external = ExternalDistribution(tuple(entries))
 
-    if len(slots) > len(colluders) + n_e:
+    if len(slots) > len(parsed) + n_e:
         raise InstanceError("slots", "more slots than participating agents")
 
-    return AuctionInstance(tuple(slots), colluders, external, mechanism)
+    return AuctionInstance(tuple(slots), valuations, outside_options, external, mechanism)
 
 
 def instance_to_raw(instance: AuctionInstance) -> dict:
@@ -330,7 +321,7 @@ def instance_to_raw(instance: AuctionInstance) -> dict:
         "mechanism": instance.mechanism,
         "slots": list(instance.slots),
         "colluders": [
-            {"v": c.valuation, "t": c.outside_option} for c in instance.colluders
+            {"v": v, "t": t} for v, t in zip(instance.valuations, instance.outside_options)
         ],
         "external": {
             "support": [

@@ -126,7 +126,7 @@ def solve_master(
         objective = [col.coefficient for col in columns] + [0.0] * n_c
     rows = list(zip(*variables))
     senses = [">="] * (n_c + 1) + ["="]
-    rhs = [c.outside_option - p for c in instance.colluders] + [0.0, 1.0]
+    rhs = [t - p for t in instance.outside_options] + [0.0, 1.0]
 
     return _read_master(columns, lp_solve(objective, rows, senses, rhs), n_c, elastic)
 
@@ -226,8 +226,8 @@ def extract_solution(
 
     def fill(rbar: list[float]) -> list[float]:
         caps = []
-        for r, c in zip(rbar, instance.colluders):
-            cap = r - (c.outside_option - p)
+        for r, t in zip(rbar, instance.outside_options):
+            cap = r - (t - p)
             if cap < -EQ_TOL:
                 raise ToleranceError("participation constraint violated after recomputation")
             caps.append(max(cap, 0.0))

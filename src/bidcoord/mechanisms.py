@@ -153,7 +153,7 @@ def certify(
         objective += prob * out.cumulative
     transfers = tuple(transfer_rule(rbar))
     ic_slacks = tuple(
-        rbar[i] - transfers[i] - (instance.colluders[i].outside_option - relaxation)
+        rbar[i] - transfers[i] - (instance.outside_options[i] - relaxation)
         for i in range(n)
     )
     return AgencySolution(

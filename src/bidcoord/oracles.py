@@ -183,7 +183,7 @@ def ranking_expected_outcome(instance: AuctionInstance, profile: BidProfile) -> 
         for k, agent in enumerate(ranking[: instance.n_slots]):
             if agent.kind == "c":
                 i = agent.index
-                rev[i] += prob * (instance.slots[k] * instance.colluders[i].valuation)
+                rev[i] += prob * (instance.slots[k] * instance.valuations[i])
                 pay[i] += prob * pays[k]
     return ExpectedOutcome(tuple(rev), tuple(pay))
 
@@ -270,7 +270,7 @@ def arc_weight(
     order = wup_colluder_order(instance, weights)
     c = order[i - 1]
     y = weights.revenue_weights[c]
-    v = instance.colluders[c].valuation
+    v = instance.valuations[c]
     x = weights.payment_weight
     lambdas = instance.slots
     view = _ExternalView(external_levels, lambdas, len(order))
@@ -460,7 +460,7 @@ def brute_force_ll(
     for i in range(n_c):
         a_ub[i, :n_s] = [-o.revenue[i] for o in outs]
         a_ub[i, n_s + i] = 1.0
-        b_ub[i] = -(instance.colluders[i].outside_option - p)
+        b_ub[i] = -(instance.outside_options[i] - p)
     a_ub[n_c, :n_s] = [sum(o.payment) for o in outs]
     a_ub[n_c, n_s:] = -1.0
     a_eq = np.zeros((1, n_s + n_c))
@@ -499,9 +499,7 @@ def best_deterministic_ll(
     best = None
     for profile in iter_grid_profiles(grid_levels, instance.n_colluders):
         out = expected_outcome(instance, profile)
-        headroom = [
-            r - c.outside_option for r, c in zip(out.revenue, instance.colluders)
-        ]
+        headroom = [r - t for r, t in zip(out.revenue, instance.outside_options)]
         if any(h < 0.0 for h in headroom):
             continue
         if sum(headroom) < sum(out.payment):

@@ -82,7 +82,7 @@ def wup_colluder_order(instance: AuctionInstance, weights: WupWeights) -> tuple[
     return tuple(
         sorted(
             range(n),
-            key=lambda i: (-weights.revenue_weights[i] * instance.colluders[i].valuation, i),
+            key=lambda i: (-weights.revenue_weights[i] * instance.valuations[i], i),
         )
     )
 
@@ -242,7 +242,7 @@ class WupGraph:
 
 def _query_graph(tables: WupTables, weights: WupWeights, instance: AuctionInstance) -> WupGraph:
     order = wup_colluder_order(instance, weights)
-    yv = np.array([weights.revenue_weights[c] * instance.colluders[c].valuation for c in order])
+    yv = np.array([weights.revenue_weights[c] * instance.valuations[c] for c in order])
     return WupGraph(tables, order, yv[:, None] * tables.revenue, weights.payment_weight)
 
 

@@ -63,8 +63,8 @@ def random_instance(
         base = individual_baseline(instance)
         scale = rng.random()
         raw["colluders"] = [
-            {"v": c.valuation, "t": min(1.0, max(0.0, scale * u))}
-            for c, u in zip(instance.colluders, base)
+            {"v": v, "t": min(1.0, max(0.0, scale * u))}
+            for v, u in zip(instance.valuations, base)
         ]
         instance = bc.validate_and_normalize(raw)
     return instance

@@ -137,7 +137,7 @@ class TestGuarantee:
                 assert sol.expected_revenue == tuple(rbar)
                 assert sol.expected_payment == tuple(pbar)
                 assert sol.ic_slacks == tuple(
-                    rbar[i] - sol.transfers[i] - (inst.colluders[i].outside_option - p)
+                    rbar[i] - sol.transfers[i] - (inst.outside_options[i] - p)
                     for i in range(n)
                 )
                 assert sol.ir_slack == sum(sol.transfers) - sum(pbar)

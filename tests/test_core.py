@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -31,7 +32,7 @@ class TestValidateAndNormalize:
     def test_colluders_sorted_by_valuation(self):
         inst = bc.validate_and_normalize(minimal_raw())
         assert inst.valuations == (0.9, 0.3)
-        assert [c.original_index for c in inst.colluders] == [1, 0]
+        assert inst.outside_options == (0.1, 0.0)
 
     def test_out_of_range_rate_rejected(self):
         with pytest.raises(bc.InstanceError) as err:
@@ -84,16 +85,7 @@ class TestValidateAndNormalize:
         for _ in range(50):
             inst = random_instance(rng)
             once = bc.validate_and_normalize(bc.instance_to_raw(inst))
-            # one round-trip may relabel original indices (they refer to the
-            # serialized order), but the content is unchanged ...
-            assert once.slots == inst.slots
-            assert once.valuations == inst.valuations
-            assert once.outside_options == inst.outside_options
-            assert once.external == inst.external
-            assert once.mechanism == inst.mechanism
-            # ... and from the normalized form onward it is a fixed point
-            twice = bc.validate_and_normalize(bc.instance_to_raw(once))
-            assert twice == once
+            assert once == inst
 
     def test_example1_parses(self):
         inst = bc.validate_and_normalize(example1_raw())
@@ -224,6 +216,36 @@ class TestExternalDistribution:
     def test_rejected(self, support, message):
         with pytest.raises(ValueError, match=message):
             bc.ExternalDistribution(support)
+
+
+class TestAuctionInstance:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"valuations": (NAN, 0.3)}, "valuation nan outside"),
+            ({"valuations": (1.5, 0.3)}, "valuation 1.5 outside"),
+            ({"outside_options": (-0.1, 0.0)}, "outside option -0.1 outside"),
+            ({"valuations": (0.3, 0.9)}, "sorted by valuation descending"),
+            ({"outside_options": (0.1,)}, "differ in length"),
+            ({"valuations": (), "outside_options": ()}, "at least one colluder"),
+            ({"slots": ()}, "at least one slot"),
+            ({"slots": (1.2, 0.5)}, "click-through rate 1.2 outside"),
+            ({"slots": (0.5, 1.0)}, "sorted by rate descending"),
+            ({"mechanism": "fpa"}, "unknown mechanism"),
+            ({"slots": (1.0, 0.75, 0.5, 0.25)}, "more slots than participating agents"),
+        ],
+        ids=[
+            "valuation-nan", "valuation-above-one", "outside-option-negative",
+            "valuations-ascending", "unequal-lengths", "no-colluders", "no-slots",
+            "rate-above-one", "slots-ascending", "unknown-mechanism", "more-slots-than-agents",
+        ],
+    )
+    def test_rejected(self, changes, message):
+        # built through the Python API, as for a fixed external profile,
+        # an instance is checked only by its constructor
+        inst = bc.validate_and_normalize(minimal_raw())
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(inst, **changes)
 
 
 class TestThreshold:

@@ -54,7 +54,7 @@ def calibrated_instance(seed):
     inst = bc.validate_and_normalize(raw)
     base = individual_baseline(inst)
     raw["colluders"] = [
-        {"v": c.valuation, "t": max(0.0, u)} for c, u in zip(inst.colluders, base)
+        {"v": v, "t": max(0.0, u)} for v, u in zip(inst.valuations, base)
     ]
     return bc.validate_and_normalize(raw), base
 
@@ -317,8 +317,8 @@ class TestColumnGenerationAgreement:
                 assert sol.ir_slack >= -1e-9
                 # participation re-checked from the reported numbers
                 assert all(
-                    r - q >= c.outside_option - sol.relaxation - 1e-9
-                    for r, q, c in zip(sol.expected_revenue, sol.transfers, inst.colluders)
+                    r - q >= t - sol.relaxation - 1e-9
+                    for r, q, t in zip(sol.expected_revenue, sol.transfers, inst.outside_options)
                 )
         assert max_rounds_seen <= 200
 
@@ -400,8 +400,8 @@ class TestColumnGenerationAgreement:
             _, master = solve_ll_dense(inst, grid.levels, p)
             dual_obj = (
                 sum(
-                    (c.outside_option - p) * y
-                    for c, y in zip(inst.colluders, master.duals.y)
+                    (t - p) * y
+                    for t, y in zip(inst.outside_options, master.duals.y)
                 )
                 + master.duals.z
             )

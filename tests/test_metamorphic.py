@@ -86,6 +86,11 @@ def with_support(raw: dict, support: list) -> dict:
     return {**raw, "external": {"support": support}}
 
 
+def by_value(colluders: list) -> list:
+    """Raw colluders sorted by valuation descending, ties in list order."""
+    return sorted(colluders, key=lambda c: -c["v"])
+
+
 @pytest.mark.parametrize("mode", list(SOLVERS))
 @settings(max_examples=300)
 @given(raw=perfbench_like(), data=st.data(), epsilon=st.sampled_from((0.05, 0.01)))
@@ -95,6 +100,10 @@ def test_symmetries_keep_status_and_objective(mode, raw, data, epsilon):
     order = data.draw(st.permutations(range(len(raw["colluders"]))))
     permuted = {**raw, "colluders": [raw["colluders"][i] for i in order]}
     assert_same(base, solve(permuted, mode, epsilon))
+    # normalization sorts colluders by valuation, equal valuations kept in
+    # input order: a relabeling that sorts to the same list is the same instance
+    if by_value(permuted["colluders"]) == by_value(raw["colluders"]):
+        assert validate_and_normalize(permuted) == validate_and_normalize(raw)
 
     support = raw["external"]["support"]
     assert_same(base, solve(with_support(raw, support[::-1]), mode, epsilon), grid_may_move=True)

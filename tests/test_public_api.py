@@ -18,7 +18,6 @@ PUBLIC = [
     "AuctionInstance",
     "BidGrid",
     "BidProfile",
-    "Colluder",
     "DualValues",
     "ExternalDistribution",
     "InfeasibleError",
@@ -68,6 +67,13 @@ def test_all_is_pinned():
     profile = bidcoord.make_profile([0.5])
     assert not hasattr(profile, "bids")
     assert [f.name for f in dataclasses.fields(profile)] == ["levels", "tie_ranks"]
+    # deleted: an instance is its valuation and outside-option tuples,
+    # indexed in the normalized colluder order
+    assert not hasattr(bidcoord, "Colluder")
+    assert not hasattr(bidcoord.core, "Colluder")
+    assert [f.name for f in dataclasses.fields(bidcoord.AuctionInstance)] == [
+        "slots", "valuations", "outside_options", "external", "mechanism"
+    ]
 
 
 def test_one_query_form():
