@@ -24,8 +24,11 @@ by default those are the grid's dominance-pruned levels
 one on kept levels with equal revenue and no larger payment, so the
 master's optimum and feasibility are the full grid's, while the pricing
 tables shrink to at most one level more than the distinct support bids.
-The master optimum's distribution is certified by ``mechanisms.certify``;
-this module contributes only the canonical transfer fill.
+A column is its profile's ``mechanisms.ExpectedOutcome``, so the
+master's objective coefficient is the ``cumulative`` that ``certify``
+reports.  The master optimum's distribution is certified by
+``mechanisms.certify``; this module contributes only the canonical
+transfer fill.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .core import (
     make_profile,
 )
 from .discretize import pruned_grid
-from .mechanisms import certify, expected_outcome
+from .mechanisms import ExpectedOutcome, certify, expected_outcome
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, Tableau, lp_solve
 from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
 
@@ -52,26 +55,15 @@ PRICING_TOL = 1e-7
 
 
 @dataclass(frozen=True)
-class Column:
-    """A candidate bid profile with cached expected revenue and payment."""
+class Column(ExpectedOutcome):
+    """A candidate bid profile's expected outcome, with the profile."""
 
     profile: BidProfile
-    revenue: tuple[float, ...]
-    payment: tuple[float, ...]
-
-    @property
-    def coefficient(self) -> float:
-        """Objective contribution: cumulative expected utility."""
-        return sum(self.revenue) - sum(self.payment)
-
-    @property
-    def total_payment(self) -> float:
-        return sum(self.payment)
 
 
 def make_column(instance: AuctionInstance, profile: BidProfile) -> Column:
     out = expected_outcome(instance, profile)
-    return Column(profile, out.revenue, out.payment)
+    return Column(out.revenue, out.payment, profile)
 
 
 @dataclass(frozen=True)
@@ -88,10 +80,11 @@ class DualValues:
 class MasterSolution:
     columns: tuple[Column, ...]
     gammas: tuple[float, ...]
-    transfers: tuple[float, ...]
     duals: DualValues
     objective: float
-    relief: float = 0.0
+    #: The relief mass in the elastic (feasibility) master; None in the
+    #: objective master, which has no relief variable.
+    relief: Optional[float] = None
     #: The master LP's optimal tableau, which ``add_master_column`` extends.
     tableau: Optional[Tableau] = field(default=None, repr=False, compare=False)
 
@@ -107,6 +100,8 @@ def solve_master(
     Variables are one weight per column plus one transfer per colluder.
     Rows: per colluder  sum_s gamma_s r_i(s) - q_i >= t_i - p;  budget
     sum_i q_i >= sum_s gamma_s sum_i pi_i(s);  normalization sum gamma = 1.
+    A column's objective coefficient is its ``cumulative`` expected
+    utility, the number ``certify`` reports for its profile.
 
     With ``elastic`` the LP instead minimizes the mass of a relief
     pseudo-column (unit revenue for everyone, no payment) that makes the
@@ -123,7 +118,7 @@ def solve_master(
         variables.append([1.0] * n_c + [0.0, 1.0])
         objective = [0.0] * (len(variables) - 1) + [-1.0]
     else:
-        objective = [col.coefficient for col in columns] + [0.0] * n_c
+        objective = [col.cumulative for col in columns] + [0.0] * n_c
     rows = list(zip(*variables))
     senses = [">="] * (n_c + 1) + ["="]
     rhs = [t - p for t in instance.outside_options] + [0.0, 1.0]
@@ -135,20 +130,20 @@ def _master_entries(column: Column) -> list[float]:
     """A column's entries in the master's rows: its revenue in each
     participation row, minus its total payment in the budget row, and 1
     in the normalization row."""
-    return [*column.revenue, -column.total_payment, 1.0]
+    return [*column.revenue, -sum(column.payment), 1.0]
 
 
-def add_master_column(
-    master: MasterSolution, column: Column, elastic: bool = False
-) -> MasterSolution:
+def add_master_column(master: MasterSolution, column: Column) -> MasterSolution:
     """The master over one more column, warm-started from ``master``'s
-    optimal basis rather than solved again from scratch."""
+    optimal basis rather than solved again from scratch, in ``master``'s
+    phase."""
+    elastic = master.relief is not None
     result = master.tableau.add_column(
-        0.0 if elastic else column.coefficient,
+        0.0 if elastic else column.cumulative,
         _master_entries(column),
         index=len(master.columns),
     )
-    return _read_master(master.columns + (column,), result, len(master.transfers), elastic)
+    return _read_master(master.columns + (column,), result, len(column.revenue), elastic)
 
 
 def _read_master(
@@ -160,15 +155,14 @@ def _read_master(
         raise ToleranceError(f"master LP ended with status {result.status}")
     n_s = len(columns)
     gammas = tuple(float(v) for v in result.x[:n_s])
-    transfers = tuple(float(v) for v in result.x[n_s : n_s + n_c])
-    relief = float(result.x[n_s + n_c]) if elastic else 0.0
+    relief = float(result.x[n_s + n_c]) if elastic else None
     duals = DualValues(
         tuple(float(d) for d in result.duals[:n_c]),
         float(result.duals[n_c]),
         float(result.duals[n_c + 1]),
     )
     return MasterSolution(
-        tuple(columns), gammas, transfers, duals, float(result.objective), relief, result.tableau
+        tuple(columns), gammas, duals, float(result.objective), relief, result.tableau
     )
 
 
@@ -176,20 +170,20 @@ def pricing(
     duals: DualValues,
     tables: WupTables,
     instance: AuctionInstance,
-    include_objective: bool = True,
+    elastic: bool = False,
 ) -> tuple[BidProfile, float]:
     """Find the grid profile with the largest reduced cost.
 
     Expanding the master's reduced-cost expression gives revenue weights
     1 - y_i and payment weight 1 - x, both nonnegative at dual-feasible
     points, so this is exactly a weighted-utility instance over the
-    grid's prebuilt ``tables``.  For the feasibility phase (column value
-    coefficients zero) the weights are -y_i and -x instead, nonnegative
-    for the same reason.  Noise within EQ_TOL below zero is clamped to
-    zero; a genuinely negative payment weight means the duals are not
-    dual-feasible and raises ToleranceError.
+    grid's prebuilt ``tables``.  For the ``elastic`` feasibility phase
+    (column value coefficients zero) the weights are -y_i and -x instead,
+    nonnegative for the same reason.  Noise within EQ_TOL below zero is
+    clamped to zero; a genuinely negative payment weight means the duals
+    are not dual-feasible and raises ToleranceError.
     """
-    base = 1.0 if include_objective else 0.0
+    base = 0.0 if elastic else 1.0
     y_hat = tuple(max(base - yi, 0.0) for yi in duals.y)
     x_hat = base - duals.x
     if -EQ_TOL <= x_hat < 0.0:
@@ -265,49 +259,48 @@ def solve_ll_cg(
     """
     n_c = instance.n_colluders
     tables = expected_tables(instance, grid_levels)
-    seeds = [make_profile([0.0] * n_c)]
-    seeds.append(solve_wup(tables, unit_weights(n_c), instance).profile)
-    columns: list[Column] = []
-    seen: set[BidProfile] = set()
-    for profile in seeds:
-        if profile not in seen:
-            seen.add(profile)
-            columns.append(make_column(instance, profile))
+    seeds = dict.fromkeys(  # in order, without repeats
+        [make_profile([0.0] * n_c), solve_wup(tables, unit_weights(n_c), instance).profile]
+    )
+    seen: set[BidProfile] = set(seeds)
+    columns = [make_column(instance, profile) for profile in seeds]
 
     rounds = 0
 
-    def price_in(master: MasterSolution, elastic: bool) -> Optional[MasterSolution]:
-        """One pricing round: the master over the priced-in column, or
-        None when the phase ends (the end rule of the module docstring)."""
+    def price_in(master: MasterSolution) -> Optional[MasterSolution]:
+        """One pricing round in ``master``'s phase: the master over the
+        priced-in column, or None when the phase ends (the end rule of
+        the module docstring)."""
         nonlocal rounds
         rounds += 1
-        profile, reduced = pricing(master.duals, tables, instance, include_objective=not elastic)
+        profile, reduced = pricing(
+            master.duals, tables, instance, elastic=master.relief is not None
+        )
         if profile in seen and reduced > 1e-5:
             raise ToleranceError(f"pricing re-proposed a known column with reduced cost {reduced}")
         if reduced <= PRICING_TOL or profile in seen:
             return None
         seen.add(profile)
-        columns.append(make_column(instance, profile))
-        return add_master_column(master, columns[-1], elastic=elastic)
+        return add_master_column(master, make_column(instance, profile))
 
     master = solve_master(instance, columns, p)
     if master is None:
         master = solve_master(instance, columns, p, elastic=True)
         assert master is not None  # the relief column keeps this feasible
         while master.relief > 1e-9:
-            grown = price_in(master, elastic=True)
+            grown = price_in(master)
             if grown is None:
                 raise InfeasibleError(
                     "master infeasible even over the full grid; outside options"
                     f" cannot be covered (residual relief {master.relief!r})"
                 )
             master = grown
-        master = solve_master(instance, columns, p)
+        master = solve_master(instance, master.columns, p)
         if master is None:
             # cannot happen after the feasibility phase succeeded
             raise ToleranceError("master lost feasibility between phases")
 
-    while (grown := price_in(master, elastic=False)) is not None:
+    while (grown := price_in(master)) is not None:
         master = grown
     return extract_solution(instance, master, p), master, rounds
 

@@ -77,9 +77,9 @@ class TestColumns:
         for profile in iter_grid_profiles([0.0, 0.5, 0.75], 2):
             col = make_column(example3, profile)
             out = expected_outcome(example3, profile)
-            assert all(abs(a - b) <= 1e-12 for a, b in zip(col.revenue, out.revenue))
-            assert all(abs(a - b) <= 1e-12 for a, b in zip(col.payment, out.payment))
-            assert abs(col.coefficient - out.cumulative) <= 1e-12
+            assert col.revenue == out.revenue
+            assert col.payment == out.payment
+            assert col.cumulative == out.cumulative
 
 
 class TestExample3Golden:
@@ -219,9 +219,9 @@ class TestPricing:
             raise AssertionError("pricing enumerated the grid")
 
         monkeypatch.setattr(limited, "expected_outcome", no_scan)
-        for include_objective in (False, True):
-            noisy = pricing(DualValues((-0.3, -0.1), 1e-17, 0.2), tables, example3, include_objective)
-            clean = pricing(DualValues((-0.3, -0.1), 0.0, 0.2), tables, example3, include_objective)
+        for elastic in (False, True):
+            noisy = pricing(DualValues((-0.3, -0.1), 1e-17, 0.2), tables, example3, elastic)
+            clean = pricing(DualValues((-0.3, -0.1), 0.0, 0.2), tables, example3, elastic)
             assert noisy == clean
 
     def test_matches_exhaustive_enumeration(self):
@@ -279,11 +279,42 @@ class TestMasterAndExtraction:
 
     def test_renormalization_drift_fails(self, example3):
         col = make_column(example3, make_profile([0.0, 0.0]))
-        fake = MasterSolution(
-            (col,), (0.9,), (0.0, 0.0), DualValues((0.0, 0.0), 0.0, 0.0), 0.9
-        )
+        fake = MasterSolution((col,), (0.9,), DualValues((0.0, 0.0), 0.0, 0.0), 0.9)
         with pytest.raises(bc.ToleranceError):
             extract_solution(example3, fake, 0.05)
+
+    @pytest.mark.parametrize("raw, levels, p, message", [
+        pytest.param(
+            {
+                "mechanism": "gsp",
+                "slots": [1.0, 1.0],
+                "colluders": [{"v": 1.0, "t": 0.01}, {"v": 1.0, "t": 0.01}],
+                "external": {"support": [{"bids": [0.75], "prob": 1.0}]},
+            },
+            [0.0, 0.0], 0.005, "participation constraint violated",
+            id="participation",
+        ),
+        pytest.param(
+            {
+                "mechanism": "gsp",
+                "slots": [1.0],
+                "colluders": [{"v": 0.1, "t": 0.0}],
+                "external": {"support": [{"bids": [0.9], "prob": 1.0}]},
+            },
+            [1.0], 0.05, "cannot cover the agency payment",
+            id="budget",
+        ),
+    ])
+    def test_transfer_fill_checks(self, raw, levels, p, message):
+        # one column at full weight: in example3 with both colluders tied
+        # at level 0, the second earns nothing against t - p = 0.005; the
+        # lone colluder above the external bid of 0.9 earns 0.1 and pays 0.9
+        inst = bc.validate_and_normalize(raw)
+        col = make_column(inst, make_profile(levels))
+        n_c = inst.n_colluders
+        fake = MasterSolution((col,), (1.0,), DualValues((0.0,) * n_c, 0.0, 0.0), 0.0)
+        with pytest.raises(bc.ToleranceError, match=message):
+            extract_solution(inst, fake, p)
 
     def test_duals_have_master_sign_pattern(self):
         rng = random.Random(75)
@@ -420,9 +451,9 @@ def count_master_lps(monkeypatch):
         calls.append(("cold", objective[-1] == -1.0, result.status))
         return result
 
-    def counted_warm(master, column, elastic=False):
-        calls.append(("warm", elastic))
-        return warm(master, column, elastic)
+    def counted_warm(master, column):
+        calls.append(("warm", master.relief is not None))
+        return warm(master, column)
 
     monkeypatch.setattr(limited, "lp_solve", counted_cold)
     monkeypatch.setattr(limited, "add_master_column", counted_warm)
@@ -513,21 +544,23 @@ class TestEndRule:
         # 0.7-0.9 s on a 2-core machine; twice that absorbs a busy scheduler
         assert elapsed < 2.0
 
-    @pytest.mark.parametrize("elastic, reduced, error", [
+    @pytest.mark.parametrize("elastic_phase, reduced, error", [
         pytest.param(True, 0.5, bc.ToleranceError, id="elastic"),
         pytest.param(False, 0.5, bc.ToleranceError, id="objective"),
         pytest.param(True, 1e-6, bc.InfeasibleError, id="elastic-within-tolerance"),
     ])
-    def test_held_profile_proposed_again(self, example3, monkeypatch, elastic, reduced, error):
+    def test_held_profile_proposed_again(
+        self, example3, monkeypatch, elastic_phase, reduced, error
+    ):
         # at p = 0.005 both phases run; the stub proposes the all-zero seed
         # column in one of them.  Above 1e-5 that is a pricing error in
         # either phase, not a certificate that the relief cannot fall
         real = limited.pricing
 
-        def stub(duals, tables, instance, include_objective=True):
-            if include_objective != elastic:
+        def stub(duals, tables, instance, elastic=False):
+            if elastic == elastic_phase:
                 return make_profile([0.0, 0.0]), reduced
-            return real(duals, tables, instance, include_objective)
+            return real(duals, tables, instance, elastic)
 
         monkeypatch.setattr(limited, "pricing", stub)
         p = 0.005
