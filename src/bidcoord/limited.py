@@ -11,9 +11,15 @@ Each round adds a grid profile the master does not yet hold, so a phase
 ends, with no round cap, once the best profile's reduced cost is at most
 ``PRICING_TOL`` or the master already holds it (a pricing error if its
 reduced cost is above 1e-5).
-The objective master on the seed columns is solved first.  Only if it is
-infeasible does a feasibility phase (minimizing an elastic relief mass,
-priced the same way) run before the objective phase, so infeasibility
+Round 0 needs no LP.  The master's objective is a mix of profile
+utilities, so it never exceeds the plain utility optimum, and when that
+optimum's point mass covers every outside option and the agency's
+payment it is the master optimum; the duals y = 0, x = 0, z = its
+utility certify it, since the utility query that found it is then the
+pricing round.  Otherwise the objective master on the seed columns is
+solved first.  Only if it is infeasible does a feasibility phase
+(minimizing an elastic relief mass, priced the same way) run before the
+objective phase, so infeasibility
 is only ever reported for the full grid, never for an unlucky restricted
 master.  Within a phase, only the first master LP is solved from
 scratch: each later round appends its column to the last optimal
@@ -194,6 +200,14 @@ def pricing(
     return result.profile, result.value - duals.z
 
 
+def _transfer_caps(
+    instance: AuctionInstance, rbar: Sequence[float], p: float
+) -> list[float]:
+    """The most each colluder can pay the agency and still participate:
+    r_i - (t_i - p) at expected revenues ``rbar``."""
+    return [r - (t - p) for r, t in zip(rbar, instance.outside_options)]
+
+
 def extract_solution(
     instance: AuctionInstance, master: MasterSolution, p: float
 ) -> AgencySolution:
@@ -219,12 +233,10 @@ def extract_solution(
         pay_total += g * sum(col.payment)
 
     def fill(rbar: list[float]) -> list[float]:
-        caps = []
-        for r, t in zip(rbar, instance.outside_options):
-            cap = r - (t - p)
-            if cap < -EQ_TOL:
-                raise ToleranceError("participation constraint violated after recomputation")
-            caps.append(max(cap, 0.0))
+        caps = _transfer_caps(instance, rbar, p)
+        if min(caps) < -EQ_TOL:
+            raise ToleranceError("participation constraint violated after recomputation")
+        caps = [max(cap, 0.0) for cap in caps]
         if sum(caps) < pay_total - EQ_TOL:
             raise ToleranceError("transfers cannot cover the agency payment")
         transfers = []
@@ -245,13 +257,23 @@ def solve_ll_cg(
 ) -> tuple[AgencySolution, MasterSolution, int]:
     """Column generation: returns (solution, final master, pricing rounds).
 
-    Seeds the restricted master with the all-zero-level profile and the
-    plain utility optimum, and solves the objective master on them.  If
-    that master is infeasible, a feasibility phase drives out the relief
-    mass (certifying full-master infeasibility, with the residual relief,
-    if no column can lower it) and the objective master is solved again
-    on all columns.  The objective phase then alternates pricing with
-    master solves until pricing adds no column.
+    Round 0: the plain utility optimum is the best single profile, and
+    the master's objective is a mix of profile utilities, so when the
+    optimum's point mass is feasible (every transfer cap r_i - (t_i - p)
+    is nonnegative and the caps cover its payment) it is the optimum.
+    It is returned with 0 rounds and no LP: at duals y = 0, x = 0,
+    z = its utility every transfer column prices at 0 and the seed query
+    was the pricing round, so the pair is primal-dual optimal.  Round 0
+    leaves to the master LP an optimum of zero utility and one within
+    ``PRICING_TOL`` of the zero-level seed, where the LP's tie-break
+    picks the reported profile.
+    Otherwise it seeds the restricted master with the all-zero-level
+    profile and the utility optimum, and solves the objective master on
+    them.  If that master is infeasible, a feasibility phase drives out
+    the relief mass (certifying full-master infeasibility, with the
+    residual relief, if no column can lower it) and the objective master
+    is solved again on all columns.  The objective phase then alternates
+    pricing with master solves until pricing adds no column.
     Each phase solves its first master cold; every priced-in column is
     appended to the previous optimal tableau and the LP resumed from its
     basis.  The weighted-utility tables are built once for the grid and
@@ -259,11 +281,23 @@ def solve_ll_cg(
     """
     n_c = instance.n_colluders
     tables = expected_tables(instance, grid_levels)
-    seeds = dict.fromkeys(  # in order, without repeats
-        [make_profile([0.0] * n_c), solve_wup(tables, unit_weights(n_c), instance).profile]
-    )
-    seen: set[BidProfile] = set(seeds)
-    columns = [make_column(instance, profile) for profile in seeds]
+    zero = make_column(instance, make_profile([0.0] * n_c))
+    optimum = solve_wup(tables, unit_weights(n_c), instance).profile
+    best = zero if optimum == zero.profile else make_column(instance, optimum)
+    caps = _transfer_caps(instance, best.revenue, p)
+    # the master LP's tie-break picks among zero-utility profiles, and
+    # between the optimum and a zero seed it ties exactly or in float
+    # rounding (bidding 0 can earn as much as outranking an external bid)
+    rival = 0.0 if best is zero else zero.cumulative + PRICING_TOL
+    if min(caps) >= 0.0 and sum(caps) >= sum(best.payment) and best.cumulative > rival:
+        # round 0: the point mass is feasible, and at duals y = 0, x = 0,
+        # z = cumulative the seed query was the pricing round
+        master = MasterSolution(
+            (best,), (1.0,), DualValues((0.0,) * n_c, 0.0, best.cumulative), best.cumulative
+        )
+        return extract_solution(instance, master, p), master, 0
+    columns = [zero] if best is zero else [zero, best]
+    seen = {col.profile for col in columns}
 
     rounds = 0
 

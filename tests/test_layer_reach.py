@@ -3,9 +3,12 @@
 ``perfbench/tracing.py`` rebinds package functions by name and reports
 each one's calls and self time.  A layer that no solve reaches reads 0,
 so a change that routes a solve around one would zero its metric
-without a failure.  One arbitrary and one limited-liability ``solve`` of
+without a failure.  One arbitrary and two limited-liability solves of
 example 3 must between them call every traced layer except
-``check_assumption1`` and ``build_grid``, which no solve calls.
+``check_assumption1`` and ``build_grid``, which no solve calls.  At the
+default epsilon the utility optimum covers both outside options, so
+the limited-liability solve closes at round 0 with no master LP; at
+``--epsilon 0.01`` it runs the feasibility phase and the master.
 """
 
 import importlib.util
@@ -47,11 +50,15 @@ def test_solves_reach_every_traced_layer(monkeypatch, capsys):
                     monkeypatch.setattr(module, name, counting)
 
     reached = {}
-    for mode in ("arbitrary", "limited-liability"):
+    for probe in (
+        ["--mode", "arbitrary"],
+        ["--mode", "limited-liability"],
+        ["--mode", "limited-liability", "--epsilon", "0.01"],
+    ):
         calls.clear()
-        assert bidcoord.cli.main(["solve", EXAMPLE3, "--mode", mode]) == 0
-        reached[mode] = set(calls)
+        assert bidcoord.cli.main(["solve", EXAMPLE3, *probe]) == 0
+        reached[" ".join(probe)] = set(calls)
     capsys.readouterr()
-    assert reached["arbitrary"] | reached["limited-liability"] == {
+    assert set().union(*reached.values()) == {
         layer for layer in layers if layer[1] not in NOT_ON_A_SOLVE
     }, reached

@@ -2,27 +2,33 @@ import json
 import random
 import re
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bidcoord as bc
 from bidcoord import arbitrary, limited
 from bidcoord.cli import main
 from bidcoord.core import make_profile
-from bidcoord.discretize import build_grid, iter_grid_profiles
+from bidcoord.discretize import build_grid, iter_grid_profiles, pruned_grid
 from bidcoord.limited import (
+    PRICING_TOL,
     DualValues,
     MasterSolution,
+    add_master_column,
     extract_solution,
     make_column,
     pricing,
     solve_ll,
     solve_ll_cg,
+    solve_master,
 )
 from bidcoord.mechanisms import expected_outcome, individual_baseline
 from bidcoord.oracles import best_deterministic_ll, brute_force_ll, prune_levels, solve_ll_dense
 from bidcoord.simplex import INFEASIBLE, OPTIMAL
-from bidcoord.wup import expected_tables, solve_wup_expected, unit_weights
+from bidcoord.wup import expected_tables, solve_wup, solve_wup_expected, unit_weights
 from conftest import load_workloads, random_instance
 
 
@@ -108,6 +114,26 @@ class TestExample3Golden:
         assert rounds <= 200
 
 
+def assert_sandwich(instance, epsilon):
+    """The limited-liability objective is at most the arbitrary one, a
+    mix of profile values against the best profile value on the same
+    levels, and equal to it when the arbitrary solution pays no
+    colluder and covers the agency's payment.  Returns "equal" in that
+    case, else "infeasible" or "at most"."""
+    arb = bc.solve_arbitrary(instance, epsilon)
+    arb_is_ll = min(arb.transfers) >= 0.0 and arb.ir_slack >= 0.0
+    try:
+        ll = solve_ll(instance, epsilon)
+    except bc.InfeasibleError:
+        assert not arb_is_ll
+        return "infeasible"
+    assert ll.objective <= arb.objective + 1e-12
+    if arb_is_ll:
+        assert ll.objective == arb.objective
+        return "equal"
+    return "at most"
+
+
 class TestSimpleCases:
     def test_single_colluder_no_externals(self):
         raw = {
@@ -125,10 +151,7 @@ class TestSimpleCases:
         rng = random.Random(42)
         for _ in range(10):
             inst = random_instance(rng, max_colluders=2, max_external=2, bid_bits=4)
-            eps = 0.1
-            ll = solve_ll(inst, eps)
-            arb = bc.solve_arbitrary(inst, eps)
-            assert abs(ll.objective - arb.objective) < 1e-6
+            assert assert_sandwich(inst, 0.1) == "equal"
 
     def test_infeasible_reported(self):
         raw = {
@@ -461,13 +484,13 @@ def count_master_lps(monkeypatch):
 
 
 class TestMasterWork:
-    def test_feasible_seeds_take_one_lp(self, example3, monkeypatch):
-        # the seed master is feasible and optimal: one LP, no elastic solve
-        # confirming zero relief first
+    def test_feasible_optimum_takes_no_lp(self, example3, monkeypatch):
+        # the utility optimum covers both outside options: column
+        # generation closes at round 0 with no master LP at all
         calls = count_master_lps(monkeypatch)
         sol = solve_ll(example3, 0.1)
         assert abs(sol.objective - 1.0) < 1e-9
-        assert calls == [("cold", False, OPTIMAL)]
+        assert calls == []
 
     def test_infeasible_seeds_run_the_feasibility_phase(self, example3, monkeypatch):
         # at eps = 0.01 only a mixture covers both outside options, which
@@ -520,6 +543,130 @@ class TestMasterWork:
         assert calls[:2] == [("cold", False, INFEASIBLE), ("cold", True, OPTIMAL)]
         assert len(sol.distribution) == 2
         assert abs(sol.objective - 0.481) < 1e-9
+
+
+def master_path(instance, levels, p):
+    """``solve_ll_cg``'s objective phase from its own steps, with no
+    round 0: a cold master over the two seed columns, then pricing
+    rounds until the end rule, then extraction."""
+    n_c = instance.n_colluders
+    tables = expected_tables(instance, levels)
+    optimum = solve_wup(tables, unit_weights(n_c), instance).profile
+    seeds = dict.fromkeys([make_profile([0.0] * n_c), optimum])
+    master = solve_master(instance, [make_column(instance, s) for s in seeds], p)
+    assert master is not None
+    while True:
+        profile, reduced = pricing(master.duals, tables, instance)
+        if reduced <= PRICING_TOL or profile in {col.profile for col in master.columns}:
+            return extract_solution(instance, master, p)
+        master = add_master_column(master, make_column(instance, profile))
+
+
+class TestRoundZero:
+    """Column generation closes at round 0, with no master LP, when the
+    utility optimum's point mass is feasible and its utility beats the
+    zero-level seed's by more than ``PRICING_TOL`` (or is positive, if
+    it is that seed); the seed query is then the pricing round at duals
+    y = 0, x = 0, z = its utility, and the report is the master's."""
+
+    @settings(max_examples=500)
+    @given(seed=st.integers(0, 2**32 - 1), epsilon=st.sampled_from((0.01, 0.05, 0.1)))
+    def test_matches_the_master_path(self, seed, epsilon):
+        inst = random_instance(
+            random.Random(seed), max_colluders=3, max_external=3,
+            max_slots=4, max_support=3, bid_bits=4, feasible_outside=True,
+        )
+        p = inst.threshold(epsilon)
+        levels = pruned_grid(inst, p).levels
+        with mock.patch.object(limited, "lp_solve", wraps=limited.lp_solve) as lp:
+            try:
+                sol, master, rounds = solve_ll_cg(inst, levels, p)
+            except bc.InfeasibleError:
+                rounds = None
+        if rounds != 0:
+            assert lp.call_count >= 1
+            return
+        assert lp.call_count == 0
+        assert master.tableau is None and master.gammas == (1.0,)
+        # every field: objective, transfers, distribution, slacks, ...
+        assert sol == master_path(inst, levels, p)
+
+    @pytest.mark.parametrize("v, bids, prob", [
+        pytest.param(0.0, [0.25], 0.5, id="zero-utility"),
+        pytest.param(0.8125, [0.8125], 0.75, id="exact-tie"),
+        pytest.param(0.8125, [0.8125], 0.7, id="ulp-tie"),
+    ])
+    def test_ties_with_the_zero_seed_go_to_the_master(self, v, bids, prob):
+        # a colluder that earns nothing, or one that earns as much
+        # bidding 0 as matching an external bid it outranks (exactly, or
+        # 1 ulp above the zero seed): the master LP's tie-break picks the
+        # reported profile, here the zero seed, not the optimum's
+        raw = {
+            "mechanism": "gsp",
+            "slots": [0.6875],
+            "colluders": [{"v": v, "t": 0.0}],
+            "external": {"support": [
+                {"bids": bids, "prob": prob}, {"bids": [0.0], "prob": 1.0 - prob},
+            ]},
+        }
+        inst = bc.validate_and_normalize(raw)
+        p = inst.threshold(0.05)
+        levels = pruned_grid(inst, p).levels
+        sol, master, rounds = solve_ll_cg(inst, levels, p)
+        assert rounds >= 1 and master.tableau is not None
+        assert sol == master_path(inst, levels, p)
+        assert sol.distribution[0][0].levels == (0.0,)
+
+
+    def test_optimum_short_of_the_agency_payment_goes_to_the_master(self):
+        # the optimum (win the slot above the external bid of 0.5) leaves
+        # a transfer cap of 0.3 + p against a payment of 0.5, and losing
+        # leaves a negative cap: the master certifies infeasibility
+        raw = {
+            "mechanism": "gsp",
+            "slots": [1.0],
+            "colluders": [{"v": 1.0, "t": 0.7}],
+            "external": {"support": [{"bids": [0.5], "prob": 1.0}]},
+        }
+        with pytest.raises(bc.InfeasibleError):
+            solve_ll(bc.validate_and_normalize(raw), 0.05)
+
+
+class TestSandwich:
+    """ROADMAP item 13's sandwich: limited liability never beats
+    arbitrary transfers, and ties them, bit for bit, whenever the
+    arbitrary solution is itself limited-liability feasible."""
+
+    def test_random_small_instances(self):
+        rng = random.Random(13)
+        kinds = [
+            assert_sandwich(
+                random_instance(
+                    rng, max_colluders=4, max_external=3,
+                    bid_bits=rng.choice((4, 10)), feasible_outside=True,
+                ),
+                rng.choice((0.01, 0.05, 0.1)),
+            )
+            for _ in range(40)
+        ]
+        assert {"equal", "at most"} <= set(kinds)
+
+    @pytest.mark.parametrize("n_c, n_e, m, k, bits, mechanism, outside, kind", [
+        (4, 10, 10, 50, 0, "gsp", "calibrated", "equal"),
+        (4, 10, 10, 50, 10, "vcg", "zero", "equal"),
+        (8, 10, 10, 50, 10, "gsp", "zero", "equal"),
+        (8, 10, 10, 50, 0, "vcg", "calibrated", "equal"),
+        # fewer slots than colluders: some colluder's outside option
+        # goes uncovered by any single profile
+        (4, 1, 3, 1, 0, "gsp", "binding", "at most"),
+        (8, 1, 5, 1, 10, "vcg", "binding", "at most"),
+    ])
+    def test_ladder_rows(self, n_c, n_e, m, k, bits, mechanism, outside, kind):
+        workloads = load_workloads()
+        shape = workloads.Shape(n_c, n_e, m, k, bits, mechanism, outside)
+        for seed in range(2):
+            raw = workloads.make_instance(random.Random(seed), shape)
+            assert assert_sandwich(bc.validate_and_normalize(raw), workloads.EPSILON) == kind
 
 
 class TestEndRule:
