@@ -16,10 +16,12 @@ utilities, so it never exceeds the plain utility optimum, and when that
 optimum's point mass covers every outside option and the agency's
 payment it is the master optimum; the duals y = 0, x = 0, z = its
 utility certify it, since the utility query that found it is then the
-pricing round.  Otherwise the objective master on the seed columns is
-solved first.  Only if it is infeasible does a feasibility phase
-(minimizing an elastic relief mass, priced the same way) run before the
-objective phase, so infeasibility
+pricing round.  Otherwise round 0's point-mass test picks the first
+phase.  A feasible point mass that only ties the zero-level seed makes
+the objective master on the seed columns feasible, so it is solved
+directly.  A point mass that breaks a transfer cap or the payment
+starts a feasibility phase (minimizing an elastic relief mass, priced
+the same way) on the seeds before the objective phase, so infeasibility
 is only ever reported for the full grid, never for an unlucky restricted
 master.  Within a phase, only the first master LP is solved from
 scratch: each later round appends its column to the last optimal
@@ -186,17 +188,15 @@ def pricing(
     grid's prebuilt ``tables``.  For the ``elastic`` feasibility phase
     (column value coefficients zero) the weights are -y_i and -x instead,
     nonnegative for the same reason.  Noise within EQ_TOL below zero is
-    clamped to zero; a genuinely negative payment weight means the duals
-    are not dual-feasible and raises ToleranceError.
+    clamped to zero; a genuinely negative revenue or payment weight means
+    the duals are not dual-feasible and raises ToleranceError.
     """
     base = 0.0 if elastic else 1.0
-    y_hat = tuple(max(base - yi, 0.0) for yi in duals.y)
-    x_hat = base - duals.x
-    if -EQ_TOL <= x_hat < 0.0:
-        x_hat = 0.0
-    if x_hat < 0.0:
-        raise ToleranceError(f"master duals give a negative payment weight {x_hat}")
-    result = solve_wup(tables, WupWeights(y_hat, x_hat), instance)
+    weights = [base - yi for yi in duals.y] + [base - duals.x]
+    if min(weights) < -EQ_TOL:
+        raise ToleranceError(f"master duals give a negative pricing weight {min(weights)}")
+    *y_hat, x_hat = [max(w, 0.0) for w in weights]
+    result = solve_wup(tables, WupWeights(tuple(y_hat), x_hat), instance)
     return result.profile, result.value - duals.z
 
 
@@ -268,12 +268,13 @@ def solve_ll_cg(
     ``PRICING_TOL`` of the zero-level seed, where the LP's tie-break
     picks the reported profile.
     Otherwise it seeds the restricted master with the all-zero-level
-    profile and the utility optimum, and solves the objective master on
-    them.  If that master is infeasible, a feasibility phase drives out
-    the relief mass (certifying full-master infeasibility, with the
-    residual relief, if no column can lower it) and the objective master
-    is solved again on all columns.  The objective phase then alternates
-    pricing with master solves until pricing adds no column.
+    profile and the utility optimum.  A feasible point mass makes the
+    objective master on them feasible, so the objective phase starts
+    there; otherwise a feasibility phase drives out the relief mass
+    (certifying full-master infeasibility, with the residual relief, if
+    no column can lower it) and the objective phase starts on all its
+    columns.  Each phase alternates pricing with master solves until its
+    end rule stops it.
     Each phase solves its first master cold; every priced-in column is
     appended to the previous optimal tableau and the LP resumed from its
     basis.  The weighted-utility tables are built once for the grid and
@@ -289,53 +290,40 @@ def solve_ll_cg(
     # between the optimum and a zero seed it ties exactly or in float
     # rounding (bidding 0 can earn as much as outranking an external bid)
     rival = 0.0 if best is zero else zero.cumulative + PRICING_TOL
-    if min(caps) >= 0.0 and sum(caps) >= sum(best.payment) and best.cumulative > rival:
+    feasible = min(caps) >= 0.0 and sum(caps) >= sum(best.payment)
+    if feasible and best.cumulative > rival:
         # round 0: the point mass is feasible, and at duals y = 0, x = 0,
         # z = cumulative the seed query was the pricing round
         master = MasterSolution(
             (best,), (1.0,), DualValues((0.0,) * n_c, 0.0, best.cumulative), best.cumulative
         )
         return extract_solution(instance, master, p), master, 0
-    columns = [zero] if best is zero else [zero, best]
+    columns = (zero,) if best is zero else (zero, best)
     seen = {col.profile for col in columns}
-
     rounds = 0
-
-    def price_in(master: MasterSolution) -> Optional[MasterSolution]:
-        """One pricing round in ``master``'s phase: the master over the
-        priced-in column, or None when the phase ends (the end rule of
-        the module docstring)."""
-        nonlocal rounds
-        rounds += 1
-        profile, reduced = pricing(
-            master.duals, tables, instance, elastic=master.relief is not None
-        )
-        if profile in seen and reduced > 1e-5:
-            raise ToleranceError(f"pricing re-proposed a known column with reduced cost {reduced}")
-        if reduced <= PRICING_TOL or profile in seen:
-            return None
-        seen.add(profile)
-        return add_master_column(master, make_column(instance, profile))
-
-    master = solve_master(instance, columns, p)
-    if master is None:
-        master = solve_master(instance, columns, p, elastic=True)
-        assert master is not None  # the relief column keeps this feasible
-        while master.relief > 1e-9:
-            grown = price_in(master)
-            if grown is None:
-                raise InfeasibleError(
-                    "master infeasible even over the full grid; outside options"
-                    f" cannot be covered (residual relief {master.relief!r})"
-                )
-            master = grown
-        master = solve_master(instance, master.columns, p)
+    for elastic in (False,) if feasible else (True, False):
+        master = solve_master(instance, columns, p, elastic)
         if master is None:
-            # cannot happen after the feasibility phase succeeded
-            raise ToleranceError("master lost feasibility between phases")
-
-    while (grown := price_in(master)) is not None:
-        master = grown
+            # the seeds hold a feasible point mass, and after the
+            # feasibility phase the columns hold a zero-relief mix
+            raise ToleranceError(f"the objective master on {len(columns)} columns is infeasible")
+        # the end rule of the module docstring; the feasibility phase
+        # also ends once its relief is gone
+        while not elastic or master.relief > 1e-9:
+            rounds += 1
+            profile, reduced = pricing(master.duals, tables, instance, elastic)
+            if profile in seen and reduced > 1e-5:
+                raise ToleranceError(f"pricing re-proposed a known column with reduced cost {reduced}")
+            if reduced <= PRICING_TOL or profile in seen:
+                if elastic:
+                    raise InfeasibleError(
+                        "master infeasible even over the full grid; outside options"
+                        f" cannot be covered (residual relief {master.relief!r})"
+                    )
+                break
+            seen.add(profile)
+            master = add_master_column(master, make_column(instance, profile))
+        columns = master.columns
     return extract_solution(instance, master, p), master, rounds
 
 

@@ -27,7 +27,7 @@ from bidcoord.limited import (
 )
 from bidcoord.mechanisms import expected_outcome, individual_baseline
 from bidcoord.oracles import best_deterministic_ll, brute_force_ll, prune_levels, solve_ll_dense
-from bidcoord.simplex import INFEASIBLE, OPTIMAL
+from bidcoord.simplex import INFEASIBLE, OPTIMAL, LPResult
 from bidcoord.wup import expected_tables, solve_wup, solve_wup_expected, unit_weights
 from conftest import load_workloads, random_instance
 
@@ -228,9 +228,16 @@ class TestPricing:
         # duals a master would never emit: they are not dual-feasible, so
         # pricing refuses them instead of scanning the grid
         _, grid = build_grid(example3, 0.05)
+        tables = expected_tables(example3, grid.levels)
         duals = DualValues((0.0, 0.0), 2.0, 0.0)  # payment weight 1 - x = -1
         with pytest.raises(bc.ToleranceError):
-            pricing(duals, expected_tables(example3, grid.levels), example3)
+            pricing(duals, tables, example3)
+        # a participation dual beyond EQ_TOL above the phase's base (1 in
+        # the objective phase, 0 in the elastic one) is refused the same way
+        for elastic, base in ((False, 1.0), (True, 0.0)):
+            duals = DualValues((0.0, base + 1e-6), base, 0.0)
+            with pytest.raises(bc.ToleranceError, match="negative pricing weight"):
+                pricing(duals, tables, example3, elastic)
 
     def test_budget_dual_noise_is_clamped_not_enumerated(self, example3, monkeypatch):
         # a master can emit a budget dual of order 1e-17 in the feasibility
@@ -494,16 +501,15 @@ class TestMasterWork:
 
     def test_infeasible_seeds_run_the_feasibility_phase(self, example3, monkeypatch):
         # at eps = 0.01 only a mixture covers both outside options, which
-        # the two seeds do not give: the objective master on the seeds is
-        # infeasible, the elastic phase prices in one column, and the
-        # objective phase starts cold on all three
+        # the two seeds do not give: round 0's point mass breaks a cap, so
+        # the elastic phase starts on the seeds and prices in one column,
+        # and the objective phase starts cold on all three
         calls = count_master_lps(monkeypatch)
         p = 0.005
         _, grid = build_grid(example3, p)
         sol, master, rounds = solve_ll_cg(example3, grid.levels, p)
         assert abs(sol.objective - 1.0) < 1e-6
         assert calls == [
-            ("cold", False, INFEASIBLE),
             ("cold", True, OPTIMAL),
             ("warm", True),
             ("cold", False, OPTIMAL),
@@ -513,8 +519,8 @@ class TestMasterWork:
         assert len(master.columns) == 4
 
     def test_objective_rounds_are_warm_resumes(self, monkeypatch):
-        # after the feasibility phase, one cold objective LP and then one
-        # warm resume per priced-in column; the last round prices none
+        # the feasibility phase, then one cold objective LP and one warm
+        # resume per priced-in column; the last round prices none
         inst, _ = calibrated_instance(2)
         calls = count_master_lps(monkeypatch)
         p = 0.08 / inst.n_colluders
@@ -522,14 +528,13 @@ class TestMasterWork:
         levels = prune_levels(grid.levels, inst.external)
         sol, master, rounds = solve_ll_cg(inst, levels, p)
         assert [c for c in calls if c[0] == "cold"] == [
-            ("cold", False, INFEASIBLE),
             ("cold", True, OPTIMAL),
             ("cold", False, OPTIMAL),
         ]
         start = calls.index(("cold", False, OPTIMAL))
-        elastic_rounds = start - 2
+        elastic_rounds = start - 1
         objective_resumes = calls[start + 1 :]
-        assert calls[2:start] == [("warm", True)] * elastic_rounds
+        assert calls[1:start] == [("warm", True)] * elastic_rounds
         assert len(objective_resumes) >= 3
         assert objective_resumes == [("warm", False)] * len(objective_resumes)
         assert rounds == elastic_rounds + len(objective_resumes) + 1
@@ -537,29 +542,79 @@ class TestMasterWork:
         dense, _ = solve_ll_dense(inst, levels, p)
         assert abs(sol.objective - dense.objective) < 1e-6
 
+    def test_zero_seed_tie_starts_in_the_objective_phase(self, monkeypatch):
+        # round 0's point mass is feasible but only ties the zero seed, so
+        # the objective master on the seeds is feasible: no elastic LP
+        calls = count_master_lps(monkeypatch)
+        inst = zero_seed_tie(0.8125, [0.8125], 0.75)
+        p = inst.threshold(0.05)
+        solve_ll_cg(inst, pruned_grid(inst, p).levels, p)
+        assert calls[:1] == [("cold", False, OPTIMAL)]
+        assert [c for c in calls if c[1]] == []
+
     def test_binding_instance_needs_the_feasibility_phase(self, monkeypatch):
         calls = count_master_lps(monkeypatch)
         sol = solve_ll(binding_instance(), 0.05)
-        assert calls[:2] == [("cold", False, INFEASIBLE), ("cold", True, OPTIMAL)]
+        assert calls[:1] == [("cold", True, OPTIMAL)]
         assert len(sol.distribution) == 2
         assert abs(sol.objective - 0.481) < 1e-9
 
 
-def master_path(instance, levels, p):
-    """``solve_ll_cg``'s objective phase from its own steps, with no
-    round 0: a cold master over the two seed columns, then pricing
-    rounds until the end rule, then extraction."""
+def seed_columns(instance, tables):
+    """The all-zero-level profile's column and the utility optimum's."""
     n_c = instance.n_colluders
-    tables = expected_tables(instance, levels)
     optimum = solve_wup(tables, unit_weights(n_c), instance).profile
     seeds = dict.fromkeys([make_profile([0.0] * n_c), optimum])
-    master = solve_master(instance, [make_column(instance, s) for s in seeds], p)
-    assert master is not None
-    while True:
-        profile, reduced = pricing(master.duals, tables, instance)
-        if reduced <= PRICING_TOL or profile in {col.profile for col in master.columns}:
-            return extract_solution(instance, master, p)
-        master = add_master_column(master, make_column(instance, profile))
+    return [make_column(instance, s) for s in seeds]
+
+
+def seeds_first_path(instance, levels, p):
+    """Column generation from ``limited``'s own steps, with no round 0
+    and no phase choice: a cold objective master over the seed columns;
+    only if it is infeasible, the elastic phase on the seeds and a cold
+    objective master over all its columns; then pricing rounds until the
+    end rule, then extraction.  Returns (solution, master, rounds)."""
+    tables = expected_tables(instance, levels)
+    columns = seed_columns(instance, tables)
+    rounds = 0
+
+    def price(master):
+        # the end rule; the elastic phase also ends once its relief is gone
+        nonlocal rounds
+        elastic = master.relief is not None
+        while not elastic or master.relief > 1e-9:
+            rounds += 1
+            profile, reduced = pricing(master.duals, tables, instance, elastic)
+            if reduced <= PRICING_TOL or profile in {col.profile for col in master.columns}:
+                if elastic:
+                    raise bc.InfeasibleError(
+                        "master infeasible even over the full grid; outside options"
+                        f" cannot be covered (residual relief {master.relief!r})"
+                    )
+                break
+            master = add_master_column(master, make_column(instance, profile))
+        return master
+
+    master = solve_master(instance, columns, p)
+    if master is None:
+        columns = price(solve_master(instance, columns, p, elastic=True)).columns
+        master = solve_master(instance, columns, p)
+    master = price(master)
+    return extract_solution(instance, master, p), master, rounds
+
+
+def zero_seed_tie(v, bids, prob):
+    """One GSP colluder against an external bid drawn with ``prob``; at
+    v = bid it earns as much bidding 0 as matching the bid it outranks."""
+    raw = {
+        "mechanism": "gsp",
+        "slots": [0.6875],
+        "colluders": [{"v": v, "t": 0.0}],
+        "external": {"support": [
+            {"bids": bids, "prob": prob}, {"bids": [0.0], "prob": 1.0 - prob},
+        ]},
+    }
+    return bc.validate_and_normalize(raw)
 
 
 class TestRoundZero:
@@ -589,7 +644,7 @@ class TestRoundZero:
         assert lp.call_count == 0
         assert master.tableau is None and master.gammas == (1.0,)
         # every field: objective, transfers, distribution, slacks, ...
-        assert sol == master_path(inst, levels, p)
+        assert sol == seeds_first_path(inst, levels, p)[0]
 
     @pytest.mark.parametrize("v, bids, prob", [
         pytest.param(0.0, [0.25], 0.5, id="zero-utility"),
@@ -601,22 +656,13 @@ class TestRoundZero:
         # bidding 0 as matching an external bid it outranks (exactly, or
         # 1 ulp above the zero seed): the master LP's tie-break picks the
         # reported profile, here the zero seed, not the optimum's
-        raw = {
-            "mechanism": "gsp",
-            "slots": [0.6875],
-            "colluders": [{"v": v, "t": 0.0}],
-            "external": {"support": [
-                {"bids": bids, "prob": prob}, {"bids": [0.0], "prob": 1.0 - prob},
-            ]},
-        }
-        inst = bc.validate_and_normalize(raw)
+        inst = zero_seed_tie(v, bids, prob)
         p = inst.threshold(0.05)
         levels = pruned_grid(inst, p).levels
         sol, master, rounds = solve_ll_cg(inst, levels, p)
         assert rounds >= 1 and master.tableau is not None
-        assert sol == master_path(inst, levels, p)
+        assert sol == seeds_first_path(inst, levels, p)[0]
         assert sol.distribution[0][0].levels == (0.0,)
-
 
     def test_optimum_short_of_the_agency_payment_goes_to_the_master(self):
         # the optimum (win the slot above the external bid of 0.5) leaves
@@ -630,6 +676,86 @@ class TestRoundZero:
         }
         with pytest.raises(bc.InfeasibleError):
             solve_ll(bc.validate_and_normalize(raw), 0.05)
+
+
+BINDING_ROWS = [
+    (n_c, 1, m, 1, bits, mechanism, "binding")
+    for n_c, m in ((2, 1), (3, 2), (4, 3))
+    for bits in (0, 10)
+    for mechanism in ("gsp", "vcg")
+]
+
+
+def assert_seeds_first_agrees(instance, p):
+    """``solve_ll_cg``, which picks its first phase from round 0's
+    point-mass test, matches ``seeds_first_path`` bit for bit, and the
+    objective master on the seeds is feasible whenever that test passes."""
+    levels = pruned_grid(instance, p).levels
+    seeds = seed_columns(instance, expected_tables(instance, levels))
+    best = seeds[-1]
+    caps = [r - (t - p) for r, t in zip(best.revenue, instance.outside_options)]
+    if min(caps) >= 0.0 and sum(caps) >= sum(best.payment):
+        assert solve_master(instance, seeds, p) is not None
+    try:
+        sol, master, rounds = solve_ll_cg(instance, levels, p)
+    except bc.InfeasibleError as error:
+        with pytest.raises(bc.InfeasibleError) as expected:
+            seeds_first_path(instance, levels, p)
+        assert str(error) == str(expected.value)
+        return
+    ref_sol, ref_master, ref_rounds = seeds_first_path(instance, levels, p)
+    assert sol == ref_sol
+    if rounds:  # round 0 holds one column and runs no pricing round
+        assert (master.columns, rounds) == (ref_master.columns, ref_rounds)
+
+
+class TestPhaseChoice:
+    """Round 0's point-mass test picks the first phase: the objective
+    master on the seeds when the point mass is feasible, else the
+    feasibility phase, so no master LP is solved only to fail."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        feasible_outside=st.booleans(),
+        epsilon=st.sampled_from((0.01, 0.05, 0.1)),
+    )
+    def test_random_instances_match_the_seeds_first_path(self, seed, feasible_outside, epsilon):
+        inst = random_instance(
+            random.Random(seed), max_colluders=3, max_external=3, max_slots=4,
+            max_support=3, bid_bits=4, feasible_outside=feasible_outside,
+        )
+        assert_seeds_first_agrees(inst, inst.threshold(epsilon))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), row=st.sampled_from(BINDING_ROWS))
+    def test_binding_rows_match_the_seeds_first_path(self, seed, row):
+        workloads = load_workloads()
+        raw = workloads.make_instance(random.Random(seed), workloads.Shape(*row))
+        inst = bc.validate_and_normalize(raw)
+        assert_seeds_first_agrees(inst, inst.threshold(workloads.EPSILON))
+
+    @pytest.mark.parametrize("route", ["zero-seed-tie", "after-feasibility-phase"])
+    def test_infeasible_objective_master_is_a_tolerance_error(self, example3, monkeypatch, route):
+        # an objective master that the phase choice guarantees feasible
+        # but that comes back infeasible is an LP fault, not infeasibility
+        real = limited.lp_solve
+
+        def objective_infeasible(objective, rows, senses, rhs):
+            if objective[-1] == -1.0:  # the elastic master's relief
+                return real(objective, rows, senses, rhs)
+            return LPResult(INFEASIBLE)
+
+        monkeypatch.setattr(limited, "lp_solve", objective_infeasible)
+        if route == "zero-seed-tie":
+            inst = zero_seed_tie(0.8125, [0.8125], 0.75)
+            p = inst.threshold(0.05)
+            levels, columns = pruned_grid(inst, p).levels, 2
+        else:
+            inst, p = example3, 0.005
+            levels, columns = build_grid(inst, p)[1].levels, 3
+        with pytest.raises(bc.ToleranceError, match=f"objective master on {columns} columns"):
+            solve_ll_cg(inst, levels, p)
 
 
 class TestSandwich:
