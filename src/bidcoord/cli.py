@@ -138,13 +138,19 @@ def _encode(value, newline: str, out: list[str]) -> None:
 
 
 def _load_json(path: str):
+    """The JSON document in a UTF-8 file, or on stdin for ``-``.  A file
+    is read as bytes and decoded explicitly: ``json.loads`` given bytes
+    would also take UTF-16/32, and a UTF-8 BOM is an error either way."""
     try:
         if path == "-":
             return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
+        return json.loads(data.decode("utf-8"))
     except OSError as err:
         raise InstanceError(path, f"cannot read file: {err}") from err
+    except UnicodeDecodeError as err:
+        raise InstanceError(path, f"not valid UTF-8: {err}") from err
     except json.JSONDecodeError as err:
         raise InstanceError(path, f"not valid JSON: {err}") from err
 
@@ -161,8 +167,9 @@ def _emit(doc, out_path: Optional[str], text: Optional[str] = None) -> None:
     payload = text if text is not None else canonical_json(doc)
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            # a buffered writer: a raw write may take only part of the bytes
+            with open(out_path, "wb") as fh:
+                fh.write(payload.encode())
         except OSError as err:
             raise OptionError(f"--out cannot be written: {err}") from err
     else:
@@ -404,14 +411,26 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are option errors: they exit
+    1 with one line, as an out-of-range value does, since argparse's 2
+    would read as infeasible.  Command parsers inherit the class."""
+
+    def error(self, message):
+        raise OptionError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built on first use and kept for the
+    process.  Its ``commands`` maps each command name to that command's
+    own parser."""
+    parser = _Parser(
         prog="bidcoord",
         description="Coordinated-bidding solvers for GSP/VCG position auctions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_validate = sub.add_parser("validate", help="validate and normalize an instance file")
     p_validate.add_argument("instance", help="instance path, or - for stdin")
@@ -448,17 +467,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace ``build_parser().parse_args(argv)`` gives, in one
+    parser pass: a known command word hands the rest of ``argv`` straight
+    to its own parser.  Anything else (no words, ``-h``, an unknown
+    command) goes to the top-level parser for its help or error text."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     import warnings
 
-    args = build_parser().parse_args(argv)
-    # Looked up per call, not stored in the cached parser, so a command
-    # function rebound on this module (a wrapper or a test double) runs.
-    command = globals()[f"cmd_{args.command}"]
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            return command(args)
+            args = _parse_args(sys.argv[1:] if argv is None else argv)
+            # Looked up per call, not stored in the cached parser, so a command
+            # function rebound on this module (a wrapper or a test double) runs.
+            return globals()[f"cmd_{args.command}"](args)
         except OptionError as err:
             print(f"invalid option: {err}", file=sys.stderr)
             return EXIT_INVALID

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -20,7 +21,7 @@ import bidcoord.cli
 import bidcoord.discretize
 import bidcoord.limited
 import bidcoord.mechanisms
-from bidcoord.cli import canonical_json, main
+from bidcoord.cli import build_parser, canonical_json, main
 from bidcoord.core import instance_to_raw, validate_and_normalize
 from bidcoord.discretize import build_grid, max_bits, pruned_grid
 from bidcoord.oracles import prune_levels, recursive_split
@@ -120,6 +121,29 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "-")
         assert code == 0
         assert json.loads(out)["valid"] is True
+
+    @pytest.mark.parametrize("data, message", [
+        pytest.param(b"\xff\xfe{}", "not valid UTF-8: ", id="latin-1"),
+        pytest.param("{}".encode("utf-16"), "not valid UTF-8: ", id="utf-16"),
+        pytest.param(b"\xef\xbb\xbf{}", "not valid JSON: Unexpected UTF-8 BOM", id="bom"),
+    ])
+    def test_file_that_is_not_utf8_json(self, tmp_path, capsys, data, message):
+        path = tmp_path / "instance.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["valid"] is False
+        assert doc["error"]["path"] == str(path)
+        assert doc["error"]["message"].startswith(message)
+
+    def test_stdin_that_is_not_utf8(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "validate", "-")
+        assert (code, err) == (1, "")
+        error = json.loads(out)["error"]
+        assert error["path"] == "-" and error["message"].startswith("not valid UTF-8: ")
 
     def test_round_trip_byte_identical(self, tmp_path, capsys):
         path = write_instance(tmp_path, example1_raw())
@@ -334,6 +358,27 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err.startswith("invalid option: --out ") and err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"invalid instance: {path}: not valid UTF-8: ")
+        assert err.count("\n") == 1
+
+    def test_crlf_file_gives_the_same_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bidcoord.cli.time, "perf_counter", lambda: 0.0)
+        text = canonical_json(example3_raw())
+        reports = []
+        for name, newline in (("lf.json", "\n"), ("crlf.json", "\r\n")):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", newline).encode())
+            code, out, _ = run_cli(capsys, "solve", str(path), "--mode", "limited-liability")
+            assert code == 0
+            reports.append(out)
+        assert b"\r\n" in (tmp_path / "crlf.json").read_bytes()
+        assert reports[0] == reports[1]
 
     def test_invalid_file_exit_one(self, tmp_path, capsys):
         raw = example1_raw()
@@ -567,6 +612,14 @@ class TestWup:
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == 1
 
+    def test_weights_file_that_is_not_utf8_rejected(self, tmp_path, capsys):
+        weights = tmp_path / "weights.json"
+        weights.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "wup", EXAMPLE3, "--weights-file", str(weights))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"invalid instance: {weights}: not valid UTF-8: ")
+        assert err.count("\n") == 1
+
     def test_missing_file_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/instance.json")
         assert code == 1
@@ -629,6 +682,81 @@ class TestOptionRange:
         assert out == ""
         assert err.count("\n") == 1 and "--epsilon" in err and "2 colluders" in err
         assert grid_builds == []
+
+
+class TestUsageErrors:
+    """A usage error that argparse finds exits 1 with one line, as an
+    option value out of range does; argparse's own 2 would read as
+    infeasible."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(("solve", EXAMPLE3, "--epsilon", "abc"),
+                     "argument --epsilon: invalid float value: 'abc'", id="epsilon-abc"),
+        pytest.param(("solve", EXAMPLE3, "--mode", "bogus"),
+                     "argument --mode: invalid choice: 'bogus'", id="mode-bogus"),
+        pytest.param(("solve", EXAMPLE3, "--bogus"),
+                     "unrecognized arguments: --bogus", id="unknown-option"),
+        pytest.param(("solve",),
+                     "the following arguments are required: instance", id="no-instance"),
+        pytest.param(("bogus", EXAMPLE3),
+                     "argument command: invalid choice: 'bogus'", id="unknown-command"),
+        pytest.param((), "the following arguments are required: command", id="no-command"),
+    ])
+    def test_exits_1_with_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"invalid option: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, usage", [
+        (("-h",), "usage: bidcoord [-h] {"),
+        (("solve", "-h"), "usage: bidcoord solve [-h] "),
+    ])
+    def test_help_exits_0(self, capsys, monkeypatch, argv, usage):
+        # main() reads sys.argv when given no list
+        monkeypatch.setattr(sys, "argv", ["bidcoord", *argv])
+        with pytest.raises(SystemExit) as done:
+            main()
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
+
+
+#: Argument lists of every command: defaults, every option, ``--opt=value``,
+#: abbreviated options and options before the instance.
+PARSE_ARGVS = (
+    ("validate", "x.json"),
+    ("validate", "-"),
+    ("discretize", "x.json"),
+    ("discretize", "--p=0.1", "x.json", "--out", "r.json"),
+    ("solve", "x.json"),
+    ("solve", "x.json", "--mode", "limited-liability", "--epsilon", "0.1",
+     "--mechanism", "vcg", "--format", "text", "--out", "r.json"),
+    ("solve", "--eps", "0.1", "--mode=arbitrary", "--mech", "gsp", "x.json", "--o=r.json"),
+    ("wup", "x.json", "--weights-file", "w.json"),
+    ("wup", "x.json", "--weights", "w.json", "--p", "0.2", "--external-index", "1",
+     "--out", "r.json"),
+    ("wup", "--weights-file=w.json", "--ext=0", "x.json"),
+    ("baseline", "x.json"),
+    ("baseline", "x.json", "--eps=0.2", "--out", "r.json"),
+)
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+def test_one_parser_pass_gives_the_parsers_namespace(monkeypatch, argv):
+    # the command function is looked up on the module per call, so a
+    # rebound one runs; it receives what the full parser would give
+    received = []
+    monkeypatch.setattr(bidcoord.cli, f"cmd_{argv[0]}", lambda args: received.append(args) or 0)
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(list(argv)) == 0
+    assert passes == [f"bidcoord {argv[0]}"]
+    assert vars(received[0]) == vars(build_parser().parse_args(argv))
 
 
 def strict_json(text: str):
@@ -699,6 +827,32 @@ class TestFuzz:
             if "solution" in report:
                 probs = [e["probability"] for e in report["solution"]["distribution"]]
                 assert abs(sum(probs) - 1.0) < 1e-9
+
+    @settings(max_examples=200)
+    @given(
+        data=st.binary(max_size=64)
+        | st.text(max_size=16).map(lambda text: text.encode("utf-16"))
+        | st.sampled_from((b"\xff\xfe{}", b"\xef\xbb\xbf{}", b'{"slots": "\xe9"}')),
+        command=st.sampled_from(("validate", "solve")),
+    )
+    def test_random_bytes_end_in_exit_1(self, data, command):
+        # an exception escaping main fails the test by itself; a valid
+        # instance takes about 100 bytes, more than any draw, so every
+        # draw is an invalid one
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "instance.json"
+            path.write_bytes(data)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+        assert code == 1
+        if command == "validate":
+            assert err.getvalue() == ""
+            assert strict_json(out.getvalue())["valid"] is False
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("invalid instance: ")
+            assert err.getvalue().count("\n") == 1
 
     @settings(max_examples=200)
     @given(
@@ -843,8 +997,9 @@ GOLDEN_COMMANDS = {
 }
 
 
-def golden_report(directory, instance: str, command: str) -> str:
-    """The report ``command`` prints for ``instance``, ``timings`` removed."""
+def golden_argv(directory, instance: str, command: str) -> list[str]:
+    """The arguments of ``command`` on ``instance``; the files they name
+    that are not in ``instances/`` are written to ``directory``."""
     if instance == "cent-bids":
         path = write_instance(directory, cent_bids_raw())
     else:
@@ -855,10 +1010,15 @@ def golden_report(directory, instance: str, command: str) -> str:
         # every golden instance has two colluders
         weights.write_text(json.dumps({"revenue_weights": [1.0, 1.0], "payment_weight": 1.0}))
         options += ["--weights-file", str(weights)]
+    return [name, path, *options]
+
+
+def golden_report(directory, instance: str, command: str) -> str:
+    """The report ``command`` prints for ``instance``, ``timings`` removed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        code = main([name, path, *options])
+        code = main(golden_argv(directory, instance, command))
     assert code == 0
     doc = json.loads(out.getvalue())
     doc.pop("timings", None)
@@ -871,6 +1031,47 @@ def test_golden_report(tmp_path, instance, command):
     # byte for byte: a refactor that changes any reported bit fails here
     expected = (GOLDEN / f"{instance}-{command}.json").read_text(encoding="utf-8")
     assert golden_report(tmp_path, instance, command) == expected
+
+
+def assert_out_file_holds_stdout(tmp_path, capsys, argv, expected_code):
+    """``argv`` with ``--out`` writes exactly the bytes it prints without."""
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == expected_code
+    # ASCII, so the bytes stdout writes are the same in any encoding
+    assert printed.isascii()
+    report = tmp_path / "report.out"
+    report.write_bytes(b"x" * 100_000)  # a longer file is truncated, not patched
+    code, out, _ = run_cli(capsys, *argv, "--out", str(report))
+    assert (code, out) == (expected_code, "")
+    assert report.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+@pytest.mark.parametrize("instance", GOLDEN_INSTANCES)
+def test_out_file_holds_the_printed_report(tmp_path, capsys, monkeypatch, instance, command):
+    monkeypatch.setattr(bidcoord.cli.time, "perf_counter", lambda: 0.0)
+    assert_out_file_holds_stdout(tmp_path, capsys, golden_argv(tmp_path, instance, command), 0)
+
+
+#: An instance whose limited-liability solve is infeasible.
+INFEASIBLE_LL = {
+    "mechanism": "gsp",
+    "slots": [1.0],
+    "colluders": [{"v": 0.9, "t": 0.95}],
+    "external": {"support": [{"bids": [0.5], "prob": 1.0}]},
+}
+
+
+@pytest.mark.parametrize("raw, options, code", [
+    pytest.param(example1_raw(), ("--format", "text"), 0, id="text"),
+    pytest.param(INFEASIBLE_LL, ("--mode", "limited-liability"), 2, id="infeasible"),
+    pytest.param(INFEASIBLE_LL, ("--mode", "limited-liability", "--format", "text"), 2,
+                 id="infeasible-text"),
+])
+def test_out_file_holds_the_printed_solve(tmp_path, capsys, monkeypatch, raw, options, code):
+    monkeypatch.setattr(bidcoord.cli.time, "perf_counter", lambda: 0.0)
+    path = write_instance(tmp_path, raw)
+    assert_out_file_holds_stdout(tmp_path, capsys, ("solve", path, *options), code)
 
 
 if __name__ == "__main__":
