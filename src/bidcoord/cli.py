@@ -138,20 +138,22 @@ def _encode(value, newline: str, out: list[str]) -> None:
 
 
 def _load_json(path: str):
-    """The JSON document in a UTF-8 file, or on stdin for ``-``.  A file
-    is read as bytes and decoded explicitly: ``json.loads`` given bytes
-    would also take UTF-16/32, and a UTF-8 BOM is an error either way."""
+    """The JSON document in a UTF-8 file, or on stdin for ``-``: bytes,
+    decoded explicitly in any locale (``json.loads`` given bytes would
+    also take UTF-16/32; a UTF-8 BOM is an error), then parsed once.
+    Too deep a nesting or too long an integer is not valid JSON either."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "rb", buffering=0) as fh:
-            data = fh.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.read()
         return json.loads(data.decode("utf-8"))
     except OSError as err:
         raise InstanceError(path, f"cannot read file: {err}") from err
     except UnicodeDecodeError as err:
         raise InstanceError(path, f"not valid UTF-8: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise InstanceError(path, f"not valid JSON: {err}") from err
 
 

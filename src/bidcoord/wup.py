@@ -42,7 +42,6 @@ by name.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -88,11 +87,7 @@ def wup_colluder_order(instance: AuctionInstance, weights: WupWeights) -> tuple[
 
 
 def _normalize_levels(grid_levels: Sequence[float]) -> tuple[float, ...]:
-    levels = list(map(float, grid_levels))
-    if all(map(operator.lt, levels, levels[1:])):  # already distinct and ascending
-        levels.reverse()
-    else:
-        levels = sorted(set(levels), reverse=True)
+    levels = sorted(set(map(float, grid_levels)), reverse=True)
     if not levels:
         raise ValueError("empty bid grid")
     for lvl in levels:

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +51,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: A valid instance with a byte that is not UTF-8 inside a JSON string.
+FF_IN_A_STRING = canonical_json(example1_raw()).encode().replace(b"{", b'{"note": "\xff", ', 1)
+
+
+def bytes_stdin(data: bytes) -> io.TextIOWrapper:
+    """Stdin as the interpreter opens it in UTF-8 mode: text over a byte
+    buffer, with undecodable bytes kept as surrogates."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
 
 
 def run_raw(raw, command, *options):
@@ -117,7 +128,7 @@ class TestValidate:
         }
 
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(canonical_json(example1_raw())))
+        monkeypatch.setattr("sys.stdin", bytes_stdin(canonical_json(example1_raw()).encode()))
         code, out, _ = run_cli(capsys, "validate", "-")
         assert code == 0
         assert json.loads(out)["valid"] is True
@@ -144,6 +155,42 @@ class TestValidate:
         assert (code, err) == (1, "")
         error = json.loads(out)["error"]
         assert error["path"] == "-" and error["message"].startswith("not valid UTF-8: ")
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(canonical_json(example1_raw()).encode(), id="valid"),
+        pytest.param(canonical_json(example1_raw()).encode().replace(b"\n", b"\r\n"), id="crlf"),
+        pytest.param(FF_IN_A_STRING, id="ff-in-a-string"),
+        pytest.param(b"\xff\xfe{}", id="latin-1"),
+        pytest.param("{}".encode("utf-16"), id="utf-16"),
+        pytest.param(b"\xef\xbb\xbf{}", id="bom"),
+    ])
+    def test_stdin_reads_as_a_file(self, tmp_path, capsys, monkeypatch, data):
+        path = tmp_path / "instance.json"
+        path.write_bytes(data)
+        file_code, file_out, file_err = run_cli(capsys, "validate", str(path))
+        monkeypatch.setattr("sys.stdin", bytes_stdin(data))
+        stdin_code, stdin_out, stdin_err = run_cli(capsys, "validate", "-")
+        # the same report, apart from the path an error names
+        file_doc = json.loads(file_out)
+        if "error" in file_doc and file_doc["error"]["path"] == str(path):
+            file_doc["error"]["path"] = "-"
+        assert (stdin_code, json.loads(stdin_out), stdin_err) == (file_code, file_doc, file_err)
+
+    def test_stdin_reads_as_a_file_in_the_c_locale(self, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_bytes(FF_IN_A_STRING)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        command = [sys.executable, "-m", "bidcoord.cli", "validate"]
+        from_stdin = subprocess.run(
+            [*command, "-"], input=FF_IN_A_STRING, env=env, capture_output=True
+        )
+        from_file = subprocess.run([*command, str(path)], env=env, capture_output=True)
+        assert from_stdin.returncode == from_file.returncode == 1, from_stdin.stderr
+        messages = [json.loads(done.stdout)["error"]["message"] for done in (from_stdin, from_file)]
+        assert messages[0] == messages[1] and messages[0].startswith("not valid UTF-8: ")
 
     def test_round_trip_byte_identical(self, tmp_path, capsys):
         path = write_instance(tmp_path, example1_raw())
@@ -806,6 +853,23 @@ def fuzz_instances(draw) -> dict:
     }
 
 
+#: Documents that ``json.loads`` refuses with an error other than a
+#: JSONDecodeError: nesting past the recursion limit, and integer
+#: literals past the 4300-digit limit on int-string conversion.
+UNPARSEABLE_DOCS = st.one_of(
+    st.builds(
+        lambda pair, depth: pair[0] * depth + b"0" + pair[1] * depth,
+        st.sampled_from(((b"[", b"]"), (b'{"a": ', b"}"))),
+        st.integers(10_000, 100_000),
+    ),
+    st.builds(
+        lambda sign, digits: b'{"revenue_weights": [%s%s], "slots": [1]}' % (sign, b"1" * digits),
+        st.sampled_from((b"", b"-")),
+        st.integers(4_301, 20_000),
+    ),
+)
+
+
 class TestFuzz:
     @settings(max_examples=300)
     @given(
@@ -852,6 +916,37 @@ class TestFuzz:
         else:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("invalid instance: ")
+            assert err.getvalue().count("\n") == 1
+
+    @settings(max_examples=60)
+    @given(
+        data=UNPARSEABLE_DOCS,
+        source=st.sampled_from(("file", "stdin", "weights")),
+        command=st.sampled_from(("validate", "solve")),
+    )
+    def test_deep_or_long_documents_end_in_exit_1(self, data, source, command):
+        # an exception escaping main fails the test by itself
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "document.json"
+            path.write_bytes(data)
+            argv = {
+                "file": [command, str(path)],
+                "stdin": [command, "-"],
+                "weights": ["wup", str(INSTANCES / "example1.json"), "--weights-file", str(path)],
+            }[source]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch("sys.stdin", bytes_stdin(data)):
+                code = main(argv)
+        assert code == 1
+        if argv[0] == "validate":
+            assert err.getvalue() == ""
+            error = strict_json(out.getvalue())["error"]
+            assert error["message"].startswith("not valid JSON: ")
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("invalid instance: ")
+            assert ": not valid JSON: " in err.getvalue()
             assert err.getvalue().count("\n") == 1
 
     @settings(max_examples=200)

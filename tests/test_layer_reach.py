@@ -1,14 +1,15 @@
 """A solve reaches every layer the benchmark's tracer times.
 
 ``perfbench/tracing.py`` rebinds package functions by name and reports
-each one's calls and self time.  A layer that no solve reaches reads 0,
-so a change that routes a solve around one would zero its metric
-without a failure.  One arbitrary and two limited-liability solves of
-example 3 must between them call every traced layer except
-``check_assumption1`` and ``build_grid``, which no solve calls.  At the
-default epsilon the utility optimum covers both outside options, so
-the limited-liability solve closes at round 0 with no master LP; at
-``--epsilon 0.01`` it runs the feasibility phase and the master.
+each one's calls and self time, so each name must resolve to a
+callable.  A layer that no solve reaches reads 0, so a change that
+routes a solve around one would zero its metric without a failure.
+One arbitrary and two limited-liability solves of example 3 must
+between them call every traced layer except ``check_assumption1`` and
+``build_grid``, which no solve calls.  At the default epsilon the
+utility optimum covers both outside options, so the limited-liability
+solve closes at round 0 with no master LP; at ``--epsilon 0.01`` it
+runs the feasibility phase and the master.
 """
 
 import importlib.util
@@ -38,6 +39,7 @@ def test_solves_reach_every_traced_layer(monkeypatch, capsys):
     calls = Counter()
     for module_name, function in layers:
         original = getattr(sys.modules[module_name], function)
+        assert callable(original), (module_name, function)
 
         def counting(*args, _layer=(module_name, function), _original=original, **kwargs):
             calls[_layer] += 1

@@ -161,7 +161,7 @@ class TestLevelNormalization:
     @settings(max_examples=200)
     @given(st.lists(st.sampled_from([0, 1, 0.0, -0.0, 0.3, 0.5, 0.25, 1.0]), min_size=1))
     def test_distinct_levels_descending_from_any_order(self, levels):
-        # levels already strictly ascending skip the sort: the same tuple
+        # any order, repeats and -0.0 included, gives one descending tuple
         expected = tuple(sorted({float(x) for x in levels}, reverse=True))
         assert _normalize_levels(levels) == expected
         assert _normalize_levels(sorted(set(levels))) == expected
