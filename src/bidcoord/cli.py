@@ -144,6 +144,8 @@ def _load_json(path: str):
     Too deep a nesting or too long an integer is not valid JSON either."""
     try:
         if path == "-":
+            if sys.stdin is None:  # fd 0 was closed when the interpreter started
+                raise OSError("stdin is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb", buffering=0) as fh:

@@ -2,8 +2,10 @@
 weighted-utility optimizer.
 
 The master maximizes expected cumulative utility over a distribution of
-grid profiles together with nonnegative per-colluder transfers, under
-p-relaxed participation constraints and the agency's budget constraint.
+grid profiles under p-relaxed participation constraints.  It needs no
+transfer variable or budget row: transfers in [0, r_i - (t_i - p)] cover
+the agency's payment exactly when that utility is at least sum_i (t_i - p),
+which ``extract_solution`` checks on the optimum.
 Column generation grows the master from its seed columns, repeatedly
 asking the weighted-utility solver for the best positive-reduced-cost
 column, with weights read off the master's duals.
@@ -14,13 +16,12 @@ reduced cost is above 1e-5).
 Round 0 needs no LP.  The master's objective is a mix of profile
 utilities, so it never exceeds the plain utility optimum, and when that
 optimum's point mass covers every outside option and the agency's
-payment it is the master optimum; the duals y = 0, x = 0, z = its
-utility certify it, since the utility query that found it is then the
-pricing round.  Otherwise round 0's point-mass test picks the first
-phase.  A feasible point mass that only ties the zero-level seed makes
-the objective master on the seed columns feasible, so it is solved
-directly.  A point mass that breaks a transfer cap or the payment
-starts a feasibility phase (minimizing an elastic relief mass, priced
+payment it is the master optimum; the duals y = 0, z = its utility
+certify it, since the utility query that found it is then the pricing
+round.  Otherwise round 0's point-mass test picks the first phase.  A
+point mass that covers every outside option makes the objective master
+on the seed columns feasible, so it is solved directly.  One that does
+not starts a feasibility phase (minimizing an elastic relief mass, priced
 the same way) on the seeds before the objective phase, so infeasibility
 is only ever reported for the full grid, never for an unlucky restricted
 master.  Within a phase, only the first master LP is solved from
@@ -76,11 +77,10 @@ def make_column(instance: AuctionInstance, profile: BidProfile) -> Column:
 
 @dataclass(frozen=True)
 class DualValues:
-    """Master duals: y per participation row (<= 0 at optimality), x for
-    the budget row, z for the distribution-normalization row."""
+    """Master duals: y per participation row (<= 0 at optimality), z for
+    the distribution-normalization row."""
 
     y: tuple[float, ...]
-    x: float
     z: float
 
 
@@ -105,11 +105,11 @@ def solve_master(
 ) -> Optional[MasterSolution]:
     """Solve the restricted master over the given columns; None if infeasible.
 
-    Variables are one weight per column plus one transfer per colluder.
-    Rows: per colluder  sum_s gamma_s r_i(s) - q_i >= t_i - p;  budget
-    sum_i q_i >= sum_s gamma_s sum_i pi_i(s);  normalization sum gamma = 1.
+    Variables are one weight per column.  Rows: per colluder
+    sum_s gamma_s r_i(s) >= t_i - p;  normalization sum gamma = 1.
     A column's objective coefficient is its ``cumulative`` expected
-    utility, the number ``certify`` reports for its profile.
+    utility, the number ``certify`` reports for its profile.  No budget
+    row: it would only bound the objective below by sum_i (t_i - p).
 
     With ``elastic`` the LP instead minimizes the mass of a relief
     pseudo-column (unit revenue for everyone, no payment) that makes the
@@ -118,27 +118,25 @@ def solve_master(
     priced-in column can remove certifies full-master infeasibility.
     """
     n_c = instance.n_colluders
-    # the LP's columns: one per profile, one per transfer, then the relief
+    # the LP's columns: one per profile, then the relief
     variables = [_master_entries(col) for col in columns]
-    variables += [[-1.0 if j == i else 0.0 for j in range(n_c)] + [1.0, 0.0] for i in range(n_c)]
     if elastic:
         # feasibility phase: ignore column values, minimize relief mass
-        variables.append([1.0] * n_c + [0.0, 1.0])
-        objective = [0.0] * (len(variables) - 1) + [-1.0]
+        variables.append([1.0] * (n_c + 1))
+        objective = [0.0] * len(columns) + [-1.0]
     else:
-        objective = [col.cumulative for col in columns] + [0.0] * n_c
+        objective = [col.cumulative for col in columns]
     rows = list(zip(*variables))
-    senses = [">="] * (n_c + 1) + ["="]
-    rhs = [t - p for t in instance.outside_options] + [0.0, 1.0]
+    senses = [">="] * n_c + ["="]
+    rhs = [t - p for t in instance.outside_options] + [1.0]
 
     return _read_master(columns, lp_solve(objective, rows, senses, rhs), n_c, elastic)
 
 
 def _master_entries(column: Column) -> list[float]:
     """A column's entries in the master's rows: its revenue in each
-    participation row, minus its total payment in the budget row, and 1
-    in the normalization row."""
-    return [*column.revenue, -sum(column.payment), 1.0]
+    participation row and 1 in the normalization row."""
+    return [*column.revenue, 1.0]
 
 
 def add_master_column(master: MasterSolution, column: Column) -> MasterSolution:
@@ -163,12 +161,8 @@ def _read_master(
         raise ToleranceError(f"master LP ended with status {result.status}")
     n_s = len(columns)
     gammas = tuple(float(v) for v in result.x[:n_s])
-    relief = float(result.x[n_s + n_c]) if elastic else None
-    duals = DualValues(
-        tuple(float(d) for d in result.duals[:n_c]),
-        float(result.duals[n_c]),
-        float(result.duals[n_c + 1]),
-    )
+    relief = float(result.x[n_s]) if elastic else None
+    duals = DualValues(tuple(float(d) for d in result.duals[:n_c]), float(result.duals[n_c]))
     return MasterSolution(
         tuple(columns), gammas, duals, float(result.objective), relief, result.tableau
     )
@@ -183,20 +177,19 @@ def pricing(
     """Find the grid profile with the largest reduced cost.
 
     Expanding the master's reduced-cost expression gives revenue weights
-    1 - y_i and payment weight 1 - x, both nonnegative at dual-feasible
-    points, so this is exactly a weighted-utility instance over the
-    grid's prebuilt ``tables``.  For the ``elastic`` feasibility phase
-    (column value coefficients zero) the weights are -y_i and -x instead,
-    nonnegative for the same reason.  Noise within EQ_TOL below zero is
-    clamped to zero; a genuinely negative revenue or payment weight means
-    the duals are not dual-feasible and raises ToleranceError.
+    1 - y_i, nonnegative at dual-feasible points, and payment weight 1
+    (the master has no budget row whose dual would change it), so this
+    is exactly a weighted-utility instance over the grid's prebuilt
+    ``tables``.  For the ``elastic`` feasibility phase (column value
+    coefficients zero) the weights are -y_i and 0 instead.  Noise within
+    EQ_TOL below zero is clamped to zero; a genuinely negative weight
+    means the duals are not dual-feasible and raises ToleranceError.
     """
     base = 0.0 if elastic else 1.0
-    weights = [base - yi for yi in duals.y] + [base - duals.x]
+    weights = [base - yi for yi in duals.y]
     if min(weights) < -EQ_TOL:
         raise ToleranceError(f"master duals give a negative pricing weight {min(weights)}")
-    *y_hat, x_hat = [max(w, 0.0) for w in weights]
-    result = solve_wup(tables, WupWeights(tuple(y_hat), x_hat), instance)
+    result = solve_wup(tables, WupWeights(tuple(max(w, 0.0) for w in weights), base), instance)
     return result.profile, result.value - duals.z
 
 
@@ -216,10 +209,10 @@ def extract_solution(
     Columns below 1e-12 weight are dropped and the rest renormalized;
     ``mechanisms.certify`` computes every reported number from that
     distribution rather than trusting LP arithmetic.
-    Transfers are re-derived canonically: the smallest nonnegative
-    amounts, filled in colluder order, that exactly cover the agency's
-    expected payment (the LP leaves them underdetermined), read off the
-    kept columns' cached payments.
+    Transfers are derived canonically: the smallest nonnegative amounts,
+    filled in colluder order, that exactly cover the agency's expected
+    payment, read off the kept columns' cached payments.  Caps that cannot
+    cover it make the instance infeasible: no mix has more utility.
     """
     kept = [
         (col, g) for col, g in zip(master.columns, master.gammas) if g > 1e-12
@@ -238,7 +231,9 @@ def extract_solution(
             raise ToleranceError("participation constraint violated after recomputation")
         caps = [max(cap, 0.0) for cap in caps]
         if sum(caps) < pay_total - EQ_TOL:
-            raise ToleranceError("transfers cannot cover the agency payment")
+            raise InfeasibleError(
+                f"transfers of at most {sum(caps)!r} cannot cover the agency payment {pay_total!r}"
+            )
         transfers = []
         need = pay_total
         for cap in caps:
@@ -261,20 +256,20 @@ def solve_ll_cg(
     the master's objective is a mix of profile utilities, so when the
     optimum's point mass is feasible (every transfer cap r_i - (t_i - p)
     is nonnegative and the caps cover its payment) it is the optimum.
-    It is returned with 0 rounds and no LP: at duals y = 0, x = 0,
-    z = its utility every transfer column prices at 0 and the seed query
-    was the pricing round, so the pair is primal-dual optimal.  Round 0
-    leaves to the master LP an optimum of zero utility and one within
-    ``PRICING_TOL`` of the zero-level seed, where the LP's tie-break
-    picks the reported profile.
+    It is returned with 0 rounds and no LP: at duals y = 0, z = its
+    utility the seed query was the pricing round, so the pair is
+    primal-dual optimal.  Round 0 leaves to the master LP an optimum of
+    zero utility and one within ``PRICING_TOL`` of the zero-level seed,
+    where the LP's tie-break picks the reported profile.
     Otherwise it seeds the restricted master with the all-zero-level
-    profile and the utility optimum.  A feasible point mass makes the
-    objective master on them feasible, so the objective phase starts
-    there; otherwise a feasibility phase drives out the relief mass
-    (certifying full-master infeasibility, with the residual relief, if
-    no column can lower it) and the objective phase starts on all its
+    profile and the utility optimum.  A point mass with no negative cap
+    makes the objective master on them feasible, so the objective phase
+    starts there; otherwise a feasibility phase drives out the relief
+    mass (certifying full-master infeasibility, with the residual relief,
+    if no column can lower it) and the objective phase starts on all its
     columns.  Each phase alternates pricing with master solves until its
-    end rule stops it.
+    end rule stops it.  No budget row is needed, since the objective
+    phase ends at the full grid's best utility under participation.
     Each phase solves its first master cold; every priced-in column is
     appended to the previous optimal tableau and the LP resumed from its
     basis.  The weighted-utility tables are built once for the grid and
@@ -290,21 +285,21 @@ def solve_ll_cg(
     # between the optimum and a zero seed it ties exactly or in float
     # rounding (bidding 0 can earn as much as outranking an external bid)
     rival = 0.0 if best is zero else zero.cumulative + PRICING_TOL
-    feasible = min(caps) >= 0.0 and sum(caps) >= sum(best.payment)
-    if feasible and best.cumulative > rival:
-        # round 0: the point mass is feasible, and at duals y = 0, x = 0,
-        # z = cumulative the seed query was the pricing round
+    participates = min(caps) >= 0.0
+    if participates and sum(caps) >= sum(best.payment) and best.cumulative > rival:
+        # round 0: the point mass is feasible, and at duals y = 0, z =
+        # cumulative the seed query was the pricing round
         master = MasterSolution(
-            (best,), (1.0,), DualValues((0.0,) * n_c, 0.0, best.cumulative), best.cumulative
+            (best,), (1.0,), DualValues((0.0,) * n_c, best.cumulative), best.cumulative
         )
         return extract_solution(instance, master, p), master, 0
     columns = (zero,) if best is zero else (zero, best)
     seen = {col.profile for col in columns}
     rounds = 0
-    for elastic in (False,) if feasible else (True, False):
+    for elastic in (False,) if participates else (True, False):
         master = solve_master(instance, columns, p, elastic)
         if master is None:
-            # the seeds hold a feasible point mass, and after the
+            # the seeds hold a participating point mass, and after the
             # feasibility phase the columns hold a zero-relief mix
             raise ToleranceError(f"the objective master on {len(columns)} columns is infeasible")
         # the end rule of the module docstring; the feasibility phase

@@ -192,6 +192,25 @@ class TestValidate:
         messages = [json.loads(done.stdout)["error"]["message"] for done in (from_stdin, from_file)]
         assert messages[0] == messages[1] and messages[0].startswith("not valid UTF-8: ")
 
+    def test_closed_stdin(self, capsys, monkeypatch):
+        # the interpreter sets sys.stdin to None when fd 0 is closed
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run_cli(capsys, "validate", "-")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"] == {"path": "-", "message": "cannot read file: stdin is closed"}
+
+    def test_closed_stdin_in_a_subprocess(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m bidcoord.cli validate - <&-', sys.executable],
+            env=env, capture_output=True,
+        )
+        assert (done.returncode, done.stderr) == (1, b"")
+        assert json.loads(done.stdout)["error"]["path"] == "-"
+
     def test_round_trip_byte_identical(self, tmp_path, capsys):
         path = write_instance(tmp_path, example1_raw())
         original = open(path, encoding="utf-8").read()
@@ -372,6 +391,27 @@ class TestSolve:
         code, out, err = run_cli(capsys, *argv, "--format", "text")
         assert code == 2
         assert (out, err) == (f"infeasible: {message}\n", "")
+
+    def test_payment_verdict_names_the_payment(self, tmp_path, capsys):
+        # winning covers t - p = 0.65 out of revenue 1.0, so every outside
+        # option can be met; what fails is the agency's payment of 0.5,
+        # against at most 0.35 of transfers
+        raw = {
+            "mechanism": "gsp",
+            "slots": [1.0],
+            "colluders": [{"v": 1.0, "t": 0.7}],
+            "external": {"support": [{"bids": [0.5], "prob": 1.0}]},
+        }
+        path = write_instance(tmp_path, raw)
+        argv = ("solve", path, "--mode", "limited-liability")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        assert message == (
+            "transfers of at most 0.3500000000000001 cannot cover the agency payment 0.5"
+        )
+        code, out, err = run_cli(capsys, *argv, "--format", "text")
+        assert (code, out, err) == (2, f"infeasible: {message}\n", "")
 
     def test_assumption_violated_exit_code(self, tmp_path, capsys):
         raw = {

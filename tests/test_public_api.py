@@ -74,6 +74,9 @@ def test_all_is_pinned():
     assert [f.name for f in dataclasses.fields(bidcoord.AuctionInstance)] == [
         "slots", "valuations", "outside_options", "external", "mechanism"
     ]
+    # deleted: the master has no transfer columns and no budget row, so
+    # no budget dual
+    assert [f.name for f in dataclasses.fields(bidcoord.DualValues)] == ["y", "z"]
 
 
 def test_one_query_form():

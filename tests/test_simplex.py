@@ -158,15 +158,18 @@ _COEF = st.one_of(
 def master_lps(draw):
     """A master-shaped LP and the columns later appended to it.
 
-    Variables are one weight per column, one transfer per participation
-    row and, in the elastic form, a relief variable.  Rows: participation
-    ``r . gamma - q_i + relief >= rhs_i`` (rhs often negative), budget
-    ``q . 1 - pay . gamma >= 0`` and normalization ``gamma . 1 + relief
-    = 1``.  A column is (revenues, payment); it may be all zero or repeat
-    an earlier one.
+    Variables are one weight per column, in the ``budget`` layout one
+    transfer per participation row, and in the elastic form a relief
+    variable.  Rows: participation ``r . gamma - q_i + relief >= rhs_i``
+    (rhs often negative), in the ``budget`` layout a budget row
+    ``q . 1 - pay . gamma >= 0``, and normalization ``gamma . 1 + relief
+    = 1``.  Without the ``budget`` layout there is no q, as in
+    ``limited.solve_master``.  A column is (revenues, payment); it may be
+    all zero or repeat an earlier one.
     """
     n_c = draw(st.integers(1, 3))
     elastic = draw(st.booleans())
+    budget = draw(st.booleans())
     rhs = draw(
         st.lists(
             st.one_of(
@@ -188,23 +191,26 @@ def master_lps(draw):
             revenue = tuple(draw(_COEF) for _ in range(n_c))
             columns.append((revenue, draw(_COEF)))
     n_seed = draw(st.integers(1, 2))
-    return n_c, elastic, rhs, columns, n_seed
+    return n_c, elastic, budget, rhs, columns, n_seed
 
 
-def master_lp(n_c, elastic, rhs, columns):
-    """(objective, rows, senses, rhs) with variables [gammas | q | relief?]."""
+def master_lp(n_c, elastic, budget, rhs, columns):
+    """(objective, rows, senses, rhs) with variables [gammas | q? | relief?]."""
+    n_q = n_c if budget else 0
     if elastic:
-        objective = [0.0] * (len(columns) + n_c) + [-1.0]
+        objective = [0.0] * (len(columns) + n_q) + [-1.0]
     else:
-        objective = [sum(r) - pay for r, pay in columns] + [0.0] * n_c
+        objective = [sum(r) - pay for r, pay in columns] + [0.0] * n_q
     tail = [1.0] if elastic else []
     rows = [
-        [r[i] for r, _ in columns] + [-1.0 if j == i else 0.0 for j in range(n_c)] + tail
+        [r[i] for r, _ in columns] + [-1.0 if j == i else 0.0 for j in range(n_q)] + tail
         for i in range(n_c)
     ]
-    rows.append([-pay for _, pay in columns] + [1.0] * n_c + [0.0] * len(tail))
-    rows.append([1.0] * len(columns) + [0.0] * n_c + tail)
-    return objective, rows, [">="] * (n_c + 1) + ["="], list(rhs) + [0.0, 1.0]
+    if budget:
+        rows.append([-pay for _, pay in columns] + [1.0] * n_q + [0.0] * len(tail))
+    rows.append([1.0] * len(columns) + [0.0] * n_q + tail)
+    rhs = list(rhs) + ([0.0] if budget else []) + [1.0]
+    return objective, rows, [">="] * (len(rows) - 1) + ["="], rhs
 
 
 def assert_dual_feasible(res, objective, rows, senses):
@@ -220,14 +226,15 @@ class TestWarmStart:
     @settings(max_examples=300)
     @given(master_lps())
     def test_appended_columns_match_cold_solves(self, case):
-        n_c, elastic, rhs, columns, n_seed = case
-        res = lp_solve(*master_lp(n_c, elastic, rhs, columns[:n_seed]))
+        n_c, elastic, budget, rhs, columns, n_seed = case
+        res = lp_solve(*master_lp(n_c, elastic, budget, rhs, columns[:n_seed]))
         assume(res.status == OPTIMAL)
         for k in range(n_seed, len(columns)):
             revenue, pay = columns[k]
             value = 0.0 if elastic else sum(revenue) - pay
-            res = res.tableau.add_column(value, list(revenue) + [-pay, 1.0], index=k)
-            objective, rows, senses, b = master_lp(n_c, elastic, rhs, columns[: k + 1])
+            entries = [*revenue, -pay, 1.0] if budget else [*revenue, 1.0]
+            res = res.tableau.add_column(value, entries, index=k)
+            objective, rows, senses, b = master_lp(n_c, elastic, budget, rhs, columns[: k + 1])
             cold = lp_solve(objective, rows, senses, b)
             assert res.status == cold.status == OPTIMAL
             assert abs(res.objective - cold.objective) <= 1e-12
