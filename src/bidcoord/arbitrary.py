@@ -10,9 +10,9 @@ levels it is given; by default those are the grid's dominance-pruned
 levels (``discretize.pruned_grid``), which keep the grid optimum and
 number at most one more than the distinct external support bids, so
 the work does not grow with the split's depth.  The solver contributes
-the profile and the transfer rule r_i - t_i + p; ``mechanisms.certify``
-computes the expected revenues and payments, the objective and the
-slacks from the point-mass distribution.
+its profile's expected outcome and the transfer rule r_i - t_i + p;
+``mechanisms.certify`` sums the expected revenues and payments, the
+objective and the slacks from that point mass.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def solve_arbitrary(
     result = solve_wup_expected(levels, unit_weights(instance.n_colluders), instance)
     return certify(
         instance,
-        ((result.profile, 1.0),),
-        lambda rbar: [r - t + p for r, t in zip(rbar, instance.outside_options)],
+        ((expected_outcome(instance, result.profile), 1.0),),
+        lambda rbar, pbar: [r - t + p for r, t in zip(rbar, instance.outside_options)],
         p,
     )

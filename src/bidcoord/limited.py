@@ -33,11 +33,10 @@ by default those are the grid's dominance-pruned levels
 one on kept levels with equal revenue and no larger payment, so the
 master's optimum and feasibility are the full grid's, while the pricing
 tables shrink to at most one level more than the distinct support bids.
-A column is its profile's ``mechanisms.ExpectedOutcome``, so the
-master's objective coefficient is the ``cumulative`` that ``certify``
-reports.  The master optimum's distribution is certified by
-``mechanisms.certify``; this module contributes only the canonical
-transfer fill.
+A column is its profile's ``mechanisms.ExpectedOutcome``, computed once:
+its ``cumulative`` is the master's objective coefficient, and
+``mechanisms.certify`` sums the master optimum's own columns into every
+reported number; this module contributes only the canonical transfer fill.
 """
 
 from __future__ import annotations
@@ -63,16 +62,8 @@ from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
 PRICING_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class Column(ExpectedOutcome):
-    """A candidate bid profile's expected outcome, with the profile."""
-
-    profile: BidProfile
-
-
-def make_column(instance: AuctionInstance, profile: BidProfile) -> Column:
-    out = expected_outcome(instance, profile)
-    return Column(out.revenue, out.payment, profile)
+def make_column(instance: AuctionInstance, profile: BidProfile) -> ExpectedOutcome:
+    return expected_outcome(instance, profile)
 
 
 @dataclass(frozen=True)
@@ -86,7 +77,7 @@ class DualValues:
 
 @dataclass(frozen=True)
 class MasterSolution:
-    columns: tuple[Column, ...]
+    columns: tuple[ExpectedOutcome, ...]
     gammas: tuple[float, ...]
     duals: DualValues
     objective: float
@@ -99,7 +90,7 @@ class MasterSolution:
 
 def solve_master(
     instance: AuctionInstance,
-    columns: Sequence[Column],
+    columns: Sequence[ExpectedOutcome],
     p: float,
     elastic: bool = False,
 ) -> Optional[MasterSolution]:
@@ -133,13 +124,13 @@ def solve_master(
     return _read_master(columns, lp_solve(objective, rows, senses, rhs), n_c, elastic)
 
 
-def _master_entries(column: Column) -> list[float]:
+def _master_entries(column: ExpectedOutcome) -> list[float]:
     """A column's entries in the master's rows: its revenue in each
     participation row and 1 in the normalization row."""
     return [*column.revenue, 1.0]
 
 
-def add_master_column(master: MasterSolution, column: Column) -> MasterSolution:
+def add_master_column(master: MasterSolution, column: ExpectedOutcome) -> MasterSolution:
     """The master over one more column, warm-started from ``master``'s
     optimal basis rather than solved again from scratch, in ``master``'s
     phase."""
@@ -153,7 +144,7 @@ def add_master_column(master: MasterSolution, column: Column) -> MasterSolution:
 
 
 def _read_master(
-    columns: Sequence[Column], result: LPResult, n_c: int, elastic: bool
+    columns: Sequence[ExpectedOutcome], result: LPResult, n_c: int, elastic: bool
 ) -> Optional[MasterSolution]:
     if result.status == INFEASIBLE:
         return None
@@ -207,11 +198,11 @@ def extract_solution(
     """The certified solution of the master optimum.
 
     Columns below 1e-12 weight are dropped and the rest renormalized;
-    ``mechanisms.certify`` computes every reported number from that
-    distribution rather than trusting LP arithmetic.
+    ``mechanisms.certify`` sums every reported number from the kept
+    columns' outcomes rather than trusting LP arithmetic.
     Transfers are derived canonically: the smallest nonnegative amounts,
     filled in colluder order, that exactly cover the agency's expected
-    payment, read off the kept columns' cached payments.  Caps that cannot
+    payment sum(pbar), the payment the solution states.  Caps that cannot
     cover it make the instance infeasible: no mix has more utility.
     """
     kept = [
@@ -220,29 +211,25 @@ def extract_solution(
     total = sum(g for _, g in kept)
     if abs(total - 1.0) > 1e-9:
         raise ToleranceError(f"distribution mass {total} drifted beyond 1e-9")
-    kept = [(col, g / total) for col, g in kept]
-    pay_total = 0.0
-    for col, g in kept:
-        pay_total += g * sum(col.payment)
 
-    def fill(rbar: list[float]) -> list[float]:
+    def fill(rbar: list[float], pbar: list[float]) -> list[float]:
         caps = _transfer_caps(instance, rbar, p)
         if min(caps) < -EQ_TOL:
             raise ToleranceError("participation constraint violated after recomputation")
         caps = [max(cap, 0.0) for cap in caps]
-        if sum(caps) < pay_total - EQ_TOL:
+        need = sum(pbar)
+        if sum(caps) < need - EQ_TOL:
             raise InfeasibleError(
-                f"transfers of at most {sum(caps)!r} cannot cover the agency payment {pay_total!r}"
+                f"transfers of at most {sum(caps)!r} cannot cover the agency payment {need!r}"
             )
         transfers = []
-        need = pay_total
         for cap in caps:
             q = min(cap, max(need, 0.0))
             transfers.append(q)
             need -= q
         return transfers
 
-    return certify(instance, [(col.profile, g) for col, g in kept], fill, p)
+    return certify(instance, [(col, g / total) for col, g in kept], fill, p)
 
 
 def solve_ll_cg(

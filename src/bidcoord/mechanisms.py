@@ -10,10 +10,11 @@ call, then merges them with each support entry's external bids, which
 are already descending.  Its float operations and their order are those
 of ranking every agent with one sort and paying every rank, the
 reference kept in ``oracles``, so both give the same bits.  ``certify``
-is the only code that turns a distribution over bid profiles into
+is the only code that turns a distribution over profiles' outcomes into
 expected revenues and payments, the objective and the
-participation/budget slacks; the solvers contribute only the
-distribution and the rule that maps expected revenues to transfers.
+participation/budget slacks; the solvers contribute only the outcomes
+they computed, their probabilities, and the rule that maps expected
+revenues and payments to transfers.
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ from .core import (
 
 @dataclass(frozen=True)
 class ExpectedOutcome:
-    """Per-colluder expected revenue and payment over the external draw."""
+    """Per-colluder expected revenue and payment over the external draw,
+    of the ``profile`` they were computed for."""
 
     revenue: tuple[float, ...]
     payment: tuple[float, ...]
+    profile: BidProfile
 
     @property
     def cumulative(self) -> float:
@@ -123,21 +126,21 @@ def expected_outcome(instance: AuctionInstance, profile: BidProfile) -> Expected
         for i, k, price in _winners(instance, order, c_levels, gaps, levels):
             rev[i] += prob * (slots[k] * values[i])
             pay[i] += prob * price
-    return ExpectedOutcome(tuple(rev), tuple(pay))
+    return ExpectedOutcome(tuple(rev), tuple(pay), profile)
 
 
 def certify(
     instance: AuctionInstance,
-    distribution: Sequence[tuple[BidProfile, float]],
-    transfer_rule: Callable[[list[float]], Sequence[float]],
+    outcomes: Sequence[tuple[ExpectedOutcome, float]],
+    transfer_rule: Callable[[list[float], list[float]], Sequence[float]],
     relaxation: float,
 ) -> AgencySolution:
-    """The solution that plays ``distribution``, with every number exact.
+    """The solution that plays each outcome's profile at its probability.
 
-    Each profile's outcome is computed once with ``expected_outcome``;
+    Each outcome is the ``expected_outcome`` its solver computed once;
     the expected revenues rbar and payments pbar, and the objective, are
-    their probability-weighted sums.  ``transfer_rule(rbar)`` gives the
-    transfers q.  With p = ``relaxation``, colluder i's participation
+    their probability-weighted sums.  ``transfer_rule(rbar, pbar)`` gives
+    the transfers q.  With p = ``relaxation``, colluder i's participation
     slack is rbar_i - q_i - (t_i - p) and the budget slack is
     sum(q) - sum(pbar).
     """
@@ -145,19 +148,18 @@ def certify(
     rbar = [0.0] * n
     pbar = [0.0] * n
     objective = 0.0
-    for profile, prob in distribution:
-        out = expected_outcome(instance, profile)
+    for out, prob in outcomes:
         for i in range(n):
             rbar[i] += prob * out.revenue[i]
             pbar[i] += prob * out.payment[i]
         objective += prob * out.cumulative
-    transfers = tuple(transfer_rule(rbar))
+    transfers = tuple(transfer_rule(rbar, pbar))
     ic_slacks = tuple(
         rbar[i] - transfers[i] - (instance.outside_options[i] - relaxation)
         for i in range(n)
     )
     return AgencySolution(
-        distribution=tuple(distribution),
+        distribution=tuple((out.profile, prob) for out, prob in outcomes),
         transfers=transfers,
         objective=objective,
         ic_slacks=ic_slacks,

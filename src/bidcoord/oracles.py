@@ -185,7 +185,7 @@ def ranking_expected_outcome(instance: AuctionInstance, profile: BidProfile) -> 
                 i = agent.index
                 rev[i] += prob * (instance.slots[k] * instance.valuations[i])
                 pay[i] += prob * pays[k]
-    return ExpectedOutcome(tuple(rev), tuple(pay))
+    return ExpectedOutcome(tuple(rev), tuple(pay), profile)
 
 
 def vcg_externality(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) -> list[float]:

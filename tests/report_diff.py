@@ -8,7 +8,9 @@ first on the path.  They are the golden commands of ``test_cli.py`` on
 the golden instances, and ``solve`` on every variant of every benchmark
 pool slot, each with ``timings`` removed.  For each report that differs
 it prints the key, both exit codes, both certified objectives and their
-difference, and the names of the top-level fields that changed.  It
+difference, and the names of the fields that changed: a section such as
+``solution``, ``grid`` or ``baseline`` is named by its changed keys
+(``solution.slacks``), any other field by its own name.  It
 exits 1 if an exit code changed or an objective moved by more than
 ``OBJECTIVE_TOL``, else 0; two trees with the same reports print nothing.
 """
@@ -80,6 +82,20 @@ def objective(entry: dict):
     return solution["objective"] if isinstance(solution, dict) else None
 
 
+def changed_fields(before: dict, after: dict) -> list[str]:
+    """The changed fields of two reports, a section's one level down."""
+    fields = []
+    for name in sorted(before.keys() | after.keys()):
+        a, b = before.get(name), after.get(name)
+        if a == b:
+            continue
+        if isinstance(a, dict) and isinstance(b, dict):
+            fields += [f"{name}.{key}" for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+        else:
+            fields.append(name)
+    return fields
+
+
 def compare(old: dict, new: dict) -> bool:
     """Print each changed report; True if any change breaks the rule."""
     broken = False
@@ -87,10 +103,7 @@ def compare(old: dict, new: dict) -> bool:
         before = old[key]
         if before == after:
             continue
-        fields = sorted(
-            name for name in before["report"].keys() | after["report"].keys()
-            if before["report"].get(name) != after["report"].get(name)
-        )
+        fields = changed_fields(before["report"], after["report"])
         a, b = objective(before), objective(after)
         moved = abs(b - a) if a is not None and b is not None else None
         line = f"{key}: exit {before['code']} -> {after['code']}, objective {a!r} -> {b!r}"

@@ -559,9 +559,9 @@ class TestSolve:
         assert "synthetic breach" in err
 
 
-    def test_arbitrary_solve_evaluates_outcomes_twice(self, capsys, monkeypatch):
-        # once to certify the solution, once for the baseline: the report
-        # restates the certified numbers and recomputes none of them
+    @staticmethod
+    def count_outcomes(capsys, monkeypatch, *argv):
+        """How many times ``solve`` with ``argv`` evaluates ``expected_outcome``."""
         calls = []
         original = bidcoord.mechanisms.expected_outcome
 
@@ -573,9 +573,24 @@ class TestSolve:
             if module is not None and module.__name__.startswith("bidcoord"):
                 if vars(module).get("expected_outcome") is original:
                     monkeypatch.setattr(module, "expected_outcome", counting)
-        code, _, _ = run_cli(capsys, "solve", str(INSTANCES / "example1.json"))
+        code, _, _ = run_cli(capsys, "solve", *argv)
         assert code == 0
-        assert len(calls) == 2
+        return len(calls)
+
+    def test_arbitrary_solve_evaluates_outcomes_twice(self, capsys, monkeypatch):
+        # once to certify the solution, once for the baseline: the report
+        # restates the certified numbers and recomputes none of them
+        assert self.count_outcomes(capsys, monkeypatch, str(INSTANCES / "example1.json")) == 2
+
+    @pytest.mark.parametrize("instance, epsilon, calls", [
+        ("example1.json", "0.05", 2),
+        ("example3.json", "0.01", 4),
+    ])
+    def test_ll_solve_evaluates_each_column_once(self, capsys, monkeypatch, instance, epsilon, calls):
+        # once per master column and once for the baseline: certify sums
+        # the kept columns' outcomes and recomputes none of them
+        argv = (str(INSTANCES / instance), "--mode", "limited-liability", "--epsilon", epsilon)
+        assert self.count_outcomes(capsys, monkeypatch, *argv) == calls
 
 
 class TestWup:

@@ -26,7 +26,13 @@ from bidcoord.limited import (
     solve_master,
 )
 from bidcoord.mechanisms import expected_outcome, individual_baseline
-from bidcoord.oracles import best_deterministic_ll, brute_force_ll, prune_levels, solve_ll_dense
+from bidcoord.oracles import (
+    best_deterministic_ll,
+    brute_force_ll,
+    prune_levels,
+    ranking_expected_outcome,
+    solve_ll_dense,
+)
 from bidcoord.simplex import INFEASIBLE, OPTIMAL, LPResult
 from bidcoord.wup import expected_tables, solve_wup, solve_wup_expected, unit_weights
 from conftest import load_workloads, random_instance
@@ -337,6 +343,22 @@ class TestMasterAndExtraction:
             assert all(y <= 1e-9 for y in master.duals.y)
 
 
+def assert_sums_from_scratch(instance, sol):
+    """The solution's expected revenues and payments and its objective are
+    the probability-weighted sums of each played profile's reference
+    outcome, computed here and not handed over by the solver."""
+    outs = [(ranking_expected_outcome(instance, prof), pr) for prof, pr in sol.distribution]
+    for field, stated in (("revenue", sol.expected_revenue), ("payment", sol.expected_payment)):
+        sums = tuple(
+            sum(pr * getattr(out, field)[i] for out, pr in outs)
+            for i in range(instance.n_colluders)
+        )
+        assert stated == pytest.approx(sums, rel=0, abs=1e-12)
+    assert sol.objective == pytest.approx(
+        sum(pr * out.cumulative for out, pr in outs), rel=0, abs=1e-12
+    )
+
+
 class TestColumnGenerationAgreement:
     def test_cg_equals_dense_and_oracle(self):
         rng = random.Random(86)
@@ -353,6 +375,7 @@ class TestColumnGenerationAgreement:
             assert status == "optimal"
             assert abs(dense_sol.objective - oracle) < 1e-6
             for sol in (dense_sol, cg_sol):
+                assert_sums_from_scratch(inst, sol)
                 assert all(q >= 0.0 for q in sol.transfers)
                 assert all(s >= -1e-9 for s in sol.ic_slacks)
                 assert sol.ir_slack >= -1e-9

@@ -36,16 +36,21 @@ def reference_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def digest(directory: Path, name: str, slot: int) -> dict:
-    """Exit code and report digest of ``solve`` on the slot's variant 0."""
+def solve(directory: Path, name: str, slot: int, variant: int) -> tuple[int, str]:
+    """Exit code and stdout of ``solve`` on one pool instance."""
     path = directory / f"{name}-{slot}.json"
-    path.write_bytes(workloads.pool_instance(name, slot, 0))
+    path.write_bytes(workloads.pool_instance(name, slot, variant))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # cent bids warn about their bit count
         code = main(["solve", str(path), "--mode", workloads.WORKLOADS[name].mode,
                      "--epsilon", repr(workloads.EPSILON)])
-    text = out.getvalue()
+    return code, out.getvalue()
+
+
+def digest(directory: Path, name: str, slot: int) -> dict:
+    """Exit code and report digest of ``solve`` on the slot's variant 0."""
+    code, text = solve(directory, name, slot, 0)
     doc = json.loads(text)
     assert text == reference_json(doc)
     doc.pop("timings", None)
@@ -64,6 +69,20 @@ def test_pool_report_digests(tmp_path, name):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     recorded = {key: value for key, value in expected.items() if key.startswith(f"{name}/")}
     assert workload_digests(tmp_path, name) == recorded
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, w in workloads.WORKLOADS.items() if w.mode == "limited-liability"]
+)
+def test_ll_transfers_cover_the_stated_payment(tmp_path, name):
+    # every variant: the transfers are filled against the expected payment
+    # the report states, so a feasible report's budget slack is exactly 0
+    for slot in range(len(workloads.WORKLOADS[name].shapes)):
+        for variant in range(workloads.VARIANTS):
+            code, text = solve(tmp_path, name, slot, variant)
+            if code != 2:  # infeasible
+                assert (code, json.loads(text)["solution"]["slacks"]["ir"]) == (0, 0.0), \
+                    f"{name}/{slot}/{variant}"
 
 
 if __name__ == "__main__":

@@ -77,6 +77,14 @@ def test_all_is_pinned():
     # deleted: the master has no transfer columns and no budget row, so
     # no budget dual
     assert [f.name for f in dataclasses.fields(bidcoord.DualValues)] == ["y", "z"]
+    # deleted: an outcome carries its profile, so a master column is its
+    # profile's ``ExpectedOutcome``; ``make_column`` stays its own
+    # function, since perfbench's tracer wraps the two by identity
+    assert not hasattr(bidcoord.limited, "Column")
+    assert [f.name for f in dataclasses.fields(bidcoord.mechanisms.ExpectedOutcome)] == [
+        "revenue", "payment", "profile"
+    ]
+    assert bidcoord.limited.make_column is not bidcoord.mechanisms.expected_outcome
 
 
 def test_one_query_form():
