@@ -3,16 +3,17 @@
 A deterministic (single-profile) optimum always exists here, so the
 solver discretizes the bid space with probability threshold p = eps/n_c,
 maximizes cumulative expected utility over the grid, and charges each
-colluder its expected revenue minus outside option plus p.  That leaves
-each participation constraint relaxed by exactly p while losing at most
-eps of the optimal value overall.  The optimizer runs over exactly the
-levels it is given; by default those are the grid's dominance-pruned
-levels (``discretize.pruned_grid``), which keep the grid optimum and
-number at most one more than the distinct external support bids, so
-the work does not grow with the split's depth.  The solver contributes
-its profile's expected outcome and the transfer rule r_i - t_i + p;
-``mechanisms.certify`` sums the expected revenues and payments, the
-objective and the slacks from that point mass.
+colluder its cap r_i - (t_i - p), its expected revenue less its outside
+option relaxed by p.  That meets each p-relaxed participation constraint
+with slack exactly 0.0 while losing at most eps of the optimal value
+overall.  The optimizer runs over exactly the levels it is given; by
+default those are the grid's dominance-pruned levels
+(``discretize.pruned_grid``), which keep the grid optimum and number at
+most one more than the distinct external support bids, so the work does
+not grow with the split's depth.  The solver contributes its profile's
+expected outcome and a transfer rule that returns the caps
+``mechanisms.certify`` hands it; ``certify`` sums the expected revenues
+and payments, the objective and the slacks from that point mass.
 """
 
 from __future__ import annotations
@@ -74,13 +75,13 @@ def solve_arbitrary(
 ) -> AgencySolution:
     """Solve the arbitrary-transfers problem to within eps.
 
-    Returns a point-mass distribution on the best grid profile.  The
-    participation slack is zero by construction; a negative reported IR
-    slack flags that no profile can cover the outside options (the
-    feasibility assumption fails), but the solution is still returned
-    with its diagnostics.  The optimizer runs over exactly ``levels``;
-    when they are not given, it uses the pruned levels of the grid for
-    p = eps/n_c, whose optimum is the full grid's.
+    Returns a point-mass distribution on the best grid profile.  Each
+    transfer is its cap, so every participation slack is exactly 0.0; a
+    negative reported IR slack flags that no profile can cover the
+    outside options (the feasibility assumption fails), but the solution
+    is still returned with its diagnostics.  The optimizer runs over
+    exactly ``levels``; when they are not given, it uses the pruned
+    levels of the grid for p = eps/n_c, whose optimum is the full grid's.
     """
     p = instance.threshold(epsilon)
     if levels is None:
@@ -89,6 +90,6 @@ def solve_arbitrary(
     return certify(
         instance,
         ((expected_outcome(instance, result.profile), 1.0),),
-        lambda rbar, pbar: [r - t + p for r, t in zip(rbar, instance.outside_options)],
+        lambda caps, pbar: caps,
         p,
     )

@@ -54,7 +54,7 @@ from .core import (
     make_profile,
 )
 from .discretize import pruned_grid
-from .mechanisms import ExpectedOutcome, certify, expected_outcome
+from .mechanisms import ExpectedOutcome, certify, expected_outcome, transfer_caps
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, Tableau, lp_solve
 from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
 
@@ -184,14 +184,6 @@ def pricing(
     return result.profile, result.value - duals.z
 
 
-def _transfer_caps(
-    instance: AuctionInstance, rbar: Sequence[float], p: float
-) -> list[float]:
-    """The most each colluder can pay the agency and still participate:
-    r_i - (t_i - p) at expected revenues ``rbar``."""
-    return [r - (t - p) for r, t in zip(rbar, instance.outside_options)]
-
-
 def extract_solution(
     instance: AuctionInstance, master: MasterSolution, p: float
 ) -> AgencySolution:
@@ -200,10 +192,12 @@ def extract_solution(
     Columns below 1e-12 weight are dropped and the rest renormalized;
     ``mechanisms.certify`` sums every reported number from the kept
     columns' outcomes rather than trusting LP arithmetic.
-    Transfers are derived canonically: the smallest nonnegative amounts,
-    filled in colluder order, that exactly cover the agency's expected
-    payment sum(pbar), the payment the solution states.  Caps that cannot
-    cover it make the instance infeasible: no mix has more utility.
+    Transfers are derived canonically from the caps that ``certify``
+    computes with ``mechanisms.transfer_caps``: the smallest nonnegative
+    amounts, filled in colluder order and each at most its cap, that
+    exactly cover the agency's expected payment sum(pbar), the payment
+    the solution states.  Caps that cannot cover it make the instance
+    infeasible: no mix has more utility.
     """
     kept = [
         (col, g) for col, g in zip(master.columns, master.gammas) if g > 1e-12
@@ -212,8 +206,7 @@ def extract_solution(
     if abs(total - 1.0) > 1e-9:
         raise ToleranceError(f"distribution mass {total} drifted beyond 1e-9")
 
-    def fill(rbar: list[float], pbar: list[float]) -> list[float]:
-        caps = _transfer_caps(instance, rbar, p)
+    def fill(caps: list[float], pbar: list[float]) -> list[float]:
         if min(caps) < -EQ_TOL:
             raise ToleranceError("participation constraint violated after recomputation")
         caps = [max(cap, 0.0) for cap in caps]
@@ -267,7 +260,7 @@ def solve_ll_cg(
     zero = make_column(instance, make_profile([0.0] * n_c))
     optimum = solve_wup(tables, unit_weights(n_c), instance).profile
     best = zero if optimum == zero.profile else make_column(instance, optimum)
-    caps = _transfer_caps(instance, best.revenue, p)
+    caps = transfer_caps(instance, best.revenue, p)
     # the master LP's tie-break picks among zero-utility profiles, and
     # between the optimum and a zero seed it ties exactly or in float
     # rounding (bidding 0 can earn as much as outranking an external bid)

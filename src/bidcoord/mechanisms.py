@@ -13,8 +13,8 @@ reference kept in ``oracles``, so both give the same bits.  ``certify``
 is the only code that turns a distribution over profiles' outcomes into
 expected revenues and payments, the objective and the
 participation/budget slacks; the solvers contribute only the outcomes
-they computed, their probabilities, and the rule that maps expected
-revenues and payments to transfers.
+they computed, their probabilities, and the rule that maps the transfer
+caps of ``transfer_caps`` and the expected payments to transfers.
 """
 
 from __future__ import annotations
@@ -129,6 +129,12 @@ def expected_outcome(instance: AuctionInstance, profile: BidProfile) -> Expected
     return ExpectedOutcome(tuple(rev), tuple(pay), profile)
 
 
+def transfer_caps(instance: AuctionInstance, rbar: Sequence[float], p: float) -> list[float]:
+    """The most each colluder can pay the agency and still participate:
+    r_i - (t_i - p), revenue ``rbar`` less the master LP's row bound."""
+    return [r - (t - p) for r, t in zip(rbar, instance.outside_options)]
+
+
 def certify(
     instance: AuctionInstance,
     outcomes: Sequence[tuple[ExpectedOutcome, float]],
@@ -139,10 +145,10 @@ def certify(
 
     Each outcome is the ``expected_outcome`` its solver computed once;
     the expected revenues rbar and payments pbar, and the objective, are
-    their probability-weighted sums.  ``transfer_rule(rbar, pbar)`` gives
-    the transfers q.  With p = ``relaxation``, colluder i's participation
-    slack is rbar_i - q_i - (t_i - p) and the budget slack is
-    sum(q) - sum(pbar).
+    their probability-weighted sums.  ``transfer_rule(caps, pbar)`` maps
+    the caps ``transfer_caps(instance, rbar, relaxation)`` to transfers q.
+    Colluder i's participation slack is cap_i - q_i, exactly 0.0 at its
+    cap, and the budget slack is sum(q) - sum(pbar).
     """
     n = instance.n_colluders
     rbar = [0.0] * n
@@ -153,11 +159,9 @@ def certify(
             rbar[i] += prob * out.revenue[i]
             pbar[i] += prob * out.payment[i]
         objective += prob * out.cumulative
-    transfers = tuple(transfer_rule(rbar, pbar))
-    ic_slacks = tuple(
-        rbar[i] - transfers[i] - (instance.outside_options[i] - relaxation)
-        for i in range(n)
-    )
+    caps = transfer_caps(instance, rbar, relaxation)
+    transfers = tuple(transfer_rule(caps, pbar))
+    ic_slacks = tuple(cap - q for cap, q in zip(caps, transfers))
     return AgencySolution(
         distribution=tuple((out.profile, prob) for out, prob in outcomes),
         transfers=transfers,

@@ -10,8 +10,11 @@ pool slot, each with ``timings`` removed.  For each report that differs
 it prints the key, both exit codes, both certified objectives and their
 difference, and the names of the fields that changed: a section such as
 ``solution``, ``grid`` or ``baseline`` is named by its changed keys
-(``solution.slacks``), any other field by its own name.  It
-exits 1 if an exit code changed or an objective moved by more than
+(``solution.slacks``), any other field by its own name.  A summary
+follows the list: the changed reports counted per workload and per set
+of changed fields, and the largest |diff| of every changed numeric field
+(``solution.slacks.ic``), taken over all its list entries.  It exits 1
+if an exit code changed or an objective moved by more than
 ``OBJECTIVE_TOL``, else 0; two trees with the same reports print nothing.
 """
 
@@ -23,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 #: The most a certified objective may move in a report change.
@@ -96,14 +100,52 @@ def changed_fields(before: dict, after: dict) -> list[str]:
     return fields
 
 
+def numeric_diffs(path: str, a, b, largest: dict) -> None:
+    """Fold into ``largest`` the largest |b - a| of each changed field
+    under ``path``, list entries under their list's path; a change that
+    is not between two numbers maps to None."""
+    if a == b:
+        return
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in a.keys() | b.keys():
+            numeric_diffs(f"{path}.{key}", a.get(key), b.get(key), largest)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            numeric_diffs(path, x, y, largest)
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        if path not in largest or largest[path] is not None:
+            largest[path] = max(largest.get(path, 0.0), abs(b - a))
+    else:
+        largest[path] = None
+
+
+def summarize(changes: list[tuple[str, list[str]]], largest: dict) -> None:
+    """Print the counts of the changed reports and each field's largest |diff|."""
+    print(f"summary: {len(changes)} changed reports")
+    workloads = Counter(key.split("/")[0] for key, _ in changes)
+    print("  by workload: " + ", ".join(f"{name} {n}" for name, n in sorted(workloads.items())))
+    print("  by changed fields:")
+    for fields, n in sorted(Counter(", ".join(f) for _, f in changes).items()):
+        print(f"    {n:5d}  {fields or '(none)'}")
+    print("  largest |diff| per field:")
+    for path, diff in sorted(largest.items()):
+        print(f"    {path}: {'not numeric' if diff is None else repr(diff)}")
+
+
 def compare(old: dict, new: dict) -> bool:
-    """Print each changed report; True if any change breaks the rule."""
+    """Print each changed report, then the summary; True if any change
+    breaks the rule."""
     broken = False
+    changes = []
+    largest = {}
     for key, after in new.items():
         before = old[key]
         if before == after:
             continue
         fields = changed_fields(before["report"], after["report"])
+        changes.append((key, fields))
+        for name in before["report"].keys() | after["report"].keys():
+            numeric_diffs(name, before["report"].get(name), after["report"].get(name), largest)
         a, b = objective(before), objective(after)
         moved = abs(b - a) if a is not None and b is not None else None
         line = f"{key}: exit {before['code']} -> {after['code']}, objective {a!r} -> {b!r}"
@@ -112,6 +154,8 @@ def compare(old: dict, new: dict) -> bool:
         print(f"{line}, changed {', '.join(fields) or '(none)'}")
         if before["code"] != after["code"] or (moved is not None and moved > OBJECTIVE_TOL):
             broken = True
+    if changes:
+        summarize(changes, largest)
     return broken
 
 

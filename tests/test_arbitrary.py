@@ -48,7 +48,7 @@ class TestExample1Golden:
         p = sol.relaxation
         assert abs(sol.transfers[0] - (0.6 - 0.1 + p)) < 1e-9
         assert abs(sol.transfers[1] - (0.0 - 0.0 + p)) < 1e-9
-        assert all(abs(s) <= 1e-12 for s in sol.ic_slacks)
+        assert all(s == 0.0 for s in sol.ic_slacks)
         assert sol.ir_slack >= -1e-9
         assert not sol.assumption_violated
 
@@ -103,7 +103,7 @@ class TestGuarantee:
             sol = solve_arbitrary(inst, eps)
             opt = brute_force_arbitrary(inst, FINE_LEVELS)
             assert sol.objective >= opt - eps - 1e-9
-            assert all(abs(s) <= 1e-12 for s in sol.ic_slacks)
+            assert all(s == 0.0 for s in sol.ic_slacks)
             assert sol.ir_slack >= -1e-9
 
     def test_objective_monotone_in_epsilon(self):
@@ -116,7 +116,8 @@ class TestGuarantee:
 
     def test_recorded_objective_matches_recomputation(self):
         # every certified number of both solvers, bit for bit, against the
-        # report's arithmetic from before mechanisms.certify existed
+        # report's arithmetic recomputed here; a participation slack is its
+        # cap r - (t - p) less its transfer
         rng = random.Random(717)
         for _ in range(10):
             inst = random_instance(rng, feasible_outside=True)
@@ -136,10 +137,8 @@ class TestGuarantee:
                 assert sol.objective == objective
                 assert sol.expected_revenue == tuple(rbar)
                 assert sol.expected_payment == tuple(pbar)
-                assert sol.ic_slacks == tuple(
-                    rbar[i] - sol.transfers[i] - (inst.outside_options[i] - p)
-                    for i in range(n)
-                )
+                caps = [rbar[i] - (inst.outside_options[i] - p) for i in range(n)]
+                assert sol.ic_slacks == tuple(caps[i] - sol.transfers[i] for i in range(n))
                 assert sol.ir_slack == sum(sol.transfers) - sum(pbar)
 
 
@@ -151,7 +150,7 @@ class TestAssumptionViolationDiagnostic:
         assert sol.ir_slack < -1e-9
         # solution still usable: point mass, zero IC slack by construction
         assert len(sol.distribution) == 1
-        assert all(abs(s) <= 1e-12 for s in sol.ic_slacks)
+        assert all(s == 0.0 for s in sol.ic_slacks)
 
 
 class TestExample3Arbitrary:

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from bidcoord.cli import main
+from bidcoord.core import validate_and_normalize
 from conftest import load_workloads
 
 workloads = load_workloads()
@@ -71,18 +72,59 @@ def test_pool_report_digests(tmp_path, name):
     assert workload_digests(tmp_path, name) == recorded
 
 
-@pytest.mark.parametrize(
-    "name", [name for name, w in workloads.WORKLOADS.items() if w.mode == "limited-liability"]
-)
+def workload_names(mode: str) -> list[str]:
+    return [name for name, w in workloads.WORKLOADS.items() if w.mode == mode]
+
+
+def pool_solutions(directory: Path, name: str):
+    """(key, exit code, caps, solution) of every variant of every slot.
+
+    The caps r_i - (t_i - p) are recomputed from the report's expected
+    revenues and relaxation p and the normalized instance's outside
+    options; an infeasible report has no solution and no caps.
+    """
+    for slot in range(len(workloads.WORKLOADS[name].shapes)):
+        for variant in range(workloads.VARIANTS):
+            code, text = solve(directory, name, slot, variant)
+            solution = json.loads(text).get("solution")
+            caps = None
+            if solution is not None:
+                raw = json.loads(workloads.pool_instance(name, slot, variant))
+                t = validate_and_normalize(raw).outside_options
+                p = solution["relaxation"]
+                caps = [r - (ti - p) for r, ti in zip(solution["expected_revenue"], t)]
+            yield f"{name}/{slot}/{variant}", code, caps, solution
+
+
+def check_participation_slacks(key: str, caps: list, solution: dict) -> None:
+    """Each participation slack is its cap less its transfer, bit for bit:
+    0.0 for a transfer at its cap, and negative only where the cap is."""
+    slacks = solution["slacks"]["ic"]
+    assert slacks == [cap - q for cap, q in zip(caps, solution["transfers"])], key
+    for cap, q, slack in zip(caps, solution["transfers"], slacks):
+        if q == cap:
+            assert slack == 0.0, key
+        if slack < 0:
+            assert slack == cap < 0, key
+
+
+@pytest.mark.parametrize("name", workload_names("limited-liability"))
 def test_ll_transfers_cover_the_stated_payment(tmp_path, name):
     # every variant: the transfers are filled against the expected payment
     # the report states, so a feasible report's budget slack is exactly 0
-    for slot in range(len(workloads.WORKLOADS[name].shapes)):
-        for variant in range(workloads.VARIANTS):
-            code, text = solve(tmp_path, name, slot, variant)
-            if code != 2:  # infeasible
-                assert (code, json.loads(text)["solution"]["slacks"]["ir"]) == (0, 0.0), \
-                    f"{name}/{slot}/{variant}"
+    for key, code, caps, solution in pool_solutions(tmp_path, name):
+        if code != 2:  # infeasible
+            assert (code, solution["slacks"]["ir"]) == (0, 0.0), key
+            check_participation_slacks(key, caps, solution)
+
+
+@pytest.mark.parametrize("name", workload_names("arbitrary"))
+def test_arbitrary_transfers_are_the_caps(tmp_path, name):
+    # every variant: each transfer is its cap, so every participation
+    # slack is exactly 0.0
+    for key, _, caps, solution in pool_solutions(tmp_path, name):
+        assert solution["transfers"] == caps, key
+        assert all(slack == 0.0 for slack in solution["slacks"]["ic"]), key
 
 
 if __name__ == "__main__":
