@@ -31,11 +31,12 @@ from .core import (
     ToleranceError,
     _number,
     instance_to_raw,
+    ordered_sum,
     validate_and_normalize,
 )
 from .discretize import PrunedGrid, pruned_grid
 from .limited import solve_ll
-from .mechanisms import individual_baseline
+from .mechanisms import expected_outcome, individual_baseline
 from .wup import WupWeights, expected_tables, solve_wup
 
 EXIT_OK = 0
@@ -226,7 +227,7 @@ def _grid_doc(grid: PrunedGrid, n_colluders: int) -> dict:
 
 def _baseline_doc(instance: AuctionInstance, objective: Optional[float]) -> dict:
     utilities = individual_baseline(instance)
-    cumulative = sum(utilities)
+    cumulative = ordered_sum(utilities)
     doc = {
         "individual_utilities": list(utilities),
         "cumulative": cumulative,
@@ -349,7 +350,7 @@ def _load_weights(path: str, n_colluders: int) -> tuple[WupWeights, Optional[lis
         tuple(_weight(y, f"{path}:revenue_weights[{i}]") for i, y in enumerate(revenue)),
         _weight(doc["payment_weight"], f"{path}:payment_weight"),
     )
-    bound = 2.0 * (sum(weights.revenue_weights) + n_colluders * weights.payment_weight)
+    bound = 2.0 * (ordered_sum(weights.revenue_weights) + n_colluders * weights.payment_weight)
     if not math.isfinite(bound):
         raise InstanceError(path, "weights too large: 2*(sum(y) + n_c*x) is not finite")
     levels = doc.get("levels")
@@ -383,10 +384,12 @@ def cmd_wup(args) -> int:
         instance = replace(instance, external=point_mass)
         mode = {"fixed_external_index": args.external_index}
     result = solve_wup(expected_tables(instance, levels), weights, instance)
+    # the value stated is the profile's, as ``mechanisms`` sums it, not the DP's
+    out = expected_outcome(instance, result.profile)
     _emit(
         {
             "profile": _profile_doc(result.profile),
-            "value": result.value,
+            "value": out.weighted(weights.revenue_weights, weights.payment_weight),
             "colluder_order": list(result.order),
             "grid": grid_doc,
             **mode,

@@ -12,7 +12,7 @@ the one statement of how colluders rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 GSP = "gsp"
 VCG = "vcg"
@@ -24,6 +24,17 @@ EQ_TOL = 1e-9
 PROB_DRIFT_TOL = 1e-9
 #: Probabilities are kept exact to this tolerance after normalisation.
 PROB_EXACT_TOL = 1e-12
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The float total of ``values``, added left to right from 0.0: every
+    float total in the package.  Not builtin ``sum``, which compensates
+    float additions from Python 3.12 on (Neumaier summation), so a total's
+    last bits, and a report's, would depend on the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class InstanceError(ValueError):
@@ -109,18 +120,17 @@ class ExternalDistribution:
         if not self.support:
             raise ValueError("support must be nonempty")
         n_e = len(self.support[0][0])
-        total = 0.0
         for bids, prob in self.support:
             if len(bids) != n_e:
                 raise ValueError("all support profiles must have equal length")
             if not prob >= 0.0:
                 raise ValueError(f"probability {prob!r} is not >= 0")
-            total += prob
             for j, b in enumerate(bids):
                 if not 0.0 <= b <= 1.0:
                     raise ValueError(f"external bid {b!r} outside [0, 1]")
                 if j > 0 and bids[j - 1] < b:
                     raise ValueError("support bids must be sorted descending")
+        total = ordered_sum(prob for _, prob in self.support)
         if not abs(total - 1.0) <= PROB_EXACT_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
@@ -211,11 +221,10 @@ class AgencySolution:
     def __post_init__(self):
         if not self.distribution:
             raise ValueError("distribution must be nonempty")
-        total = 0.0
         for _, prob in self.distribution:
             if not prob >= -PROB_EXACT_TOL:
                 raise ValueError(f"probability {prob!r} is not >= 0")
-            total += prob
+        total = ordered_sum(prob for _, prob in self.distribution)
         if not abs(total - 1.0) <= PROB_DRIFT_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
@@ -283,7 +292,6 @@ def validate_and_normalize(raw: dict) -> AuctionInstance:
     if not isinstance(support_raw, list) or not support_raw:
         raise InstanceError("external.support", "must be a nonempty list")
     entries = []
-    total = 0.0
     for k, entry in enumerate(support_raw):
         if not isinstance(entry, dict):
             raise InstanceError(f"external.support[{k}]", "must be an object")
@@ -296,7 +304,7 @@ def validate_and_normalize(raw: dict) -> AuctionInstance:
         )
         prob = _number(entry.get("prob"), "external.support[%d].prob", k)
         entries.append((tuple(bids), prob))
-        total += prob
+    total = ordered_sum(prob for _, prob in entries)
     if abs(total - 1.0) > PROB_DRIFT_TOL:
         raise InstanceError("external.support", f"probabilities sum to {total}, drift exceeds 1e-9")
     if abs(total - 1.0) > PROB_EXACT_TOL:

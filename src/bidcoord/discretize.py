@@ -69,7 +69,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import AuctionInstance, BidProfile, ExternalDistribution, make_profile
+from .core import AuctionInstance, BidProfile, ExternalDistribution, make_profile, ordered_sum
 
 #: Fractional bits available in a double; bids needing more are capped.
 MAX_BITS_CAP = 53
@@ -136,14 +136,12 @@ def _split(p: float, eta: float, distribution: ExternalDistribution) -> tuple[li
 
     The positive support bids are sorted once as (bid, entry) pairs, so
     an interval's bids are one slice of them and a child's slice is one
-    bisection of its parent's.  A child whose slice equals its parent's
-    carries the parent's probability, which exceeded ``p``, and an
-    interval holding only heavy points carries more than ``p``, so only
-    the width test remains.  Otherwise the distinct entries'
-    probabilities are added in support order with a plain loop, exactly
-    as ``oracles.event_probability`` adds them, so every decision, and
-    hence every interval and the call count, equals the recursive
-    definition's.
+    bisection of its parent's.  An interval holding only heavy points
+    carries more than ``p``, so only the width test remains.  Otherwise
+    the distinct entries' probabilities are added in support order by
+    ``core.ordered_sum``, exactly as ``oracles.event_probability`` adds
+    them, so every decision, and hence every interval and the call
+    count, equals the recursive definition's.
     """
     pairs = sorted(
         (b, k) for k, (bids, _) in enumerate(distribution.support) for b in bids if b > 0.0
@@ -157,19 +155,17 @@ def _split(p: float, eta: float, distribution: ExternalDistribution) -> tuple[li
     eta_bits = eta.as_integer_ratio()[1].bit_length()
     pieces: list[_Piece] = []
     calls = 0
-    # (lower, upper, slice start, slice end, slice equals the parent's);
-    # every positive bid is at most 1, so (0, 1] holds them all
-    stack = [(0.0, 1.0, 0, len(keys), False)]
+    # (lower, upper, slice start, slice end); every positive bid is at
+    # most 1, so (0, 1] holds them all
+    stack = [(0.0, 1.0, 0, len(keys))]
     while stack:
-        lower, upper, lo, hi, same_as_parent = stack.pop()
+        lower, upper, lo, hi = stack.pop()
         calls += 1
         heavy = hi > lo and (light is None or light[lo] == light[hi])
-        if same_as_parent or heavy:
+        if heavy:
             split = upper - lower > eta
         else:
-            total = 0.0
-            for k in sorted(set(owners[lo:hi])):
-                total += probs[k]
+            total = ordered_sum(probs[k] for k in sorted(set(owners[lo:hi])))
             split = not (total <= p or upper - lower <= eta)
         if not split:
             pieces.append((lower, upper, 0, (upper,) if hi > lo else ()))
@@ -194,8 +190,8 @@ def _split(p: float, eta: float, distribution: ExternalDistribution) -> tuple[li
         else:
             mid = (lower + upper) / 2.0
             cut = bisect_right(keys, mid, lo, hi)
-            stack.append((mid, upper, cut, hi, cut == lo))
-            stack.append((lower, mid, lo, cut, cut == hi))
+            stack.append((mid, upper, cut, hi))
+            stack.append((lower, mid, lo, cut))
     return pieces, calls
 
 
@@ -209,9 +205,7 @@ def _light_counts(
     lo = 0
     while lo < len(keys):
         hi = bisect_right(keys, keys[lo], lo)
-        total = 0.0
-        for k in sorted(set(owners[lo:hi])):
-            total += probs[k]
+        total = ordered_sum(probs[k] for k in sorted(set(owners[lo:hi])))
         counts += [counts[-1] + (total <= p)] * (hi - lo)
         lo = hi
     return counts

@@ -52,6 +52,7 @@ from .core import (
     InfeasibleError,
     ToleranceError,
     make_profile,
+    ordered_sum,
 )
 from .discretize import pruned_grid
 from .mechanisms import ExpectedOutcome, certify, expected_outcome, transfer_caps
@@ -202,7 +203,7 @@ def extract_solution(
     kept = [
         (col, g) for col, g in zip(master.columns, master.gammas) if g > 1e-12
     ]
-    total = sum(g for _, g in kept)
+    total = ordered_sum(g for _, g in kept)
     if abs(total - 1.0) > 1e-9:
         raise ToleranceError(f"distribution mass {total} drifted beyond 1e-9")
 
@@ -210,10 +211,11 @@ def extract_solution(
         if min(caps) < -EQ_TOL:
             raise ToleranceError("participation constraint violated after recomputation")
         caps = [max(cap, 0.0) for cap in caps]
-        need = sum(pbar)
-        if sum(caps) < need - EQ_TOL:
+        need = ordered_sum(pbar)
+        most = ordered_sum(caps)
+        if most < need - EQ_TOL:
             raise InfeasibleError(
-                f"transfers of at most {sum(caps)!r} cannot cover the agency payment {need!r}"
+                f"transfers of at most {most!r} cannot cover the agency payment {need!r}"
             )
         transfers = []
         for cap in caps:
@@ -266,7 +268,7 @@ def solve_ll_cg(
     # rounding (bidding 0 can earn as much as outranking an external bid)
     rival = 0.0 if best is zero else zero.cumulative + PRICING_TOL
     participates = min(caps) >= 0.0
-    if participates and sum(caps) >= sum(best.payment) and best.cumulative > rival:
+    if participates and ordered_sum(caps) >= ordered_sum(best.payment) and best.cumulative > rival:
         # round 0: the point mass is feasible, and at duals y = 0, z =
         # cumulative the seed query was the pricing round
         master = MasterSolution(

@@ -28,6 +28,7 @@ from .core import (
     AuctionInstance,
     BidProfile,
     make_profile,
+    ordered_sum,
 )
 
 
@@ -42,7 +43,13 @@ class ExpectedOutcome:
 
     @property
     def cumulative(self) -> float:
-        return sum(r - p for r, p in zip(self.revenue, self.payment))
+        return ordered_sum(r - p for r, p in zip(self.revenue, self.payment))
+
+    def weighted(self, revenue_weights: Sequence[float], payment_weight: float) -> float:
+        """The weighted utility sum_i (y_i * r_i - x * p_i); at unit weights
+        it is ``cumulative``, bit for bit."""
+        terms = zip(revenue_weights, self.revenue, self.payment)
+        return ordered_sum(y * r - payment_weight * p for y, r, p in terms)
 
 
 def _ranked_colluders(profile: BidProfile) -> tuple[list[int], list[float]]:
@@ -150,24 +157,18 @@ def certify(
     Colluder i's participation slack is cap_i - q_i, exactly 0.0 at its
     cap, and the budget slack is sum(q) - sum(pbar).
     """
-    n = instance.n_colluders
-    rbar = [0.0] * n
-    pbar = [0.0] * n
-    objective = 0.0
-    for out, prob in outcomes:
-        for i in range(n):
-            rbar[i] += prob * out.revenue[i]
-            pbar[i] += prob * out.payment[i]
-        objective += prob * out.cumulative
+    colluders = range(instance.n_colluders)
+    rbar = [ordered_sum(prob * out.revenue[i] for out, prob in outcomes) for i in colluders]
+    pbar = [ordered_sum(prob * out.payment[i] for out, prob in outcomes) for i in colluders]
     caps = transfer_caps(instance, rbar, relaxation)
     transfers = tuple(transfer_rule(caps, pbar))
     ic_slacks = tuple(cap - q for cap, q in zip(caps, transfers))
     return AgencySolution(
         distribution=tuple((out.profile, prob) for out, prob in outcomes),
         transfers=transfers,
-        objective=objective,
+        objective=ordered_sum(prob * out.cumulative for out, prob in outcomes),
         ic_slacks=ic_slacks,
-        ir_slack=sum(transfers) - sum(pbar),
+        ir_slack=ordered_sum(transfers) - ordered_sum(pbar),
         relaxation=relaxation,
         expected_revenue=tuple(rbar),
         expected_payment=tuple(pbar),

@@ -46,6 +46,7 @@ from .core import (
     ExternalDistribution,
     InfeasibleError,
     make_profile,
+    ordered_sum,
 )
 from .discretize import iter_grid_profiles
 from .limited import MasterSolution, extract_solution, make_column, solve_master
@@ -59,11 +60,8 @@ _LL_COLUMN_CAP = 10**5
 
 def event_probability(distribution: ExternalDistribution, lower: float, upper: float) -> float:
     """Probability that any external bid lands in (lower, upper]."""
-    total = 0.0
-    for bids, prob in distribution.support:
-        if any(lower < b <= upper for b in bids):
-            total += prob
-    return total
+    support = distribution.support
+    return ordered_sum(prob for bids, prob in support if any(lower < b <= upper for b in bids))
 
 
 def recursive_split(
@@ -199,19 +197,12 @@ def vcg_externality(ranking: Sequence[RankedAgent], lambdas: Sequence[float]) ->
     levels = [a.level for a in ranking]
 
     def welfare_of_others(excluded: int) -> float:
-        total = 0.0
-        slot = 0
-        for k in range(n):
-            if k == excluded:
-                continue
-            if slot < m:
-                total += lambdas[slot] * levels[k]
-                slot += 1
-        return total
+        others = levels[:excluded] + levels[excluded + 1 :]
+        return ordered_sum(lam * level for lam, level in zip(lambdas, others))
 
     pays = []
     for k in range(n):
-        present = sum(lambdas[j] * levels[j] for j in range(min(n, m)) if j != k)
+        present = ordered_sum(lambdas[j] * levels[j] for j in range(min(n, m)) if j != k)
         pays.append(welfare_of_others(k) - present)
     return pays
 
@@ -414,9 +405,7 @@ def brute_force_wup(
     x = weights.payment_weight
     for profile in _iter_assignments(levels, n, priority):
         out = expected_outcome(instance, profile)
-        value = sum(
-            y[i] * out.revenue[i] - x * out.payment[i] for i in range(n)
-        )
+        value = ordered_sum(y[i] * out.revenue[i] - x * out.payment[i] for i in range(n))
         if value > best_value:
             best_value = value
             best_profile = profile
@@ -461,7 +450,7 @@ def brute_force_ll(
         a_ub[i, :n_s] = [-o.revenue[i] for o in outs]
         a_ub[i, n_s + i] = 1.0
         b_ub[i] = -(instance.outside_options[i] - p)
-    a_ub[n_c, :n_s] = [sum(o.payment) for o in outs]
+    a_ub[n_c, :n_s] = [ordered_sum(o.payment) for o in outs]
     a_ub[n_c, n_s:] = -1.0
     a_eq = np.zeros((1, n_s + n_c))
     a_eq[0, :n_s] = 1.0
@@ -502,7 +491,7 @@ def best_deterministic_ll(
         headroom = [r - t for r, t in zip(out.revenue, instance.outside_options)]
         if any(h < 0.0 for h in headroom):
             continue
-        if sum(headroom) < sum(out.payment):
+        if ordered_sum(headroom) < ordered_sum(out.payment):
             continue
         value = out.cumulative
         if best is None or value > best:

@@ -3,8 +3,8 @@
 Solves  max c'x  s.t.  A x (<=|>=|=) b,  x >= 0,  returning both the
 primal solution and one dual value per constraint row.  Bland's rule is
 used for entering and leaving variables, so the method cannot cycle and
-is deterministic.  Intended for desk-scale problems: few rows, up to a
-few ten-thousand columns.  A pivot is one masked rank-1 update of the
+is deterministic.  Sized for the column-generation master: n_c + 1 rows
+and tens of columns at desk scale (737 at n_c = 64).  A pivot is one masked rank-1 update of the
 rows with a nonzero pivot-column entry, and the reduced costs and duals
 are numpy products ``cost[basis] @ table``; the leaving-row ratio test
 runs on Python floats, which divide and compare as numpy's do.
@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .core import ordered_sum
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -141,7 +143,7 @@ def lp_solve(
     phase1[art0:] = -1.0
     status = _bland_iterate(tableau, basis, phase1, allowed)
     assert status == OPTIMAL  # phase 1 is bounded by construction
-    if sum(tableau[r, -1] for r in range(m) if basis[r] >= art0) > _FEAS_TOL:
+    if ordered_sum(tableau[r, -1] for r in range(m) if basis[r] >= art0) > _FEAS_TOL:
         return LPResult(INFEASIBLE)
 
     # Drive remaining artificials out of the basis where a pivot exists;

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import itertools
+import math
 import random
 import sys
 from pathlib import Path
@@ -102,6 +103,58 @@ def random_levels(rng: random.Random, max_levels: int = 6, bits: int = 10) -> li
     d = rng.randint(1, max_levels)
     levels = {dyadic(rng, bits) for _ in range(d)} | {0.0}
     return sorted(levels)
+
+
+def _is_long(value: int) -> bool:
+    """Whether an int fits a C long, as builtin ``sum``'s int paths need."""
+    return -(2**63) <= value < 2**63
+
+
+def compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as CPython 3.12 and later compute it.
+
+    Exact ints add exactly while the total fits a C long.  From the
+    first exact float on, exact floats add with Neumaier's compensation
+    and machine-size ints add as floats; the compensation is added to
+    the total at the end if it is nonzero and finite.  Any other item
+    first adds the compensation to the total, and every item from it on
+    adds with plain ``+``.  Patched over ``builtins.sum``, it shows which
+    reported numbers depend on the interpreter's ``sum``.
+    """
+    items = iter(iterable)
+    total = start
+    if type(total) is int and _is_long(total):
+        for item in items:
+            if type(item) in (int, bool) and _is_long(item) and _is_long(total + item):
+                total += item
+                continue
+            total = total + item
+            break
+    if type(total) is float:
+        c = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    c += (total - t) + item
+                else:
+                    c += (item - t) + total
+                total = t
+                continue
+            if isinstance(item, int) and _is_long(item):
+                total += float(item)
+                continue
+            if c and math.isfinite(c):
+                total += c
+            total = total + item
+            break
+        else:
+            if c and math.isfinite(c):
+                total += c
+            return total
+    for item in items:
+        total = total + item
+    return total
 
 
 def load_workloads():

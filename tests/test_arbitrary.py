@@ -4,6 +4,7 @@ import pytest
 
 import bidcoord as bc
 from bidcoord.arbitrary import check_assumption1, solve_arbitrary
+from bidcoord.core import ordered_sum
 from bidcoord.discretize import build_grid
 from bidcoord.limited import solve_ll
 from bidcoord.mechanisms import expected_outcome, individual_baseline
@@ -139,7 +140,7 @@ class TestGuarantee:
                 assert sol.expected_payment == tuple(pbar)
                 caps = [rbar[i] - (inst.outside_options[i] - p) for i in range(n)]
                 assert sol.ic_slacks == tuple(caps[i] - sol.transfers[i] for i in range(n))
-                assert sol.ir_slack == sum(sol.transfers) - sum(pbar)
+                assert sol.ir_slack == ordered_sum(sol.transfers) - ordered_sum(pbar)
 
 
 class TestAssumptionViolationDiagnostic:

@@ -31,6 +31,7 @@ from conftest import (
     example1_raw,
     example3_raw,
     fixed_external,
+    load_workloads,
     random_instance,
     random_levels,
 )
@@ -632,6 +633,30 @@ class TestWup:
         grid = pruned_grid(validate_and_normalize(example3_raw()), 0.05)
         assert set(grid_doc) == GRID_SCALARS | {"pruned_levels"}
         assert seen == [grid_doc["pruned_levels"]] == [list(grid.levels)]
+
+    def test_unit_weights_state_the_arbitrary_objective(self, tmp_path, capsys):
+        # at p = eps/n_c the unit-weight query finds the profile that
+        # ``solve --mode arbitrary`` plays, and states its certified
+        # utility: the solve's objective, bit for bit
+        workloads = load_workloads()
+        raws = [cent_bids_raw(), example1_raw(), example3_raw()] + [
+            json.loads(workloads.pool_instance("arb-grid", slot, 0))
+            for slot in range(len(workloads.WORKLOADS["arb-grid"].shapes))
+        ]
+        for raw in raws:
+            n_c = len(raw["colluders"])
+            weights = self._weights(
+                tmp_path, {"revenue_weights": [1.0] * n_c, "payment_weight": 1.0}
+            )
+            inst = write_instance(tmp_path, raw)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # cent bids warn about their bit count
+                _, solved, _ = run_cli(capsys, "solve", inst, "--epsilon", "0.05")
+                code, out, _ = run_cli(capsys, "wup", inst, "--weights-file", weights,
+                                       "--p", repr(0.05 / n_c))
+            assert code == 0
+            objective = json.loads(solved)["solution"]["objective"]
+            assert json.loads(out)["value"].hex() == objective.hex()
 
     def test_fixed_external_index(self, tmp_path, capsys):
         inst = write_instance(tmp_path, example3_raw())

@@ -1,14 +1,16 @@
+import builtins
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidcoord as bc
-from bidcoord.core import BidProfile, make_profile
+from bidcoord.core import BidProfile, make_profile, ordered_sum
 from bidcoord.oracles import allocate
-from conftest import example1_raw, random_instance
+from conftest import compensated_sum, example1_raw, random_instance
 
 NAN = float("nan")
 
@@ -271,3 +273,37 @@ class TestThreshold:
             slots=[1.0], colluders=[{"v": 0.9, "t": 0.0}]
         ))
         assert inst.threshold(5e-324) == 5e-324
+
+
+#: (values, their total added left to right, builtin ``sum`` on CPython
+#: 3.12.1 and 3.13.0): the two differ from Python 3.12 on.
+SUM_CASES = [
+    ([0.1] * 10, 0.9999999999999999, 1.0),
+    ([1e100, 1.0, -1e100], 0.0, 1.0),
+    ([0.1, 0.2, 0.3], 0.6000000000000001, 0.6),
+    ([1.0, 1e-16, 1e-16], 1.0, 1.0000000000000002),
+    # an infinite total takes no compensation, which is NaN here
+    ([1e308, 1e308, -1e308], float("inf"), float("inf")),
+    ([-0.0], 0.0, 0.0),
+]
+
+
+class TestOrderedSum:
+    @pytest.mark.parametrize("values, ordered, compensated", SUM_CASES)
+    def test_adds_left_to_right_where_python_312_compensates(self, values, ordered, compensated):
+        assert ordered_sum(values).hex() == ordered.hex()
+        assert compensated_sum(values).hex() == compensated.hex()
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False), max_size=12))
+    def test_is_the_plain_loop(self, values):
+        total = 0.0
+        for value in values:
+            total += value
+        assert ordered_sum(values).hex() == total.hex()
+
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="builtin sum compensates from 3.12")
+    @settings(max_examples=300)
+    @given(st.lists(st.floats() | st.integers(-(2**64), 2**64), max_size=12))
+    def test_compensated_sum_is_builtin_sum(self, values):
+        assert repr(builtins.sum(values)) == repr(compensated_sum(values))

@@ -1,7 +1,9 @@
+import contextlib
 import json
 import random
 import re
 import time
+import warnings
 from unittest import mock
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 import bidcoord as bc
 from bidcoord import arbitrary, limited
 from bidcoord.cli import main
-from bidcoord.core import make_profile
+from bidcoord.core import make_profile, ordered_sum
 from bidcoord.discretize import build_grid, iter_grid_profiles, pruned_grid
 from bidcoord.limited import (
     PRICING_TOL,
@@ -118,6 +120,15 @@ class TestExample3Golden:
         assert abs(sol.objective - 1.0) < 1e-6
         assert len(sol.distribution) >= 2
         assert rounds <= 200
+
+
+@contextlib.contextmanager
+def capped_bits_ignored():
+    """Ignores the warning that a support bid's bit count was capped,
+    which cent bids raise, and no other warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "support bid needs .*; capping at 53", UserWarning)
+        yield
 
 
 def assert_sandwich(instance, epsilon):
@@ -698,7 +709,7 @@ def assert_seeds_first_agrees(instance, p):
     seeds = seed_columns(instance, expected_tables(instance, levels))
     best = seeds[-1]
     caps = [r - (t - p) for r, t in zip(best.revenue, instance.outside_options)]
-    if min(caps) >= 0.0 and sum(caps) >= sum(best.payment):
+    if min(caps) >= 0.0 and ordered_sum(caps) >= ordered_sum(best.payment):
         assert solve_master(instance, seeds, p) is not None
     try:
         sol, master, rounds = solve_ll_cg(instance, levels, p)
@@ -737,7 +748,8 @@ class TestPhaseChoice:
         workloads = load_workloads()
         raw = workloads.make_instance(random.Random(seed), workloads.Shape(*row))
         inst = bc.validate_and_normalize(raw)
-        assert_seeds_first_agrees(inst, inst.threshold(workloads.EPSILON))
+        with capped_bits_ignored():
+            assert_seeds_first_agrees(inst, inst.threshold(workloads.EPSILON))
 
     @pytest.mark.parametrize("route", ["zero-seed-tie", "after-feasibility-phase"])
     def test_infeasible_objective_master_is_a_tolerance_error(self, example3, monkeypatch, route):
@@ -796,7 +808,9 @@ class TestSandwich:
         shape = workloads.Shape(n_c, n_e, m, k, bits, mechanism, outside)
         for seed in range(2):
             raw = workloads.make_instance(random.Random(seed), shape)
-            assert assert_sandwich(bc.validate_and_normalize(raw), workloads.EPSILON) == kind
+            with capped_bits_ignored():
+                found = assert_sandwich(bc.validate_and_normalize(raw), workloads.EPSILON)
+            assert found == kind
 
 
 class TestBruteForceVerdicts:
