@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .core import EQ_TOL, AgencySolution, AuctionInstance, BidProfile, make_profile
 from .discretize import iter_grid_profiles, project_to_grid, pruned_grid
-from .mechanisms import certify, expected_outcome
+from .mechanisms import arbitrary_transfers, certify, expected_outcome
 from .wup import solve_wup_expected, unit_weights
 
 
@@ -90,6 +90,6 @@ def solve_arbitrary(
     return certify(
         instance,
         ((expected_outcome(instance, result.profile), 1.0),),
-        lambda caps, pbar: caps,
+        arbitrary_transfers,
         p,
     )

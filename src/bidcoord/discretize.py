@@ -9,13 +9,13 @@ loses at most probability ``p`` of the revenue.  Interval lower
 endpoints, combined with symbolic tie ranks, form the finite bid set the
 solvers optimize over.
 
-The split is defined recursively (``oracles.recursive_split`` keeps that
-form as the test reference, with ``oracles.event_probability``) but runs
-as an iterative depth-first loop over the support bids, sorted once, so
-each interval is decided from one slice of them instead of a scan of the
-whole support.  It yields the same intervals in the same order and the
-same call count.  It only splits (0, 1], with eta = 2^-M, for
-``pruned_grid``.
+The split is defined recursively (``recursive_split`` in
+``tests/oracles.py`` keeps that form as the test reference, with
+``event_probability``) but runs as an iterative depth-first loop over
+the support bids, sorted once, so each interval is decided from one
+slice of them instead of a scan of the whole support.  It yields the
+same intervals in the same order and the same call count.  It only
+splits (0, 1], with eta = 2^-M, for ``pruned_grid``.
 
 Each distinct positive support bid is a point, and its total is the sum,
 in support order, of the probabilities of the distinct entries bidding
@@ -50,12 +50,12 @@ level's gap below it holds no external bid, so a colluder bidding it can
 move down to the kept level below without changing any allocation or
 raising any payment, and the optimum stays the full grid's with at most
 one level more than there are distinct support bids
-(``oracles.prune_levels`` states this on a given grid and is the test
-reference).  A fixed external profile's bids are support bids, so the
-same levels keep its optimum too.  ``pruned_grid`` reads those levels
-off the loop's pieces without building an interval, and every
-optimizer works over them.  It keeps the pieces, so ``discretize`` can
-expand the same walk into the full grid (``PrunedGrid.full_levels``,
+(``prune_levels`` in ``tests/oracles.py`` states this on a given grid
+and is the test reference).  A fixed external profile's bids are support
+bids, so the same levels keep its optimum too.  ``pruned_grid`` reads
+those levels off the loop's pieces without building an interval, and
+every optimizer works over them.  It keeps the pieces, so ``discretize``
+can expand the same walk into the full grid (``PrunedGrid.full_levels``,
 which ``build_grid`` wraps): the split is its lower endpoints, each
 interval running from its level to the next one, or to 1.
 """
@@ -139,9 +139,9 @@ def _split(p: float, eta: float, distribution: ExternalDistribution) -> tuple[li
     bisection of its parent's.  An interval holding only heavy points
     carries more than ``p``, so only the width test remains.  Otherwise
     the distinct entries' probabilities are added in support order by
-    ``core.ordered_sum``, exactly as ``oracles.event_probability`` adds
-    them, so every decision, and hence every interval and the call
-    count, equals the recursive definition's.
+    ``core.ordered_sum``, exactly as the test reference's
+    ``event_probability`` adds them, so every decision, and hence every
+    interval and the call count, equals the recursive definition's.
     """
     pairs = sorted(
         (b, k) for k, (bids, _) in enumerate(distribution.support) for b in bids if b > 0.0

@@ -36,7 +36,7 @@ tables shrink to at most one level more than the distinct support bids.
 A column is its profile's ``mechanisms.ExpectedOutcome``, computed once:
 its ``cumulative`` is the master's objective coefficient, and
 ``mechanisms.certify`` sums the master optimum's own columns into every
-reported number; this module contributes only the canonical transfer fill.
+reported number with ``mechanisms.ll_transfers``, the canonical transfer fill.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .core import (
     ordered_sum,
 )
 from .discretize import pruned_grid
-from .mechanisms import ExpectedOutcome, certify, expected_outcome, transfer_caps
+from .mechanisms import ExpectedOutcome, certify, expected_outcome, ll_transfers, transfer_caps
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, Tableau, lp_solve
 from .wup import WupTables, WupWeights, expected_tables, solve_wup, unit_weights
 
@@ -192,13 +192,10 @@ def extract_solution(
 
     Columns below 1e-12 weight are dropped and the rest renormalized;
     ``mechanisms.certify`` sums every reported number from the kept
-    columns' outcomes rather than trusting LP arithmetic.
-    Transfers are derived canonically from the caps that ``certify``
-    computes with ``mechanisms.transfer_caps``: the smallest nonnegative
-    amounts, filled in colluder order and each at most its cap, that
-    exactly cover the agency's expected payment sum(pbar), the payment
-    the solution states.  Caps that cannot cover it make the instance
-    infeasible: no mix has more utility.
+    columns' outcomes rather than trusting LP arithmetic, and
+    ``mechanisms.ll_transfers`` fills the transfers from the caps it
+    computes; caps that cannot cover the agency's payment make the
+    instance infeasible.
     """
     kept = [
         (col, g) for col, g in zip(master.columns, master.gammas) if g > 1e-12
@@ -207,24 +204,7 @@ def extract_solution(
     if abs(total - 1.0) > 1e-9:
         raise ToleranceError(f"distribution mass {total} drifted beyond 1e-9")
 
-    def fill(caps: list[float], pbar: list[float]) -> list[float]:
-        if min(caps) < -EQ_TOL:
-            raise ToleranceError("participation constraint violated after recomputation")
-        caps = [max(cap, 0.0) for cap in caps]
-        need = ordered_sum(pbar)
-        most = ordered_sum(caps)
-        if most < need - EQ_TOL:
-            raise InfeasibleError(
-                f"transfers of at most {most!r} cannot cover the agency payment {need!r}"
-            )
-        transfers = []
-        for cap in caps:
-            q = min(cap, max(need, 0.0))
-            transfers.append(q)
-            need -= q
-        return transfers
-
-    return certify(instance, [(col, g / total) for col, g in kept], fill, p)
+    return certify(instance, [(col, g / total) for col, g in kept], ll_transfers, p)
 
 
 def solve_ll_cg(

@@ -8,13 +8,14 @@ of its bids at probability 1; its outcome is that instance's expected
 outcome.  ``expected_outcome`` ranks the profile's colluders once per
 call, then merges them with each support entry's external bids, which
 are already descending.  Its float operations and their order are those
-of ranking every agent with one sort and paying every rank, the
-reference kept in ``oracles``, so both give the same bits.  ``certify``
+of ranking every agent with one sort and paying every rank, the test
+reference in ``tests/oracles.py``, so both give the same bits.  ``certify``
 is the only code that turns a distribution over profiles' outcomes into
 expected revenues and payments, the objective and the
 participation/budget slacks; the solvers contribute only the outcomes
-they computed, their probabilities, and the rule that maps the transfer
-caps of ``transfer_caps`` and the expected payments to transfers.
+they computed and their probabilities, and pick one of the two rules
+that map the transfer caps of ``transfer_caps`` and the expected
+payments to transfers: ``arbitrary_transfers`` or ``ll_transfers``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
+    EQ_TOL,
     GSP,
     AgencySolution,
     AuctionInstance,
     BidProfile,
+    InfeasibleError,
+    ToleranceError,
     make_profile,
     ordered_sum,
 )
@@ -140,6 +144,35 @@ def transfer_caps(instance: AuctionInstance, rbar: Sequence[float], p: float) ->
     """The most each colluder can pay the agency and still participate:
     r_i - (t_i - p), revenue ``rbar`` less the master LP's row bound."""
     return [r - (t - p) for r, t in zip(rbar, instance.outside_options)]
+
+
+def arbitrary_transfers(caps: list[float], pbar: list[float]) -> list[float]:
+    """The arbitrary-transfers rule: each colluder pays its cap."""
+    return caps
+
+
+def ll_transfers(caps: list[float], pbar: list[float]) -> list[float]:
+    """The limited-liability rule: the smallest nonnegative transfers,
+    filled in colluder order and each at most its cap, that exactly cover
+    the agency's expected payment sum(pbar), the payment the solution
+    states.  Caps that cannot cover it make the instance infeasible: no
+    mix has more utility.
+    """
+    if min(caps) < -EQ_TOL:
+        raise ToleranceError("participation constraint violated after recomputation")
+    caps = [max(cap, 0.0) for cap in caps]
+    need = ordered_sum(pbar)
+    most = ordered_sum(caps)
+    if most < need - EQ_TOL:
+        raise InfeasibleError(
+            f"transfers of at most {most!r} cannot cover the agency payment {need!r}"
+        )
+    transfers = []
+    for cap in caps:
+        q = min(cap, max(need, 0.0))
+        transfers.append(q)
+        need -= q
+    return transfers
 
 
 def certify(

@@ -20,15 +20,16 @@ limited-liability column generation, weighs only L (n x d cells), and
 :func:`solve_graph` forms each layer's arcs from P in one d x d buffer
 as its DP reaches the layer, so no query holds all (n - 1) x d x d arcs.
 
-:func:`expected_tables` covers the whole external support in one pass
-of array operations, one row per support entry, instead of a loop of
-small array operations per entry (``oracles.entrywise_expected_tables``,
-its reference).  It still adds the entries' shares in support order,
-starting from +0.0, the loop's running sums: a pairwise sum, which
-``.sum(axis=0)`` switches to when the support axis is innermost, can
-move a cell's last bit, and every reported number is meant to keep its
-bits.  Only GSP's payment table, d x d per position, is still summed one
-entry at a time, so no temporary grows with K * d * d.
+:func:`expected_tables` covers the whole external support in one pass of
+array operations, one row per support entry, instead of a loop of small
+array operations per entry (``entrywise_expected_tables`` in
+``tests/oracles.py``, its reference).  It still adds the entries' shares
+in support order, starting from +0.0, the loop's running sums: a
+pairwise sum, which ``.sum(axis=0)`` switches to when the support axis
+is innermost, can move a cell's last bit, and every reported number is
+meant to keep its bits.  Only GSP's payment table, d x d per position,
+is still summed one entry at a time, so no temporary grows with
+K * d * d.
 
 :func:`solve_wup` over :func:`expected_tables` is the one query.  A
 fixed external profile is the one-entry case of the distribution: an
@@ -251,8 +252,9 @@ def build_wup_graph(
 def solve_graph(graph: WupGraph) -> tuple[float, tuple[int, ...]]:
     """Best path by forward DP over layers, one masked max per layer,
     each layer's arcs formed in one reused d x d buffer by the float
-    operations of ``oracles.dense_best_path`` in its order, so value and
-    path keep its bits.  Ties prefer the smaller level index (higher bid).
+    operations of the test reference ``dense_best_path`` in its order,
+    so value and path keep its bits.  Ties prefer the smaller level
+    index (higher bid).
     """
     tables, revenue, x = graph.tables, graph.revenue, graph.payment_weight
     d = len(tables.levels)

@@ -80,8 +80,9 @@ def fixed_external(instance: bc.AuctionInstance, bids) -> bc.AuctionInstance:
 
 def iterative_split(distribution, p: float, eta: float):
     """The discretizer's iterative split of (0, 1] as ((lower, upper)
-    leaves, call count): the form of ``oracles.recursive_split``.  Each
-    leaf runs from its lower endpoint to the next one, or to 1."""
+    leaves, call count): the form of ``oracles.recursive_split``, the
+    test reference in this directory.  Each leaf runs from its lower
+    endpoint to the next one, or to 1."""
     pieces, calls = _split(p, eta, distribution)
     levels = _leaves(pieces)
     return list(zip(levels, levels[1:] + [1.0])), calls

@@ -22,11 +22,16 @@ reference for the optimizer's DP, which forms one layer at a time.  A
 path's weight, its arcs added one by one from the source, is what the
 lemma-map checks compare with the mechanism accounting.  The dense
 master, every grid column at once, is the reference for column
-generation.  Shared surface is limited to the core types, the
-discretizer's grid-profile enumerator, the mechanisms module's
-expected-outcome type and function, the optimizer's weight type,
-tables, level normalization, graph and colluder order, and the
-limited-liability module's column, master LP and solution extraction.
+generation.
+
+This is test code, not part of the package: the tests import it as
+``oracles``, as they import ``conftest``, and it alone needs scipy, a
+dependency of the ``test`` extra only.  What it shares with the package
+is limited to the core types, the discretizer's grid-profile
+enumerator, the mechanisms module's expected-outcome type and function,
+the optimizer's weight type, tables, level normalization, graph and
+colluder order, and the limited-liability module's column, master LP
+and solution extraction.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import (
+from bidcoord.core import (
     GSP,
     AgencySolution,
     AuctionInstance,
@@ -48,10 +53,10 @@ from .core import (
     make_profile,
     ordered_sum,
 )
-from .discretize import iter_grid_profiles
-from .limited import MasterSolution, extract_solution, make_column, solve_master
-from .mechanisms import ExpectedOutcome, expected_outcome
-from .wup import WupGraph, WupTables, WupWeights, _normalize_levels, wup_colluder_order
+from bidcoord.discretize import iter_grid_profiles
+from bidcoord.limited import MasterSolution, extract_solution, make_column, solve_master
+from bidcoord.mechanisms import ExpectedOutcome, expected_outcome
+from bidcoord.wup import WupGraph, WupTables, WupWeights, _normalize_levels, wup_colluder_order
 
 _EXTERNALITY_CAP = 20
 _WUP_CAP = 10**6

@@ -20,7 +20,9 @@ from bidcoord.core import ExternalDistribution, make_profile
 from bidcoord.discretize import build_grid, max_bits, project_to_grid
 from bidcoord.limited import solve_ll, solve_ll_cg
 from bidcoord.mechanisms import expected_outcome, individual_baseline
-from bidcoord.oracles import (
+from bidcoord.wup import WupWeights, build_wup_graph, solve_wup_expected
+from conftest import assert_tiles, dyadic, fixed_external, iterative_split, random_instance
+from oracles import (
     allocate,
     best_deterministic_ll,
     brute_force_arbitrary,
@@ -31,8 +33,6 @@ from bidcoord.oracles import (
     solve_ll_dense,
     vcg_externality,
 )
-from bidcoord.wup import WupWeights, build_wup_graph, solve_wup_expected
-from conftest import assert_tiles, dyadic, fixed_external, iterative_split, random_instance
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 

@@ -8,8 +8,8 @@ from bidcoord.core import ordered_sum
 from bidcoord.discretize import build_grid
 from bidcoord.limited import solve_ll
 from bidcoord.mechanisms import expected_outcome, individual_baseline
-from bidcoord.oracles import brute_force_arbitrary
 from conftest import example3_raw, random_instance
+from oracles import brute_force_arbitrary
 
 FINE_LEVELS = [k / 64 for k in range(65)]
 

@@ -25,7 +25,6 @@ import bidcoord.mechanisms
 from bidcoord.cli import build_parser, canonical_json, main
 from bidcoord.core import instance_to_raw, validate_and_normalize
 from bidcoord.discretize import build_grid, max_bits, pruned_grid
-from bidcoord.oracles import prune_levels, recursive_split
 from conftest import (
     cent_bids_raw,
     example1_raw,
@@ -35,6 +34,7 @@ from conftest import (
     random_instance,
     random_levels,
 )
+from oracles import prune_levels, recursive_split
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 EXAMPLE3 = str(INSTANCES / "example3.json")
@@ -1145,18 +1145,40 @@ class TestCanonicalJson:
             canonical_json({"key": [value]})
 
 
-def test_cli_import_leaves_out_scipy_and_oracles():
-    # the brute-force references and scipy stay off the command path
+def run_probe(probe: str) -> str:
+    """Stdout of ``python -c probe`` with the package's source on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = (
-        "import sys, bidcoord.cli; "
-        "print(sorted(m for m in sys.modules if m == 'bidcoord.oracles' or m.split('.')[0] == 'scipy'))"
-    )
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy, the test references' LP solver, stays off the command path
+    probe = (
+        "import sys, bidcoord.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert run_probe(probe) == "[]\n"
+
+
+def test_package_imports_with_declared_dependencies_only():
+    # every module imports with numpy alone: the brute-force references,
+    # which need scipy, live in tests/oracles.py, not in the package
+    probe = """
+import importlib, importlib.util, pkgutil, sys
+for blocked in ("scipy", "pytest", "hypothesis"):
+    sys.modules[blocked] = None
+import bidcoord
+names = [m.name for m in pkgutil.walk_packages(bidcoord.__path__, "bidcoord.")]
+for name in names:
+    importlib.import_module(name)
+print(importlib.util.find_spec("bidcoord.oracles"), names)
+"""
+    modules = ["arbitrary", "cli", "core", "discretize", "limited", "mechanisms", "simplex", "wup"]
+    assert run_probe(probe) == f"None {[f'bidcoord.{name}' for name in modules]}\n"
 
 
 #: The golden reports cover every report-printing command except

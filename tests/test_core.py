@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import bidcoord as bc
 from bidcoord.core import BidProfile, make_profile, ordered_sum
-from bidcoord.oracles import allocate
 from conftest import compensated_sum, example1_raw, random_instance
+from oracles import allocate
 
 NAN = float("nan")
 

@@ -19,7 +19,6 @@ from bidcoord.discretize import (
     pruned_grid,
 )
 from bidcoord.mechanisms import expected_outcome
-from bidcoord.oracles import event_probability, prune_levels, recursive_split
 from conftest import (
     assert_tiles,
     cent_bids_raw,
@@ -28,6 +27,7 @@ from conftest import (
     iterative_split,
     random_instance,
 )
+from oracles import event_probability, prune_levels, recursive_split
 
 
 def point_mass(*bids):

@@ -28,16 +28,16 @@ from bidcoord.limited import (
     solve_master,
 )
 from bidcoord.mechanisms import expected_outcome, individual_baseline
-from bidcoord.oracles import (
+from bidcoord.simplex import INFEASIBLE, OPTIMAL, LPResult
+from bidcoord.wup import expected_tables, solve_wup, solve_wup_expected, unit_weights
+from conftest import load_workloads, random_instance
+from oracles import (
     best_deterministic_ll,
     brute_force_ll,
     prune_levels,
     ranking_expected_outcome,
     solve_ll_dense,
 )
-from bidcoord.simplex import INFEASIBLE, OPTIMAL, LPResult
-from bidcoord.wup import expected_tables, solve_wup, solve_wup_expected, unit_weights
-from conftest import load_workloads, random_instance
 
 
 def feasible_instance(rng):

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 import bidcoord as bc
 from bidcoord.core import make_profile
 from bidcoord.mechanisms import expected_outcome, individual_baseline
-from bidcoord.oracles import (
+from conftest import fixed_external, random_instance
+from oracles import (
     allocate,
     payments_gsp,
     payments_vcg,
     ranking_expected_outcome,
     vcg_externality,
 )
-from conftest import fixed_external, random_instance
 
 
 def simple_instance(mechanism="gsp", slots=(1.0, 0.5), colluders=((0.9, 0.0), (0.3, 0.0)),

@@ -5,7 +5,10 @@ import pytest
 import bidcoord as bc
 from bidcoord.core import make_profile
 from bidcoord.discretize import build_grid
-from bidcoord.oracles import (
+from bidcoord.wup import WupWeights, unit_weights
+from conftest import random_instance, random_levels
+import oracles
+from oracles import (
     allocate,
     best_deterministic_ll,
     brute_force_arbitrary,
@@ -15,8 +18,13 @@ from bidcoord.oracles import (
     payments_vcg,
     vcg_externality,
 )
-from bidcoord.wup import WupWeights, unit_weights
-from conftest import random_instance, random_levels
+
+
+def test_one_outcome_reference():
+    # deleted: a fixed external profile's outcome is the expected outcome
+    # of its one-entry distribution, ``ranking_expected_outcome``
+    assert not hasattr(oracles, "ranking_outcome")
+    assert callable(oracles.ranking_expected_outcome)
 
 
 class TestVcgExternality:

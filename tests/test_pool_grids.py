@@ -14,8 +14,8 @@ import pytest
 from bidcoord.cli import main
 from bidcoord.core import validate_and_normalize
 from bidcoord.discretize import build_grid, max_bits
-from bidcoord.oracles import prune_levels
 from conftest import load_workloads
+from oracles import prune_levels
 
 workloads = load_workloads()
 CENT_SLOTS = [

@@ -15,9 +15,9 @@ import pytest
 
 from bidcoord.core import validate_and_normalize
 from bidcoord.discretize import pruned_grid
-from bidcoord.oracles import entrywise_expected_tables
 from bidcoord.wup import expected_tables
 from conftest import fixed_external, load_workloads
+from oracles import entrywise_expected_tables
 
 workloads = load_workloads()
 

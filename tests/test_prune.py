@@ -12,9 +12,9 @@ from bidcoord.arbitrary import solve_arbitrary
 from bidcoord.core import ExternalDistribution, InfeasibleError
 from bidcoord.discretize import build_grid
 from bidcoord.limited import solve_ll
-from bidcoord.oracles import brute_force_arbitrary, brute_force_ll, prune_levels
 from bidcoord.wup import WupWeights, expected_tables, solve_wup, solve_wup_expected
 from conftest import cent_bids_raw, fixed_external
+from oracles import brute_force_arbitrary, brute_force_ll, prune_levels
 
 
 def point_mass(*bids):

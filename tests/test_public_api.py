@@ -8,7 +8,6 @@ import bidcoord
 import bidcoord.arbitrary
 import bidcoord.discretize
 import bidcoord.mechanisms
-import bidcoord.oracles
 import bidcoord.wup
 
 PUBLIC = [
@@ -52,7 +51,6 @@ def test_all_is_pinned():
     # on its one-entry distribution
     assert not hasattr(bidcoord, "single_outcome")
     assert not hasattr(bidcoord.mechanisms, "Outcome")
-    assert not hasattr(bidcoord.oracles, "ranking_outcome")
     assert not hasattr(bidcoord.wup, "solve_wup_fixed")
     # deleted: the full split is its levels, each interval running to the
     # next level or to 1 (``PrunedGrid.full_levels``)

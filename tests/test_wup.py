@@ -10,14 +10,6 @@ from hypothesis import strategies as st
 import bidcoord as bc
 from bidcoord.core import make_profile
 from bidcoord.mechanisms import expected_outcome
-from bidcoord.oracles import (
-    arc_weight,
-    brute_force_wup,
-    dense_arcs,
-    dense_best_path,
-    entrywise_expected_tables,
-    path_weight,
-)
 from bidcoord.wup import (
     WupWeights,
     _normalize_levels,
@@ -30,6 +22,14 @@ from bidcoord.wup import (
     wup_colluder_order,
 )
 from conftest import fixed_external, random_instance, random_levels
+from oracles import (
+    arc_weight,
+    brute_force_wup,
+    dense_arcs,
+    dense_best_path,
+    entrywise_expected_tables,
+    path_weight,
+)
 
 
 def solve_fixed(levels, weights, inst, external):
