@@ -28,9 +28,11 @@ PROB_EXACT_TOL = 1e-12
 
 def ordered_sum(values: Iterable[float]) -> float:
     """The float total of ``values``, added left to right from 0.0: every
-    float total in the package.  Not builtin ``sum``, which compensates
-    float additions from Python 3.12 on (Neumaier summation), so a total's
-    last bits, and a report's, would depend on the Python version."""
+    float total in the package.  Numpy rows add elementwise, each entry in
+    that order, as the simplex's do.  Not builtin ``sum``, which
+    compensates float additions from Python 3.12 on (Neumaier summation),
+    so a total's last bits, and a report's, would depend on the Python
+    version."""
     total = 0.0
     for value in values:
         total += value

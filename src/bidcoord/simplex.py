@@ -4,10 +4,12 @@ Solves  max c'x  s.t.  A x (<=|>=|=) b,  x >= 0,  returning both the
 primal solution and one dual value per constraint row.  Bland's rule is
 used for entering and leaving variables, so the method cannot cycle and
 is deterministic.  Sized for the column-generation master: n_c + 1 rows
-and tens of columns at desk scale (737 at n_c = 64).  A pivot is one masked rank-1 update of the
-rows with a nonzero pivot-column entry, and the reduced costs and duals
-are numpy products ``cost[basis] @ table``; the leaving-row ratio test
-runs on Python floats, which divide and compare as numpy's do.
+and tens of columns at desk scale (737 at n_c = 64).  The last tableau
+row holds each column's reduced cost, then minus the objective; set up
+with ``core.ordered_sum`` and pivoted like the other rows, it puts no
+total through a matrix product, which adds in the BLAS kernel's order.
+A pivot is one masked rank-1 update of the rows with a nonzero pivot
+column entry; the ratio test's Python floats divide and compare as numpy's.
 
 An optimal result carries its final tableau.  ``Tableau.add_column``
 appends one more variable and resumes phase 2 from that basis, as column
@@ -61,23 +63,16 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_iterate(
-    tableau: np.ndarray,
-    basis: list[int],
-    cost: np.ndarray,
-    allowed: np.ndarray,
-) -> str:
+def _bland_iterate(tableau: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
     """Pivot until optimal or unbounded; mutates tableau and basis."""
-    cb = cost[basis]
     while True:
-        reduced = cost - cb @ tableau[:, :-1]
-        candidates = (reduced > _PIVOT_TOL) & allowed
+        candidates = (tableau[-1, :-1] > _PIVOT_TOL) & allowed
         enter = int(candidates.argmax())
         if not candidates[enter]:
             return OPTIMAL
-        rhs = tableau[:, -1].tolist()
+        rhs = tableau[:-1, -1].tolist()
         ratios = {
-            r: rhs[r] / a for r, a in enumerate(tableau[:, enter].tolist()) if a > _PIVOT_TOL
+            r: rhs[r] / a for r, a in enumerate(tableau[:-1, enter].tolist()) if a > _PIVOT_TOL
         }
         if not ratios:
             return UNBOUNDED
@@ -85,7 +80,13 @@ def _bland_iterate(
         # Bland tie-break: smallest basis variable index among minimal ratios.
         leave = min((r for r, q in ratios.items() if q <= bound), key=basis.__getitem__)
         _pivot(tableau, basis, leave, enter)
-        cb[leave] = cost[enter]  # cb stays cost[basis]
+
+
+def _objective_row(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> np.ndarray:
+    """[cost | 0] - sum_i cost[basis[i]] row_i, added left to right: each
+    column's reduced cost, then minus the objective."""
+    terms = (-cost[j] * tableau[i] for i, j in enumerate(basis))
+    return ordered_sum([np.append(cost, 0.0), *terms])
 
 
 def _initial_tableau(
@@ -139,9 +140,9 @@ def lp_solve(
     basis = [art0 + i for i in range(m)]
     allowed = np.ones(tableau.shape[1] - 1, dtype=bool)
 
-    phase1 = np.zeros(allowed.size)
-    phase1[art0:] = -1.0
-    status = _bland_iterate(tableau, basis, phase1, allowed)
+    phase1 = np.repeat([0.0, -1.0], [art0, m])  # minimize the artificials' sum
+    tableau = np.vstack((tableau, _objective_row(tableau, basis, phase1)))
+    status = _bland_iterate(tableau, basis, allowed)
     assert status == OPTIMAL  # phase 1 is bounded by construction
     if ordered_sum(tableau[r, -1] for r in range(m) if basis[r] >= art0) > _FEAS_TOL:
         return LPResult(INFEASIBLE)
@@ -156,9 +157,9 @@ def lp_solve(
                     break
 
     allowed[art0:] = False
-    phase2 = np.zeros(allowed.size)
-    phase2[:n] = c
-    return Tableau(tableau, basis, phase2, allowed, sign, art0, list(range(n))).solve()
+    phase2 = np.append(c, np.zeros(allowed.size - n))
+    tableau[-1] = _objective_row(tableau, basis, phase2)
+    return Tableau(tableau, basis, allowed, sign, art0, list(range(n))).solve()
 
 
 @dataclass(eq=False)
@@ -167,16 +168,15 @@ class Tableau:
 
     ``table`` columns are the structural variables, the slacks, the m
     artificials (starting at ``art0``), then each appended variable, and
-    last the right-hand side; rows carry the cold solve's sign flips
-    (``sign``).  ``cost`` is the phase-2 cost and ``allowed`` the entering
-    candidates of each table column, ``basis`` the basic table column of
-    each row, and ``columns`` the table column of each variable, in
-    variable order.
+    last the right-hand side; rows are the m constraint rows, with the
+    cold solve's sign flips (``sign``), then the phase-2 objective row.
+    ``allowed`` holds the entering candidates of each table column,
+    ``basis`` the basic table column of each constraint row, and
+    ``columns`` the table column of each variable, in variable order.
     """
 
     table: np.ndarray
     basis: list[int]
-    cost: np.ndarray
     allowed: np.ndarray
     sign: np.ndarray
     art0: int
@@ -184,41 +184,41 @@ class Tableau:
 
     def solve(self) -> LPResult:
         """Run phase 2 from the current basis; mutates this tableau."""
-        status = _bland_iterate(self.table, self.basis, self.cost, self.allowed)
+        status = _bland_iterate(self.table, self.basis, self.allowed)
         if status == UNBOUNDED:
             return LPResult(UNBOUNDED)
-        values = np.zeros(self.cost.size)
-        values[self.basis] = self.table[:, -1]
+        values = np.zeros(self.allowed.size)
+        values[self.basis] = self.table[:-1, -1]
         x = values[self.columns]
-        # The artificial block started as the identity, so its final columns
-        # are B^-1 and duals are c_B B^-1, re-signed for flipped rows.
-        binv = self.table[:, self.art0 : self.art0 + len(self.basis)]
-        duals = (self.cost[self.basis] @ binv) * self.sign
-        return LPResult(OPTIMAL, x, duals, float(self.cost[self.columns] @ x), self)
+        # The artificial block started as the identity at zero cost, so it is
+        # B^-1 over -c_B B^-1: duals are c_B B^-1, re-signed for flipped rows.
+        duals = -self.table[-1, self.art0 : self.art0 + len(self.basis)] * self.sign
+        return LPResult(OPTIMAL, x, duals, -float(self.table[-1, -1]), self)
 
     def add_column(self, objective: float, column: Sequence[float], index: int) -> LPResult:
         """Re-solve with one more variable, warm-started from this optimum.
 
         ``column`` holds the new variable's coefficient in each original
         row; the variable is placed before variable ``index`` in the
-        result's ``x``.  Its tableau column B^-1 a (rows sign-flipped as
-        in the cold solve) is appended as the highest-indexed column, and
-        phase 2 resumes with Bland's rule on a copy, so this tableau stays
-        as it is.  Requires every artificial to have left the basis in
-        phase 1, as it does when the rows have full rank.
+        result's ``x``.  Its tableau column, B^-1 a (rows sign-flipped as
+        in the cold solve) over its reduced cost ``objective`` - c_B B^-1 a,
+        is appended as the highest-indexed column, and phase 2 resumes
+        with Bland's rule on a copy, so this tableau stays as it is.
+        Requires every artificial to have left the basis in phase 1, as it
+        does when the rows have full rank.
         """
         m = len(self.basis)
         assert not any(self.art0 <= j < self.art0 + m for j in self.basis), (
             "an artificial variable is still basic; the rows are not of full rank"
         )
-        binv = self.table[:, self.art0 : self.art0 + m]
-        entry = binv @ (self.sign * np.asarray(column, dtype=float))
+        a = self.sign * np.asarray(column, dtype=float)
+        start = np.append(np.zeros(m), objective)
+        entry = ordered_sum([start, *(self.table[:, self.art0 + k] * a[k] for k in range(m))])
         columns = list(self.columns)
-        columns.insert(index, self.cost.size)
+        columns.insert(index, self.allowed.size)
         return Tableau(
             np.concatenate((self.table[:, :-1], entry[:, None], self.table[:, -1:]), axis=1),
             list(self.basis),
-            np.append(self.cost, float(objective)),
             np.append(self.allowed, True),
             self.sign,
             self.art0,

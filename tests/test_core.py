@@ -1,7 +1,9 @@
+import ast
 import builtins
 import dataclasses
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,10 @@ from conftest import compensated_sum, example1_raw, random_instance
 from oracles import allocate
 
 NAN = float("nan")
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bidcoord"
+#: numpy's matrix products, as functions or methods: each adds its
+#: terms in an order the BLAS kernel picks.
+PRODUCT_CALLS = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot"}
 
 
 def minimal_raw(**overrides):
@@ -288,6 +294,21 @@ SUM_CASES = [
 ]
 
 
+def matrix_products(source):
+    """(line, operator or function name) of each matrix product in
+    ``source``: an ``@`` operator, or a call named in PRODUCT_CALLS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in PRODUCT_CALLS:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
 class TestOrderedSum:
     @pytest.mark.parametrize("values, ordered, compensated", SUM_CASES)
     def test_adds_left_to_right_where_python_312_compensates(self, values, ordered, compensated):
@@ -301,6 +322,23 @@ class TestOrderedSum:
         for value in values:
             total += value
         assert ordered_sum(values).hex() == total.hex()
+
+    def test_package_forms_no_matrix_product(self):
+        found = [
+            f"{path.name}:{line} {what}"
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for line, what in matrix_products(path.read_text(encoding="utf-8"))
+        ]
+        assert found == []
+
+    def test_matrix_product_finder(self):
+        source = (
+            "@dataclass\nclass T:\n    pass\n"
+            "a @ b\na @= b\nnp.dot(a, b)\na.dot(b)\nmatmul(a, b)\nnp.linalg.inv(a)\n"
+        )
+        assert matrix_products(source) == [
+            (4, "@"), (5, "@"), (6, "dot"), (7, "dot"), (8, "matmul")
+        ]
 
     @pytest.mark.skipif(sys.version_info < (3, 12), reason="builtin sum compensates from 3.12")
     @settings(max_examples=300)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from bidcoord.core import ordered_sum
 from bidcoord.simplex import (
     _PIVOT_TOL,
     INFEASIBLE,
@@ -57,17 +58,23 @@ class TestBasics:
         assert abs(res.objective - 0.5) < 1e-12
 
 
+def random_lp(rng):
+    """(c, a, senses, b): up to 5 rows and 7 columns of milli-step entries."""
+    m = rng.randint(1, 5)
+    n = rng.randint(1, 7)
+    a = [[round(rng.uniform(-2, 2), 3) for _ in range(n)] for _ in range(m)]
+    b = [round(rng.uniform(-1, 2), 3) for _ in range(m)]
+    c = [round(rng.uniform(-1, 1), 3) for _ in range(n)]
+    senses = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
+    return c, a, senses, b
+
+
 class TestAgainstScipy:
     def test_random_lps(self):
         rng = random.Random(31)
         optimal_seen = 0
         for _ in range(250):
-            m = rng.randint(1, 5)
-            n = rng.randint(1, 7)
-            a = [[round(rng.uniform(-2, 2), 3) for _ in range(n)] for _ in range(m)]
-            b = [round(rng.uniform(-1, 2), 3) for _ in range(m)]
-            c = [round(rng.uniform(-1, 1), 3) for _ in range(n)]
-            senses = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
+            c, a, senses, b = random_lp(rng)
             res = lp_solve(c, a, senses, b)
 
             aub, bub, aeq, beq = [], [], [], []
@@ -100,7 +107,7 @@ class TestAgainstScipy:
                 # HiGHS may label unbounded problems infeasible after
                 # presolve; a feasibility-only solve disambiguates.
                 feas = linprog(
-                    [0.0] * n,
+                    [0.0] * len(c),
                     A_ub=aub or None,
                     b_ub=bub or None,
                     A_eq=aeq or None,
@@ -227,8 +234,10 @@ class TestWarmStart:
     @given(master_lps())
     def test_appended_columns_match_cold_solves(self, case):
         n_c, elastic, budget, rhs, columns, n_seed = case
-        res = lp_solve(*master_lp(n_c, elastic, budget, rhs, columns[:n_seed]))
+        objective, *seed_lp = master_lp(n_c, elastic, budget, rhs, columns[:n_seed])
+        res = lp_solve(objective, *seed_lp)
         assume(res.status == OPTIMAL)
+        assert_objective_row(res, objective)
         for k in range(n_seed, len(columns)):
             revenue, pay = columns[k]
             value = 0.0 if elastic else sum(revenue) - pay
@@ -238,6 +247,7 @@ class TestWarmStart:
             cold = lp_solve(objective, rows, senses, b)
             assert res.status == cold.status == OPTIMAL
             assert abs(res.objective - cold.objective) <= 1e-12
+            assert_objective_row(res, objective)
             assert abs(float(np.array(objective) @ res.x) - res.objective) <= 1e-12
             for sol in (res, cold):
                 assert_dual_feasible(sol, objective, rows, senses)
@@ -259,6 +269,39 @@ class TestWarmStart:
         assert res.status == OPTIMAL
         with pytest.raises(AssertionError, match="full rank"):
             res.tableau.add_column(1.0, [1.0, 1.0], index=2)
+
+
+def assert_objective_row(res, objective):
+    """The optimal tableau's objective row is [c | 0] - sum_i c_B[i] row_i,
+    its duals c_B B^-1 and its objective c.x, each added left to right."""
+    assert res.status == OPTIMAL
+    tab = res.tableau
+    m = len(tab.basis)
+    rows = tab.table[:-1]
+    cost = np.zeros(tab.allowed.size)
+    cost[tab.columns] = objective
+    cb = cost[tab.basis]
+    row = [
+        ordered_sum([v, *(-cb[i] * rows[i, j] for i in range(m))])
+        for j, v in enumerate([*cost, 0.0])
+    ]
+    assert np.abs(tab.table[-1] - row).max() <= 1e-12
+    binv = rows[:, tab.art0 : tab.art0 + m]
+    duals = [ordered_sum(cb[i] * binv[i, k] for i in range(m)) * tab.sign[k] for k in range(m)]
+    assert np.abs(res.duals - duals).max() <= 1e-12
+    assert abs(ordered_sum(v * x for v, x in zip(objective, res.x)) - res.objective) <= 1e-12
+
+
+class TestObjectiveRow:
+    """The pivoted objective row agrees with the totals it stands for."""
+
+    @settings(max_examples=300)
+    @given(st.randoms(use_true_random=False))
+    def test_random_lps(self, rng):
+        c, a, senses, b = random_lp(rng)
+        res = lp_solve(c, a, senses, b)
+        assume(res.status == OPTIMAL)
+        assert_objective_row(res, c)
 
 
 def pivot_by_rows(tableau, basis, row, col):
