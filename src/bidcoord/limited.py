@@ -18,13 +18,12 @@ utilities, so it never exceeds the plain utility optimum, and when that
 optimum's point mass covers every outside option and the agency's
 payment it is the master optimum; the duals y = 0, z = its utility
 certify it, since the utility query that found it is then the pricing
-round.  Otherwise round 0's point-mass test picks the first phase.  A
-point mass that covers every outside option makes the objective master
-on the seed columns feasible, so it is solved directly.  One that does
-not starts a feasibility phase (minimizing an elastic relief mass, priced
-the same way) on the seeds before the objective phase, so infeasibility
-is only ever reported for the full grid, never for an unlucky restricted
-master.  Within a phase, only the first master LP is solved from
+round.  Otherwise a feasibility phase (minimizing an elastic relief
+mass, priced the same way) runs on the seeds before the objective phase,
+so infeasibility is only ever reported for the full grid, never for an
+unlucky restricted master; a point mass that covers every outside option
+but not the payment ends that phase at its first LP, with no pricing
+round.  Within a phase, only the first master LP is solved from
 scratch: each later round appends its column to the last optimal
 simplex tableau and resumes from that basis (``add_master_column``).
 Column generation runs over exactly the levels ``solve_ll`` is given;
@@ -220,18 +219,16 @@ def solve_ll_cg(
     is nonnegative and the caps cover its payment) it is the optimum.
     It is returned with 0 rounds and no LP: at duals y = 0, z = its
     utility the seed query was the pricing round, so the pair is
-    primal-dual optimal.  Round 0 leaves to the master LP an optimum of
-    zero utility and one within ``PRICING_TOL`` of the zero-level seed,
-    where the LP's tie-break picks the reported profile.
+    primal-dual optimal.
     Otherwise it seeds the restricted master with the all-zero-level
-    profile and the utility optimum.  A point mass with no negative cap
-    makes the objective master on them feasible, so the objective phase
-    starts there; otherwise a feasibility phase drives out the relief
-    mass (certifying full-master infeasibility, with the residual relief,
-    if no column can lower it) and the objective phase starts on all its
-    columns.  Each phase alternates pricing with master solves until its
-    end rule stops it.  No budget row is needed, since the objective
-    phase ends at the full grid's best utility under participation.
+    profile and the utility optimum, and a feasibility phase drives out
+    the relief mass (certifying full-master infeasibility, with the
+    residual relief, if no column can lower it); a point mass with no
+    negative cap has none, so that phase ends at its first LP.  The
+    objective phase then starts on all its columns.  Each phase
+    alternates pricing with master solves until its end rule stops it.
+    No budget row is needed, since the objective phase ends at the full
+    grid's best utility under participation.
     Each phase solves its first master cold; every priced-in column is
     appended to the previous optimal tableau and the LP resumed from its
     basis.  The weighted-utility tables are built once for the grid and
@@ -239,29 +236,24 @@ def solve_ll_cg(
     """
     n_c = instance.n_colluders
     tables = expected_tables(instance, grid_levels)
-    zero = make_column(instance, make_profile([0.0] * n_c))
     optimum = solve_wup(tables, unit_weights(n_c), instance).profile
-    best = zero if optimum == zero.profile else make_column(instance, optimum)
+    best = make_column(instance, optimum)
     caps = transfer_caps(instance, best.revenue, p)
-    # the master LP's tie-break picks among zero-utility profiles, and
-    # between the optimum and a zero seed it ties exactly or in float
-    # rounding (bidding 0 can earn as much as outranking an external bid)
-    rival = 0.0 if best is zero else zero.cumulative + PRICING_TOL
-    participates = min(caps) >= 0.0
-    if participates and ordered_sum(caps) >= ordered_sum(best.payment) and best.cumulative > rival:
+    if min(caps) >= 0.0 and ordered_sum(caps) >= ordered_sum(best.payment):
         # round 0: the point mass is feasible, and at duals y = 0, z =
         # cumulative the seed query was the pricing round
         master = MasterSolution(
             (best,), (1.0,), DualValues((0.0,) * n_c, best.cumulative), best.cumulative
         )
         return extract_solution(instance, master, p), master, 0
-    columns = (zero,) if best is zero else (zero, best)
+    zero = make_profile([0.0] * n_c)
+    columns = (best,) if optimum == zero else (make_column(instance, zero), best)
     seen = {col.profile for col in columns}
     rounds = 0
-    for elastic in (False,) if participates else (True, False):
+    for elastic in (True, False):
         master = solve_master(instance, columns, p, elastic)
         if master is None:
-            # the seeds hold a participating point mass, and after the
+            # the elastic master is always feasible, and after the
             # feasibility phase the columns hold a zero-relief mix
             raise ToleranceError(f"the objective master on {len(columns)} columns is infeasible")
         # the end rule of the module docstring; the feasibility phase

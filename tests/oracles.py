@@ -7,7 +7,9 @@ linear-programming gold standard runs on scipy rather than the in-repo
 simplex.  The recursive interval split, with its event probability, is
 the reference for the discretizer's iterative one, and pruning a given
 grid gap by gap is the reference for the pruned levels the discretizer
-reads off that split.  Ranking every agent with one sort of its own
+reads off that split.  The levels 0 and the distinct support bids
+carry the exact, unrelaxed optimum that the approximation schemes are
+measured against.  Ranking every agent with one sort of its own
 (level, tie rank) keys, externals at rank 0, and paying every rank,
 once per support entry, is the reference for the mechanisms module's
 expected outcome and for ``BidProfile.ranking``.  The scalar
@@ -67,6 +69,21 @@ def event_probability(distribution: ExternalDistribution, lower: float, upper: f
     """Probability that any external bid lands in (lower, upper]."""
     support = distribution.support
     return ordered_sum(prob for bids, prob in support if any(lower < b <= upper for b in bids))
+
+
+def support_levels(instance: AuctionInstance) -> tuple[float, ...]:
+    """C = {0} together with the distinct positive support bids, ascending.
+
+    Lowering each bid of any profile in [0, 1]^n_c to the largest value
+    of C at or below it, tie ranks kept, passes no external bid, so every
+    slot and revenue stays and every GSP price and VCG payment falls or
+    stays equal: ``prune_levels``' argument with the continuum in place
+    of the grid.  So the exact optimum of the arbitrary problem, and of
+    the limited-liability master for any relaxation p >= 0, is attained
+    on C.
+    """
+    bids = {b for entry, _ in instance.external.support for b in entry if b > 0.0}
+    return (0.0, *sorted(bids))
 
 
 def recursive_split(

@@ -586,11 +586,19 @@ class TestSolve:
     @pytest.mark.parametrize("instance, epsilon, calls", [
         ("example1.json", "0.05", 2),
         ("example3.json", "0.01", 4),
+        ("cent-bids", "0.05", 2),
     ])
-    def test_ll_solve_evaluates_each_column_once(self, capsys, monkeypatch, instance, epsilon, calls):
+    def test_ll_solve_evaluates_each_column_once(
+        self, tmp_path, capsys, monkeypatch, instance, epsilon, calls
+    ):
         # once per master column and once for the baseline: certify sums
-        # the kept columns' outcomes and recomputes none of them
-        argv = (str(INSTANCES / instance), "--mode", "limited-liability", "--epsilon", epsilon)
+        # the kept columns' outcomes and recomputes none of them, and a
+        # round-0 solve (cent bids) evaluates no seed beside its optimum
+        if instance == "cent-bids":
+            path = write_instance(tmp_path, cent_bids_raw())
+        else:
+            path = str(INSTANCES / instance)
+        argv = (path, "--mode", "limited-liability", "--epsilon", epsilon)
         assert self.count_outcomes(capsys, monkeypatch, *argv) == calls
 
 

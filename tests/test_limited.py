@@ -27,7 +27,13 @@ from bidcoord.limited import (
     solve_ll_cg,
     solve_master,
 )
-from bidcoord.mechanisms import expected_outcome, individual_baseline
+from bidcoord.mechanisms import (
+    certify,
+    expected_outcome,
+    individual_baseline,
+    ll_transfers,
+    transfer_caps,
+)
 from bidcoord.simplex import INFEASIBLE, OPTIMAL, LPResult
 from bidcoord.wup import expected_tables, solve_wup, solve_wup_expected, unit_weights
 from conftest import load_workloads, random_instance
@@ -556,15 +562,14 @@ class TestMasterWork:
         dense, _ = solve_ll_dense(inst, levels, p)
         assert abs(sol.objective - dense.objective) < 1e-6
 
-    def test_zero_seed_tie_starts_in_the_objective_phase(self, monkeypatch):
-        # round 0's point mass is feasible but only ties the zero seed, so
-        # the objective master on the seeds is feasible: no elastic LP
+    def test_zero_seed_tie_runs_no_master_lp(self, monkeypatch):
+        # round 0's point mass is feasible and only ties the zero seed:
+        # round 0 closes on it all the same
         calls = count_master_lps(monkeypatch)
         inst = zero_seed_tie(0.8125, [0.8125], 0.75)
         p = inst.threshold(0.05)
-        solve_ll_cg(inst, pruned_grid(inst, p).levels, p)
-        assert calls[:1] == [("cold", False, OPTIMAL)]
-        assert [c for c in calls if c[1]] == []
+        _, _, rounds = solve_ll_cg(inst, pruned_grid(inst, p).levels, p)
+        assert (calls, rounds) == ([], 0)
 
     def test_binding_instance_needs_the_feasibility_phase(self, monkeypatch):
         calls = count_master_lps(monkeypatch)
@@ -580,6 +585,13 @@ def seed_columns(instance, tables):
     optimum = solve_wup(tables, unit_weights(n_c), instance).profile
     seeds = dict.fromkeys([make_profile([0.0] * n_c), optimum])
     return [make_column(instance, s) for s in seeds]
+
+
+def point_mass_feasible(instance, column, p):
+    """Whether ``column``'s point mass is limited-liability feasible: no
+    transfer cap is negative, and the caps cover its payment."""
+    caps = transfer_caps(instance, column.revenue, p)
+    return min(caps) >= 0.0 and ordered_sum(caps) >= ordered_sum(column.payment)
 
 
 def seeds_first_path(instance, levels, p):
@@ -631,12 +643,24 @@ def zero_seed_tie(v, bids, prob):
     return bc.validate_and_normalize(raw)
 
 
+def short_of_payment():
+    """One GSP colluder whose utility optimum (win the slot above the
+    external bid of 0.5) leaves a transfer cap of 0.3 + p against a
+    payment of 0.5; losing leaves a negative cap."""
+    raw = {
+        "mechanism": "gsp",
+        "slots": [1.0],
+        "colluders": [{"v": 1.0, "t": 0.7}],
+        "external": {"support": [{"bids": [0.5], "prob": 1.0}]},
+    }
+    return bc.validate_and_normalize(raw)
+
+
 class TestRoundZero:
-    """Column generation closes at round 0, with no master LP, when the
-    utility optimum's point mass is feasible and its utility beats the
-    zero-level seed's by more than ``PRICING_TOL`` (or is positive, if
-    it is that seed); the seed query is then the pricing round at duals
-    y = 0, z = its utility, and the report is the master's."""
+    """Column generation closes at round 0, with no master LP, exactly
+    when the utility optimum's point mass is feasible; the seed query is
+    then the pricing round at duals y = 0, z = its utility, and the
+    report is that point mass's."""
 
     @settings(max_examples=500)
     @given(seed=st.integers(0, 2**32 - 1), epsilon=st.sampled_from((0.01, 0.05, 0.1)))
@@ -645,52 +669,34 @@ class TestRoundZero:
             random.Random(seed), max_colluders=3, max_external=3,
             max_slots=4, max_support=3, bid_bits=4, feasible_outside=True,
         )
-        p = inst.threshold(epsilon)
-        levels = pruned_grid(inst, p).levels
-        with mock.patch.object(limited, "lp_solve", wraps=limited.lp_solve) as lp:
-            try:
-                sol, master, rounds = solve_ll_cg(inst, levels, p)
-            except bc.InfeasibleError:
-                rounds = None
-        if rounds != 0:
-            assert lp.call_count >= 1
-            return
-        assert lp.call_count == 0
-        assert master.tableau is None and master.gammas == (1.0,)
-        # every field: objective, transfers, distribution, slacks, ...
-        assert sol == seeds_first_path(inst, levels, p)[0]
+        assert_seeds_first_agrees(inst, inst.threshold(epsilon))
 
-    @pytest.mark.parametrize("v, bids, prob", [
-        pytest.param(0.0, [0.25], 0.5, id="zero-utility"),
-        pytest.param(0.8125, [0.8125], 0.75, id="exact-tie"),
-        pytest.param(0.8125, [0.8125], 0.7, id="ulp-tie"),
+    @pytest.mark.parametrize("v, bids, prob, levels", [
+        pytest.param(0.0, [0.25], 0.5, (0.0,), id="zero-utility"),
+        pytest.param(0.8125, [0.8125], 0.75, (0.8125,), id="exact-tie"),
+        pytest.param(0.8125, [0.8125], 0.7, (0.8125,), id="ulp-tie"),
     ])
-    def test_ties_with_the_zero_seed_go_to_the_master(self, v, bids, prob):
+    def test_ties_with_the_zero_seed_close_at_round_0(self, v, bids, prob, levels):
         # a colluder that earns nothing, or one that earns as much
         # bidding 0 as matching an external bid it outranks (exactly, or
-        # 1 ulp above the zero seed): the master LP's tie-break picks the
-        # reported profile, here the zero seed, not the optimum's
+        # 1 ulp above the zero seed): round 0 reports the optimum's
+        # profile, with no master LP to break the tie another way
         inst = zero_seed_tie(v, bids, prob)
         p = inst.threshold(0.05)
-        levels = pruned_grid(inst, p).levels
-        sol, master, rounds = solve_ll_cg(inst, levels, p)
-        assert rounds >= 1 and master.tableau is not None
-        assert sol == seeds_first_path(inst, levels, p)[0]
-        assert sol.distribution[0][0].levels == (0.0,)
+        grid = pruned_grid(inst, p).levels
+        optimum = solve_wup(expected_tables(inst, grid), unit_weights(1), inst).profile
+        with mock.patch.object(limited, "lp_solve", wraps=limited.lp_solve) as lp:
+            sol, master, rounds = solve_ll_cg(inst, grid, p)
+        assert (lp.call_count, rounds, master.tableau) == (0, 0, None)
+        assert [profile for profile, _ in sol.distribution] == [optimum]
+        assert optimum.levels == levels
+        assert abs(sol.objective - seeds_first_path(inst, grid, p)[0].objective) <= 1e-12
 
     def test_optimum_short_of_the_agency_payment_goes_to_the_master(self):
-        # the optimum (win the slot above the external bid of 0.5) leaves
-        # a transfer cap of 0.3 + p against a payment of 0.5, and losing
-        # leaves a negative cap: the objective phase ends at that optimum,
-        # which cannot cover the payment
-        raw = {
-            "mechanism": "gsp",
-            "slots": [1.0],
-            "colluders": [{"v": 1.0, "t": 0.7}],
-            "external": {"support": [{"bids": [0.5], "prob": 1.0}]},
-        }
+        # the objective phase ends at the utility optimum, which cannot
+        # cover the payment
         with pytest.raises(bc.InfeasibleError):
-            solve_ll(bc.validate_and_normalize(raw), 0.05)
+            solve_ll(short_of_payment(), 0.05)
 
 
 BINDING_ROWS = [
@@ -702,32 +708,44 @@ BINDING_ROWS = [
 
 
 def assert_seeds_first_agrees(instance, p):
-    """``solve_ll_cg``, which picks its first phase from round 0's
-    point-mass test, matches ``seeds_first_path`` bit for bit, and the
-    objective master on the seeds is feasible whenever that test passes."""
+    """``solve_ll_cg`` closes at round 0, with no master LP, exactly when
+    the utility optimum's point mass is feasible, and then reports that
+    point mass, within 1e-12 of ``seeds_first_path``'s objective.  It
+    matches ``seeds_first_path`` bit for bit when it runs column
+    generation, and when the optimum is the zero-level seed or beats it
+    by more than ``PRICING_TOL``, so that no tie leaves the master LP's
+    tie-break a choice."""
     levels = pruned_grid(instance, p).levels
     seeds = seed_columns(instance, expected_tables(instance, levels))
-    best = seeds[-1]
-    caps = [r - (t - p) for r, t in zip(best.revenue, instance.outside_options)]
-    if min(caps) >= 0.0 and ordered_sum(caps) >= ordered_sum(best.payment):
-        assert solve_master(instance, seeds, p) is not None
-    try:
-        sol, master, rounds = solve_ll_cg(instance, levels, p)
-    except bc.InfeasibleError as error:
-        with pytest.raises(bc.InfeasibleError) as expected:
-            seeds_first_path(instance, levels, p)
-        assert str(error) == str(expected.value)
-        return
+    zero, best = seeds[0], seeds[-1]
+    feasible = point_mass_feasible(instance, best, p)
+    with mock.patch.object(limited, "lp_solve", wraps=limited.lp_solve) as lp:
+        try:
+            sol, master, rounds = solve_ll_cg(instance, levels, p)
+        except bc.InfeasibleError as error:
+            assert not feasible
+            with pytest.raises(bc.InfeasibleError) as expected:
+                seeds_first_path(instance, levels, p)
+            assert str(error) == str(expected.value)
+            return
     ref_sol, ref_master, ref_rounds = seeds_first_path(instance, levels, p)
-    assert sol == ref_sol
-    if rounds:  # round 0 holds one column and runs no pricing round
-        assert (master.columns, rounds) == (ref_master.columns, ref_rounds)
+    assert (rounds == 0) == (lp.call_count == 0) == feasible
+    if not feasible:
+        assert (sol, master.columns, rounds) == (ref_sol, ref_master.columns, ref_rounds)
+        return
+    assert master.tableau is None and master.gammas == (1.0,)
+    # every field: objective, transfers, distribution, slacks, ...
+    assert sol == certify(instance, ((best, 1.0),), ll_transfers, p)
+    assert abs(sol.objective - ref_sol.objective) <= 1e-12
+    if best is zero or best.cumulative > zero.cumulative + PRICING_TOL:
+        assert sol == ref_sol
 
 
 class TestPhaseChoice:
-    """Round 0's point-mass test picks the first phase: the objective
-    master on the seeds when the point mass is feasible, else the
-    feasibility phase, so no master LP is solved only to fail."""
+    """No phase choice: every solve that round 0 does not close starts in
+    the feasibility phase on the seeds, and still matches
+    ``seeds_first_path``, which tries the objective master on them
+    first, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -751,10 +769,39 @@ class TestPhaseChoice:
         with capped_bits_ignored():
             assert_seeds_first_agrees(inst, inst.threshold(workloads.EPSILON))
 
-    @pytest.mark.parametrize("route", ["zero-seed-tie", "after-feasibility-phase"])
+    @pytest.mark.parametrize("name", ["ll-desk", "ll-cg"])
+    def test_pool_instances(self, monkeypatch, name):
+        # every variant of every pool slot: round 0 closes exactly when
+        # the utility optimum's point mass is feasible, and every other
+        # solve's first master LP is the elastic one
+        workloads = load_workloads()
+        assert workloads.WORKLOADS[name].mode == "limited-liability"
+        calls = count_master_lps(monkeypatch)
+        with capped_bits_ignored():
+            for slot in range(len(workloads.WORKLOADS[name].shapes)):
+                for variant in range(workloads.VARIANTS):
+                    key = f"{name}/{slot}/{variant}"
+                    raw = json.loads(workloads.pool_instance(name, slot, variant))
+                    inst = bc.validate_and_normalize(raw)
+                    p = inst.threshold(workloads.EPSILON)
+                    levels = pruned_grid(inst, p).levels
+                    best = seed_columns(inst, expected_tables(inst, levels))[-1]
+                    feasible = point_mass_feasible(inst, best, p)
+                    calls.clear()
+                    try:
+                        rounds = solve_ll_cg(inst, levels, p)[2]
+                    except bc.InfeasibleError:
+                        rounds = None
+                    assert (rounds == 0) == feasible == (calls == []), key
+                    if not feasible:
+                        assert calls[0] == ("cold", True, OPTIMAL), key
+
+    @pytest.mark.parametrize("route", ["short-of-payment", "after-feasibility-phase"])
     def test_infeasible_objective_master_is_a_tolerance_error(self, example3, monkeypatch, route):
-        # an objective master that the phase choice guarantees feasible
-        # but that comes back infeasible is an LP fault, not infeasibility
+        # an objective master that the feasibility phase guarantees
+        # feasible but that comes back infeasible is an LP fault, not
+        # infeasibility: after a zero-round feasibility phase on the
+        # seeds, or after one that priced in a column
         real = limited.lp_solve
 
         def objective_infeasible(objective, rows, senses, rhs):
@@ -763,8 +810,8 @@ class TestPhaseChoice:
             return LPResult(INFEASIBLE)
 
         monkeypatch.setattr(limited, "lp_solve", objective_infeasible)
-        if route == "zero-seed-tie":
-            inst = zero_seed_tie(0.8125, [0.8125], 0.75)
+        if route == "short-of-payment":
+            inst = short_of_payment()
             p = inst.threshold(0.05)
             levels, columns = pruned_grid(inst, p).levels, 2
         else:
